@@ -35,11 +35,11 @@ print(f"  bias-corrected r {dcor.bias_corrected_r:.4f}, "
       f"t {dcor.t_statistic:.2f} on {dcor.degrees_of_freedom} df, "
       f"p {dcor.p_value:.2e}")
 
-ci = hp.subsample_ci(ds.x, ds.y, ratio=0.25, b=5_000, level=0.95, seed=2)
+ci = hp.subsample_ci(dx, dy, ratio=0.25, b=5_000, level=0.95, seed=2)
 print(f"\nsubsampling 95% CI (ratio {ci.subsample_ratio}, {ci.n_subsamples} subsamples):")
 print(f"  [{ci.lower:.4f}, {ci.upper:.4f}] around {ci.point_estimate:.4f}")
 
-boot = hp.bootstrap_distribution(ds.x, ds.y, b=2_000, seed=3)
+boot = hp.bootstrap_distribution(dx, dy, b=2_000, seed=3)
 print("\nbootstrap comparison (NOT an inference path):")
 print(f"  mean replicate {boot.valid.mean():.4f} vs observed {boot.observed:.4f} "
       f"-- duplicates zero out distances and push replicates upward")

@@ -92,11 +92,11 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (np.floating,)):
+    # repr(float(v)): np.float64 subclasses float, but its own repr is
+    # "np.float64(...)" under numpy 2.
+    if isinstance(v, (float, np.floating)):
         return repr(float(v))
-    if isinstance(v, (np.integer,)):
+    if isinstance(v, np.integer):
         return str(int(v))
     return str(v)
 
@@ -405,25 +405,24 @@ def _cmd_dist(args) -> None:
 def _infer_defaults() -> dict:
     return {
         "x": None, "y": None, "out": None, "b": 10_000, "seed": 0, "ratio": 0.135,
-        "level": 0.95, "method": "root", "threads": 1, "dump_replicates": False,
+        "level": 0.95, "method": "root", "threads": 1,
         "metric_x": "scaled_euclidean", "metric_y": "pearson_correlation_distance",
-        "mantel_joint": False,
     }
 
 
 def _cmd_infer(args) -> None:
-    cfg = _resolve(args, _infer_defaults())
+    cfg = _resolve(args, {**_infer_defaults(), "dump_replicates": False})
     if cfg["b"] < 1:
         raise CliError(f"--b must be >= 1, got {cfg['b']}")
     mode = args.mode
     x, y = _load_pair(cfg)
     inputs = {"x": cfg["x"], "y": cfg["y"]}
     os.makedirs(cfg["out"], exist_ok=True)
-    if mode == "perm":
+    if mode != "dcor":
         dx = distance_matrix(x, cfg["metric_x"])
         dy = distance_matrix(y, cfg["metric_y"])
-        res = permutation_test(dx, dy, cfg["b"], cfg["seed"], threads=cfg["threads"],
-                               mantel_joint=cfg["mantel_joint"])
+    if mode == "perm":
+        res = permutation_test(dx, dy, cfg["b"], cfg["seed"], threads=cfg["threads"])
         rho, tau = rank_correlations(dx, dy)
         results = {
             "observed": res.observed,
@@ -445,8 +444,8 @@ def _cmd_infer(args) -> None:
         }
         reps = None
     elif mode == "subsample":
-        ci = subsample_ci(x, y, cfg["ratio"], cfg["b"], cfg["level"], cfg["seed"],
-                          cfg["method"], cfg["metric_x"], cfg["metric_y"], cfg["threads"])
+        ci = subsample_ci(dx, dy, cfg["ratio"], cfg["b"], cfg["level"], cfg["seed"],
+                          cfg["method"], cfg["threads"])
         results = {
             "observed": ci.point_estimate,
             "ci": {"lower": ci.lower, "upper": ci.upper, "level": ci.level},
@@ -457,8 +456,7 @@ def _cmd_infer(args) -> None:
         }
         reps = None
     elif mode == "bootstrap":
-        boot = bootstrap_distribution(x, y, cfg["b"], cfg["seed"],
-                                      cfg["metric_x"], cfg["metric_y"], cfg["threads"])
+        boot = bootstrap_distribution(dx, dy, cfg["b"], cfg["seed"], cfg["threads"])
         results = {
             "observed": boot.observed,
             "n_missing": boot.n_missing,
@@ -481,8 +479,8 @@ def _cmd_report(args) -> None:
     dy = distance_matrix(y, cfg["metric_y"])
     perm = permutation_test(dx, dy, cfg["b"], cfg["seed"], threads=cfg["threads"])
     dcor = dcor_ttest(x, y)
-    ci = subsample_ci(x, y, cfg["ratio"], cfg["b"], cfg["level"], cfg["seed"],
-                      cfg["method"], cfg["metric_x"], cfg["metric_y"], cfg["threads"])
+    ci = subsample_ci(dx, dy, cfg["ratio"], cfg["b"], cfg["level"], cfg["seed"],
+                      cfg["method"], cfg["threads"])
     rows = [
         {
             "method": "permutation",
@@ -751,8 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--level", type=float, help="confidence level")
     sp.add_argument("--method", choices=["root", "percentile"])
     sp.add_argument("--dump-replicates", dest="dump_replicates", action="store_const", const=True)
-    sp.add_argument("--mantel-joint", dest="mantel_joint", action="store_const", const=True,
-                    help="comparison-only joint permutation variant")
     _add_common(sp, "x", "y", "out", "seed", "threads", "config", "metrics")
     sp.set_defaults(func=_cmd_infer, command_path=None)
 
@@ -784,8 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ratio", type=float)
     sp.add_argument("--level", type=float)
     sp.add_argument("--method", choices=["root", "percentile"])
-    sp.add_argument("--dump-replicates", dest="dump_replicates", action="store_const", const=True)
-    sp.add_argument("--mantel-joint", dest="mantel_joint", action="store_const", const=True)
     _add_common(sp, "x", "y", "out", "seed", "threads", "config", "metrics")
     sp.set_defaults(func=_cmd_report, command_path="report")
 

@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist, squareform
 
 from hdpaired.matrixio import FeatureMatrix, _as_readonly, load_matrix, save_matrix
 
@@ -95,53 +96,37 @@ def d_y(y: np.ndarray, y2: np.ndarray) -> float:
     return float(min(max(1.0 - r, 0.0), 2.0))
 
 
-def _euclidean_matrix(data: np.ndarray, scale: float) -> np.ndarray:
-    n = data.shape[0]
-    out = np.zeros((n, n))
-    # Upper triangle computed once and mirrored: exact symmetry by
-    # construction, and (x_i - x_j)^2 == (x_j - x_i)^2 makes the entries
-    # independent of row order.
-    for i in range(n - 1):
-        diff = data[i + 1 :] - data[i]
-        row = np.sqrt(np.einsum("ij,ij->i", diff, diff)) * scale
-        out[i, i + 1 :] = row
-        out[i + 1 :, i] = row
-    return out
+def _pairwise(rows: np.ndarray, metric_tag: str, labels: tuple[str, ...]) -> np.ndarray:
+    """Square matrix of distances between the rows of `rows` under metric_tag.
 
-
-def _correlation_distance_matrix(data: np.ndarray, subject_ids) -> np.ndarray:
-    n = data.shape[0]
-    centered = data - data.mean(axis=1, keepdims=True)
-    norms = np.sqrt(np.einsum("ij,ij->i", centered, centered))
-    bad = np.flatnonzero(norms == 0.0)
-    if bad.size:
-        raise ValueError(
-            f"zero-variance rows under correlation distance: subjects "
-            f"{[subject_ids[i] for i in bad[:5]]}"
-        )
-    unit = centered / norms[:, None]
-    out = np.zeros((n, n))
-    for i in range(n - 1):
-        row = 1.0 - unit[i + 1 :] @ unit[i]
-        np.clip(row, 0.0, 2.0, out=row)
-        out[i, i + 1 :] = row
-        out[i + 1 :, i] = row
-    return out
+    pdist computes each pair on its own, so entries do not depend on row
+    order; squareform mirrors the condensed vector, so symmetry and the zero
+    diagonal are exact.  `labels` name the rows in error messages.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if metric_tag in ("scaled_euclidean", "euclidean"):
+        cond = pdist(rows, "euclidean")
+        if metric_tag == "scaled_euclidean":
+            cond *= 1.0 / rows.shape[1]
+    elif metric_tag == "pearson_correlation_distance":
+        if rows.shape[1] < 2:
+            raise ValueError("correlation distance needs at least 2 entries per row")
+        centered = rows - rows.mean(axis=1, keepdims=True)
+        bad = np.flatnonzero(np.einsum("ij,ij->i", centered, centered) == 0.0)
+        if bad.size:
+            raise ValueError(
+                f"zero-variance vectors under correlation distance: {[labels[i] for i in bad[:5]]}"
+            )
+        cond = pdist(rows, "correlation")
+        np.clip(cond, 0.0, 2.0, out=cond)
+    else:
+        raise ValueError(f"unknown metric_tag {metric_tag!r}; expected one of {METRICS}")
+    return squareform(cond)
 
 
 def distance_matrix(m: FeatureMatrix, metric_tag: str) -> DistanceMatrix:
     """Pairwise distance matrix over subjects under the declared metric."""
-    if metric_tag == "scaled_euclidean":
-        data = _euclidean_matrix(m.data, 1.0 / m.n_features)
-    elif metric_tag == "euclidean":
-        data = _euclidean_matrix(m.data, 1.0)
-    elif metric_tag == "pearson_correlation_distance":
-        if m.n_features < 2:
-            raise ValueError("correlation distance needs at least 2 features")
-        data = _correlation_distance_matrix(m.data, m.subject_ids)
-    else:
-        raise ValueError(f"unknown metric_tag {metric_tag!r}; expected one of {METRICS}")
-    return DistanceMatrix(data, metric_tag, m.subject_ids)
+    return DistanceMatrix(_pairwise(m.data, metric_tag, m.subject_ids), metric_tag, m.subject_ids)
 
 
 def upper_triangle(d: DistanceMatrix | np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Statistical inference on distance-based correlations.
 
 The core statistic is the Pearson correlation between the upper triangles
-of two inter-subject distance matrices.  Inference paths:
+of two inter-subject distance matrices dx, dy.  The permutation, subsampling
+and bootstrap procedures all take that pair, built once by
+`distances.distance_matrix`, and resample its subjects.  Inference paths:
 
 * one-sided permutation test (permute subjects of one matrix only),
 * unbiased distance-correlation t-test on U-centered Euclidean distances,
@@ -95,7 +97,6 @@ def permutation_test(
     b: int = 10_000,
     seed: int = 0,
     threads: int = 1,
-    mantel_joint: bool = False,
 ) -> PermutationResult:
     """One-sided permutation test of positive distance-pair correlation.
 
@@ -104,11 +105,6 @@ def permutation_test(
     Because a subject permutation leaves the multiset of upper-triangle
     distances invariant, the centered sum of squares of dx is the same for
     every replicate and is computed once.
-
-    mantel_joint=True additionally permutes dy with an independent
-    permutation each replicate (the classical joint-permutation variant).
-    By relabeling invariance this samples the same null distribution; it is
-    provided for comparison only and is not the supported inference path.
     """
     n = _check_same_subjects(dx, dy)
     if b < 1:
@@ -127,22 +123,16 @@ def permutation_test(
         raise ValueError("constant distance triangle; correlation undefined")
     denom = math.sqrt(ssx * ssy)
     dxd = dx.data
-    dyd = dy.data
 
-    def stat(px: np.ndarray, pcy: np.ndarray) -> float:
-        return float((px - px.mean()) @ pcy) / denom
+    def stat(px: np.ndarray) -> float:
+        return float((px - px.mean()) @ cy) / denom
 
-    observed = stat(tx, cy)
+    observed = stat(tx)
 
     def one(i: int) -> float:
         rng = replicate_rng(seed, STREAM_PERMUTATION, i)
         sigma = rng.permutation(n)
-        px = dxd[sigma[iu], sigma[ju]]
-        if mantel_joint:
-            tau = rng.permutation(n)
-            py = dyd[tau[iu], tau[ju]]
-            return stat(px, py - py.mean())
-        return stat(px, cy)
+        return stat(dxd[sigma[iu], sigma[ju]])
 
     null = np.array(parallel_map(one, range(b), threads))
     count = int(np.sum(null >= observed))
@@ -275,31 +265,21 @@ def _triangle_corr_fast(tx: np.ndarray, ty: np.ndarray) -> float:
     return float(cx @ cy) / math.sqrt(ssx * ssy)
 
 
-def _paired_distances(
-    x: FeatureMatrix, y: FeatureMatrix, metric_x: str, metric_y: str
-) -> tuple[DistanceMatrix, DistanceMatrix]:
-    if x.subject_ids != y.subject_ids:
-        raise ValueError("matrices must be row-aligned over the same subjects")
-    return distance_matrix(x, metric_x), distance_matrix(y, metric_y)
-
-
 def subsample_ci(
-    x: FeatureMatrix,
-    y: FeatureMatrix,
+    dx: DistanceMatrix,
+    dy: DistanceMatrix,
     ratio: float = 0.135,
     b: int = 10_000,
     level: float = 0.95,
     seed: int = 0,
     method: str = "root",
-    metric_x: str = "scaled_euclidean",
-    metric_y: str = "pearson_correlation_distance",
     threads: int = 1,
     keep_replicates: bool = False,
 ) -> ConfidenceInterval:
     """Confidence interval from b subsamples of size round(ratio * n).
 
     Subsamples are drawn without replacement; the statistic is recomputed on
-    each subset (both metrics are pairwise, so the subset's distance matrix
+    each subset (every metric is pairwise, so the subset's distance matrix
     is exactly the corresponding submatrix of the full one).
 
     method="root" (default) inverts the subsampling root: with quantiles q
@@ -307,7 +287,7 @@ def subsample_ci(
     [theta_n - q_hi / sqrt(n), theta_n - q_lo / sqrt(n)].
     method="percentile" returns raw (alpha/2, 1-alpha/2) replicate quantiles.
     """
-    n = x.n_subjects
+    n = _check_same_subjects(dx, dy)
     m = round(ratio * n)
     if m < 4:
         raise ValueError(f"subsample size round({ratio} * {n}) = {m} < 4")
@@ -315,7 +295,6 @@ def subsample_ci(
         raise ValueError(f"subsample size {m} exceeds n = {n}")
     if b < 2:
         raise ValueError(f"need at least 2 subsamples, got {b}")
-    dx, dy = _paired_distances(x, y, metric_x, metric_y)
     observed = distance_pair_correlation(dx, dy)
     im, jm = np.triu_indices(m, 1)
     dxd, dyd = dx.data, dy.data
@@ -371,12 +350,10 @@ class BootstrapResult:
 
 
 def bootstrap_distribution(
-    x: FeatureMatrix,
-    y: FeatureMatrix,
+    dx: DistanceMatrix,
+    dy: DistanceMatrix,
     b: int = 10_000,
     seed: int = 0,
-    metric_x: str = "scaled_euclidean",
-    metric_y: str = "pearson_correlation_distance",
     threads: int = 1,
 ) -> BootstrapResult:
     """Replicate statistics over b size-n resamples drawn WITH replacement.
@@ -387,12 +364,11 @@ def bootstrap_distribution(
     as an inference path.  Replicates whose distance triangle is constant
     are recorded as NaN and counted via n_missing.
     """
-    n = x.n_subjects
+    n = _check_same_subjects(dx, dy)
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     if b < 1:
         raise ValueError(f"need at least 1 resample, got {b}")
-    dx, dy = _paired_distances(x, y, metric_x, metric_y)
     observed = distance_pair_correlation(dx, dy)
     iu, ju = np.triu_indices(n, 1)
     dxd, dyd = dx.data, dy.data

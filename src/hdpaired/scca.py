@@ -174,21 +174,6 @@ class _EllipsoidProjection:
         return z + self.vt.T @ (w_new - w), lam
 
 
-def _dykstra(z: np.ndarray, projections, tol: float = 1e-9, max_sweeps: int = 30) -> np.ndarray:
-    """Dykstra's alternating projection onto an intersection of convex sets."""
-    x = z.copy()
-    incs = [np.zeros_like(z) for _ in projections]
-    for _ in range(max_sweeps):
-        x_prev = x
-        for i, proj in enumerate(projections):
-            y = proj(x + incs[i])
-            incs[i] = x + incs[i] - y
-            x = y
-        if float(np.max(np.abs(x - x_prev))) <= tol * (1.0 + float(np.max(np.abs(x)))):
-            break
-    return x
-
-
 def _maximize_linear(g, w0, feasible_proj, max_steps: int = 8, rel_tol: float = 1e-9):
     """Maximize g @ w over a convex set via projected gradient with backtracking.
 

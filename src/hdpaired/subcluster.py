@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hdpaired.distances import METRICS, DistanceMatrix, d_x, d_y
+from hdpaired.distances import DistanceMatrix, _pairwise
 
 
 @dataclass(frozen=True)
@@ -66,27 +66,15 @@ def feature_distance_matrix(
     """Distances between feature COLUMNS across the (training) rows.
 
     The scaled Euclidean distance divides by the column length (the number
-    of rows here); the correlation distance is unchanged.
+    of rows here); the correlation distance is unchanged.  A constant column
+    under the correlation distance is rejected with its feature index named.
     """
     data = np.asarray(data, dtype=float)
     feature_indices = np.asarray(feature_indices, dtype=int)
     if feature_indices.size < 2:
         raise ValueError("need at least 2 selected features to cluster")
-    cols = data[:, feature_indices].T  # one row per feature
-    if metric_tag == "scaled_euclidean":
-        fn = d_x
-    elif metric_tag == "euclidean":
-        fn = lambda a, b: d_x(a, b) * a.size
-    elif metric_tag == "pearson_correlation_distance":
-        fn = d_y
-    else:
-        raise ValueError(f"unknown metric_tag {metric_tag!r}; expected one of {METRICS}")
-    f = cols.shape[0]
-    out = np.zeros((f, f))
-    for i in range(f - 1):
-        for j in range(i + 1, f):
-            out[i, j] = out[j, i] = fn(cols[i], cols[j])
     labels = tuple(str(int(i)) for i in feature_indices)
+    out = _pairwise(data[:, feature_indices].T, metric_tag, labels)
     return DistanceMatrix(out, metric_tag, labels)
 
 

@@ -115,7 +115,8 @@ def test_criterion_04_subsampling_coverage():
     covered = 0
     for rep in range(200):
         ds, _ = gen_shared_latent(150, 20, 20, 0.5, seed=4000 + rep)
-        ci = subsample_ci(ds.x, ds.y, ratio=0.25, b=2000, level=0.95, seed=rep,
+        dx, dy = both_distances(ds)
+        ci = subsample_ci(dx, dy, ratio=0.25, b=2000, level=0.95, seed=rep,
                           method="root", threads=THREADS)
         covered += ci.lower <= target <= ci.upper
     report(4, "subsampling CI coverage",
@@ -125,11 +126,12 @@ def test_criterion_04_subsampling_coverage():
 
 def test_criterion_05_bootstrap_upward_bias():
     ds, _ = gen_shared_latent(100, 12, 12, 0.8, seed=42)
-    boot = bootstrap_distribution(ds.x, ds.y, b=500, seed=5)
+    dx, dy = both_distances(ds)
+    boot = bootstrap_distribution(dx, dy, b=500, seed=5)
     bvals = boot.valid
     se_boot = bvals.std(ddof=1) / math.sqrt(bvals.size)
     z_boot = (bvals.mean() - boot.observed) / se_boot
-    ci = subsample_ci(ds.x, ds.y, ratio=0.5, b=500, seed=5, keep_replicates=True)
+    ci = subsample_ci(dx, dy, ratio=0.5, b=500, seed=5, keep_replicates=True)
     svals = ci.replicates[~np.isnan(ci.replicates)]
     se_sub = svals.std(ddof=1) / math.sqrt(svals.size)
     z_sub = (svals.mean() - ci.point_estimate) / se_sub

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hdpaired.cli import main
+from hdpaired.distances import distance_matrix
 from hdpaired.matrixio import FeatureMatrix, load_matrix, save_matrix
 
 
@@ -63,13 +64,20 @@ class TestDist:
         ids = ("a", "b", "c")
         synth = tmp_path / "s"
         synth.mkdir()
-        save_matrix(FeatureMatrix(rng.standard_normal((3, 4)), ids), str(synth / "x.bin"))
-        save_matrix(FeatureMatrix(rng.standard_normal((3, 5)), ids), str(synth / "y.bin"))
+        x = FeatureMatrix(rng.standard_normal((3, 4)), ids)
+        y = FeatureMatrix(rng.standard_normal((3, 5)), ids)
+        save_matrix(x, str(synth / "x.bin"))
+        save_matrix(y, str(synth / "y.bin"))
         out = tmp_path / "d"
         assert run(["dist", "--x", synth / "x.bin", "--y", synth / "y.bin",
                     "--bins", 4, "--out", out]) == 0
         lines = (out / "distances.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * 3  # header + 3 pairs per modality
+        expected = {"x": distance_matrix(x, "scaled_euclidean").data,
+                    "y": distance_matrix(y, "pearson_correlation_distance").data}
+        for line in lines[1:]:
+            tag, a, b, cell = line.split(",")
+            assert float(cell) == expected[tag][ids.index(a), ids.index(b)], line
         report = read_json(out / "dist_report.json")
         assert report["results"]["x"]["n_pairs"] == 3
         assert report["results"]["x"]["bin_total"] == 3

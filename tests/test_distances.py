@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hdpaired.distances import (
+    METRICS,
     DistanceMatrix,
     d_x,
     d_y,
@@ -87,15 +88,18 @@ class TestDistanceMatrix:
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(7)
         data = rng.standard_normal((20, 50))
-        for metric in ("scaled_euclidean", "euclidean", "pearson_correlation_distance"):
-            d = distance_matrix(fm(data), metric)
-            np.testing.assert_allclose(
-                d.data, naive_distance_matrix(data, metric), rtol=1e-12, atol=1e-13
-            )
+        duplicated = rng.standard_normal((9, 4))
+        duplicated[6] = duplicated[2]
+        for rows in (data, duplicated):
+            for metric in METRICS:
+                d = distance_matrix(fm(rows), metric)
+                np.testing.assert_allclose(
+                    d.data, naive_distance_matrix(rows, metric), rtol=1e-12, atol=1e-13
+                )
 
     def test_exact_symmetry_zero_diag(self):
         data = np.random.default_rng(8).standard_normal((15, 9))
-        for metric in ("scaled_euclidean", "pearson_correlation_distance"):
+        for metric in METRICS:
             d = distance_matrix(fm(data), metric)
             assert np.array_equal(d.data, d.data.T)
             assert np.all(np.diag(d.data) == 0.0)
@@ -104,10 +108,11 @@ class TestDistanceMatrix:
         rng = np.random.default_rng(9)
         data = rng.standard_normal((12, 6))
         perm = rng.permutation(12)
-        base = distance_matrix(fm(data), "pearson_correlation_distance")
         m2 = FeatureMatrix(data[perm], tuple(f"s{i}" for i in perm), "")
-        permuted = distance_matrix(m2, "pearson_correlation_distance")
-        np.testing.assert_array_equal(permuted.data, base.data[np.ix_(perm, perm)])
+        for metric in METRICS:
+            base = distance_matrix(fm(data), metric)
+            permuted = distance_matrix(m2, metric)
+            np.testing.assert_array_equal(permuted.data, base.data[np.ix_(perm, perm)])
 
     def test_zero_variance_row_named(self):
         data = np.random.default_rng(10).standard_normal((4, 6))

@@ -38,6 +38,13 @@ def random_distance_pair(n, p=8, q=6, seed=0):
     return dx, dy
 
 
+def both_distances(ds):
+    return (
+        distance_matrix(ds.x, "scaled_euclidean"),
+        distance_matrix(ds.y, "pearson_correlation_distance"),
+    )
+
+
 class TestDistancePairCorrelation:
     def test_perfect_positive_affine(self):
         dx, _ = random_distance_pair(10, seed=1)
@@ -130,11 +137,6 @@ class TestPermutationTest:
         b = permutation_test(dx, dy, b=64, seed=4, threads=4)
         assert np.array_equal(a.null_samples, b.null_samples)
         assert a.p_value == b.p_value
-
-    def test_mantel_joint_flag_runs(self):
-        dx, dy = random_distance_pair(12, seed=10)
-        res = permutation_test(dx, dy, b=50, seed=2, mantel_joint=True)
-        assert res.n_permutations == 50
 
     def test_null_pvalues_roughly_uniform(self):
         # Small-scale calibration check; the acceptance suite runs the full one.
@@ -233,29 +235,30 @@ class TestSubsampleCi:
     def test_ratio_one_degenerate_interval(self):
         ds, _ = gen_shared_latent(20, 5, 5, 0.7, seed=20)
         for method in ("root", "percentile"):
-            ci = subsample_ci(ds.x, ds.y, ratio=1.0, b=20, seed=1, method=method)
+            ci = subsample_ci(*both_distances(ds), ratio=1.0, b=20, seed=1, method=method)
             assert ci.upper - ci.lower <= 1e-12
             assert ci.lower == pytest.approx(ci.point_estimate, abs=1e-12)
 
     def test_reproducible_across_threads(self):
         ds, _ = gen_shared_latent(30, 6, 6, 0.6, seed=21)
-        a = subsample_ci(ds.x, ds.y, ratio=0.5, b=40, seed=3, threads=1)
-        b = subsample_ci(ds.x, ds.y, ratio=0.5, b=40, seed=3, threads=4)
+        dx, dy = both_distances(ds)
+        a = subsample_ci(dx, dy, ratio=0.5, b=40, seed=3, threads=1)
+        b = subsample_ci(dx, dy, ratio=0.5, b=40, seed=3, threads=4)
         assert (a.lower, a.upper) == (b.lower, b.upper)
 
     def test_interval_brackets_point_estimate(self):
         ds, _ = gen_shared_latent(60, 8, 8, 0.7, seed=22)
-        ci = subsample_ci(ds.x, ds.y, ratio=0.3, b=300, seed=5)
+        ci = subsample_ci(*both_distances(ds), ratio=0.3, b=300, seed=5)
         assert ci.lower <= ci.point_estimate <= ci.upper
 
     def test_small_ratio_rejected(self):
         ds, _ = gen_shared_latent(20, 5, 5, 0.5, seed=23)
         with pytest.raises(ValueError, match="< 4"):
-            subsample_ci(ds.x, ds.y, ratio=0.1, b=10, seed=0)
+            subsample_ci(*both_distances(ds), ratio=0.1, b=10, seed=0)
 
     def test_percentile_method(self):
         ds, _ = gen_shared_latent(40, 6, 6, 0.8, seed=24)
-        ci = subsample_ci(ds.x, ds.y, ratio=0.4, b=200, seed=7, method="percentile")
+        ci = subsample_ci(*both_distances(ds), ratio=0.4, b=200, seed=7, method="percentile")
         assert ci.method == "percentile"
         assert ci.lower < ci.upper
 
@@ -265,7 +268,7 @@ class TestBootstrap:
         from hdpaired._util import STREAM_BOOTSTRAP, replicate_rng
 
         ds, _ = gen_shared_latent(4, 5, 5, 0.5, seed=25)
-        res = bootstrap_distribution(ds.x, ds.y, b=400, seed=2)
+        res = bootstrap_distribution(*both_distances(ds), b=400, seed=2)
         # find replicates that drew a constant index vector
         found_constant = False
         for i in range(400):
@@ -278,20 +281,18 @@ class TestBootstrap:
 
     def test_upward_bias_on_planted_dependence(self):
         ds, _ = gen_shared_latent(100, 12, 12, 0.8, seed=26)
-        res = bootstrap_distribution(ds.x, ds.y, b=300, seed=3)
+        res = bootstrap_distribution(*both_distances(ds), b=300, seed=3)
         assert res.valid.mean() > res.observed
 
     def test_subsampling_not_systematically_above(self):
         ds, _ = gen_shared_latent(100, 12, 12, 0.8, seed=26)
-        from hdpaired.distances import distance_matrix as dm
-
-        ci = subsample_ci(ds.x, ds.y, ratio=0.5, b=300, seed=3)
+        dmx, dmy = both_distances(ds)
+        ci = subsample_ci(dmx, dmy, ratio=0.5, b=300, seed=3)
         # reconstruct replicates through the same seeded path
         from hdpaired._util import STREAM_SUBSAMPLE, replicate_rng
         from hdpaired.inference import _triangle_corr_fast
 
-        dx = dm(ds.x, "scaled_euclidean").data
-        dy = dm(ds.y, "pearson_correlation_distance").data
+        dx, dy = dmx.data, dmy.data
         m = round(0.5 * 100)
         im, jm = np.triu_indices(m, 1)
         reps = []

@@ -55,6 +55,12 @@ class TestFeatureDistanceMatrix:
                 expected = d_y(data[:, idx[a]], data[:, idx[b]])
                 assert dcorr.data[a, b] == pytest.approx(expected, rel=1e-12)
 
+    def test_constant_column_named_under_correlation(self):
+        data = np.random.default_rng(3).standard_normal((12, 8))
+        data[:, 5] = 4.0
+        with pytest.raises(ValueError, match=r"zero-variance.*\['5'\]"):
+            feature_distance_matrix(data, np.array([0, 2, 5, 7]), "pearson_correlation_distance")
+
     def test_needs_two_features(self):
         with pytest.raises(ValueError, match="at least 2"):
             feature_distance_matrix(np.ones((5, 3)), np.array([1]), "euclidean")
