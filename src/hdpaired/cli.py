@@ -603,6 +603,10 @@ def _cmd_scca(args) -> None:
                 "test_correlation": report.test_correlation,
                 "mean_validation": report.mean_validation,
                 "fold_correlations": report.fold_correlations,
+                "fold_iterations": report.fold_iterations,
+                "fold_converged": report.fold_converged,
+                "refit_iterations": report.model.fit.iterations,
+                "refit_converged": report.model.fit.converged,
                 "grid": [list(cell) for cell in report.grid],
                 "n_train": int(train_idx.size),
                 "n_test": int(test_idx.size),

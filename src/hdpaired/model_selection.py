@@ -110,10 +110,17 @@ class FittedSccaModel:
 
 @dataclass(frozen=True)
 class CvReport:
-    """Cross-validation surface and the selected fit's summary."""
+    """Cross-validation surface and the selected fit's summary.
+
+    fold_iterations / fold_converged hold the solver health of each
+    (cell, fold) fit, shaped like fold_correlations; the refit's are in
+    model.fit.
+    """
 
     grid: tuple[tuple[float, float], ...]
     fold_correlations: np.ndarray
+    fold_iterations: np.ndarray
+    fold_converged: np.ndarray
     mean_validation: np.ndarray
     selected: tuple[float, float]
     selected_index: int
@@ -174,6 +181,8 @@ def cv_grid_search(
     n = x.shape[0]
     folds = kfold_partition(np.arange(n), k, seed)
     fold_correlations = np.full((len(grid), k), math.nan)
+    fold_iterations = np.zeros((len(grid), k), dtype=int)
+    fold_converged = np.zeros((len(grid), k), dtype=bool)
 
     for fold_idx, val in enumerate(folds):
         fit_rows = np.setdiff1d(np.arange(n), val)
@@ -182,11 +191,13 @@ def cv_grid_search(
         xv = sx.apply(x[val]) * scale_x
         yv = sy.apply(y[val]) * scale_y
 
-        def one_cell(params: SccaParams) -> float:
+        def one_cell(params: SccaParams) -> tuple[float, int, bool]:
             fit = solver.fit(params, init=init, seed=seed)
-            return _safe_correlation(project(xv, fit.u), project(yv, fit.v))
+            corr = _safe_correlation(project(xv, fit.u), project(yv, fit.v))
+            return corr, fit.iterations, fit.converged
 
-        fold_correlations[:, fold_idx] = parallel_map(one_cell, grid, threads)
+        (fold_correlations[:, fold_idx], fold_iterations[:, fold_idx],
+         fold_converged[:, fold_idx]) = zip(*parallel_map(one_cell, grid, threads))
 
     all_nan = np.all(np.isnan(fold_correlations), axis=1)
     mean_validation = np.full(len(grid), math.nan)
@@ -229,6 +240,8 @@ def cv_grid_search(
     return CvReport(
         grid=tuple((p.c1, p.c2) for p in grid),
         fold_correlations=fold_correlations,
+        fold_iterations=fold_iterations,
+        fold_converged=fold_converged,
         mean_validation=mean_validation,
         selected=(selected_params.c1, selected_params.c2),
         selected_index=selected_index,

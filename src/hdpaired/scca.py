@@ -8,10 +8,15 @@ unit norm.  fit_scca solves
     s.t.      ||Xu||2 <= 1, ||u||1 <= c1, ||u||2 <= d1   (and same for v)
 
 by alternating over u and v.  Each half-step is a linear objective over a
-convex set, maximized with projected gradient ascent and backtracking; the
-feasible-set projection is a Dykstra alternation over the l1 ball, the l2
-ball and the ellipsoid {w : ||Xw||2 <= 1}.  Only matrix-vector products
-with X and Y are used; the p x q cross-covariance is never materialized.
+convex set, maximized with projected gradient ascent and backtracking.  The
+feasible-set projection is exact whenever the ellipsoid {w : ||Xw||2 <= 1}
+does not bind: the nearest point of {||w||1 <= c, ||w||2 <= d} is a
+soft-threshold followed by a rescale (project_l1_l2), and when that point
+also satisfies ||Xw||2 <= 1 it is the nearest point of the full set.  Only
+otherwise does a Dykstra alternation between the ellipsoid and the l1/l2
+intersection run; the thin SVD that projection needs is built the first
+time the ellipsoid binds.  The p x q cross-covariance is never
+materialized.
 
 The biconvex problem has no known globally optimal algorithm; the returned
 pair is a feasible point with a nondecreasing objective trace.
@@ -27,6 +32,7 @@ can be active; the solver handles the general case.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +40,9 @@ import numpy as np
 from hdpaired._util import STREAM_SCCA_INIT, replicate_rng
 
 _INIT_MODES = ("svd", "seeded-random")
+# Sweep cap of the ellipsoid / l1-l2 Dykstra alternation, which runs only
+# when the ellipsoid binds (unscaled inputs).
+_DYKSTRA_SWEEPS = 30
 
 
 @dataclass(frozen=True)
@@ -101,16 +110,21 @@ def canonical_correlation(sx: np.ndarray, sy: np.ndarray) -> float:
     return float(a @ b) / math.sqrt(na * nb)
 
 
+def _l1_threshold(u: np.ndarray, c: float) -> float:
+    """Soft-threshold level that brings the l1 norm to c, given |w| sorted
+    in descending order with sum above c (Duchi et al. 2008)."""
+    css = np.cumsum(u)
+    k = np.arange(1, u.size + 1)
+    rho = np.nonzero(u * k > css - c)[0][-1]
+    return (css[rho] - c) / (rho + 1.0)
+
+
 def project_l1_ball(w: np.ndarray, c: float) -> np.ndarray:
     """Euclidean projection onto {w : ||w||_1 <= c} (sort-based)."""
     a = np.abs(w)
     if a.sum() <= c:
         return w.copy()
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u)
-    k = np.arange(1, a.size + 1)
-    rho = np.nonzero(u * k > css - c)[0][-1]
-    theta = (css[rho] - c) / (rho + 1.0)
+    theta = _l1_threshold(np.sort(a)[::-1], c)
     return np.sign(w) * np.maximum(a - theta, 0.0)
 
 
@@ -119,6 +133,61 @@ def project_l2_ball(w: np.ndarray, d: float) -> np.ndarray:
     if nrm <= d:
         return w.copy()
     return w * (d / nrm)
+
+
+def project_l1_l2(w: np.ndarray, c: float, d: float) -> np.ndarray:
+    """Euclidean projection onto {w : ||w||_1 <= c, ||w||_2 <= d}.
+
+    The nearest point is d * S(w) / ||S(w)||_2 or S(w) itself, with S the
+    soft-threshold at some theta >= 0 (the PMD update of Witten, Tibshirani
+    & Hastie 2009).  Either the l2 projection already meets the l1 bound
+    (theta = 0), or the l1 projection already meets the l2 bound, or both
+    bounds are active and theta solves ||S(w)||_1 / ||S(w)||_2 = c / d.
+    That ratio does not increase with theta, so the segment between two
+    consecutive sorted |w| values holding the root is found by bisection,
+    and on it the root is that of one quadratic.
+    """
+    a = np.abs(w)
+    l1 = float(a.sum())
+    l2 = math.sqrt(float(w @ w))
+    if l2 > d:
+        if l1 * d <= c * l2:
+            return w * (d / l2)
+    elif l1 <= c:
+        return w.copy()
+    u = np.sort(a)[::-1]
+    s = np.maximum(a - _l1_threshold(u, c), 0.0)
+    ns = math.sqrt(float(s @ s))
+    if ns <= d:
+        return np.sign(w) * s
+    # Both bounds active.  ratio_reached(k): the top k entries
+    # soft-thresholded at the (k+1)-th (0 past the end) have an l1/l2 ratio
+    # of at least c/d; it holds for k = n (theta = 0) and not for k = 0.
+    u = np.append(u, 0.0)
+
+    def ratio_reached(k: int) -> bool:
+        t = u[:k] - u[k]
+        s1 = float(t.sum())
+        return s1 > 0.0 and s1 * d >= c * math.sqrt(float(t @ t))
+
+    lo, hi = 0, a.size
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ratio_reached(mid):
+            hi = mid
+        else:
+            lo = mid
+    # k active entries with mean m and squared deviation dev:
+    # ||S||_1 = k (m - theta), ||S||_2^2 = dev + k (m - theta)^2.
+    k = hi
+    top = u[:k]
+    m = float(top.mean())
+    dev = float(((top - m) ** 2).sum())
+    slack = d * d * k - c * c
+    theta = m - c * math.sqrt(dev / (k * slack)) if slack > 0.0 and dev > 0.0 else u[k]
+    theta = min(max(theta, u[k]), u[k - 1])
+    s = np.maximum(a - theta, 0.0)
+    return np.sign(w) * s * (d / math.sqrt(float(s @ s)))
 
 
 class _EllipsoidProjection:
@@ -136,10 +205,6 @@ class _EllipsoidProjection:
         keep = s > (s[0] * 1e-13 if s.size and s[0] > 0 else 0.0)
         self.s2 = s[keep] ** 2
         self.vt = np.ascontiguousarray(vt[keep])
-
-    def value(self, z: np.ndarray) -> float:
-        w = self.vt @ z
-        return float(self.s2 @ (w * w))
 
     def __call__(self, z: np.ndarray, lam_hint: float = 0.0) -> np.ndarray:
         out, _ = self.project(z, lam_hint)
@@ -216,9 +281,10 @@ def _sign_canonical(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 class SccaSolver:
-    """Reusable solver for one (X, Y) pair: the SVD-based ellipsoid
-    projections are precomputed once and shared across parameter settings
-    (cross-validation fits many cells on the same fold matrices)."""
+    """Reusable solver for one (X, Y) pair.  The power-iteration start and,
+    once the ellipsoid first binds, its SVD-based projection are computed
+    once and shared across parameter settings (cross-validation fits many
+    cells on the same fold matrices, possibly from several threads)."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         x = np.asarray(x, dtype=float)
@@ -229,8 +295,14 @@ class SccaSolver:
             raise ValueError("non-finite entries in input matrices")
         self.x = x
         self.y = y
-        self._ell_x = _EllipsoidProjection(x)
-        self._ell_y = _EllipsoidProjection(y)
+        self._cache: dict = {}
+        self._cache_lock = threading.Lock()
+
+    def _cached(self, key: str, build):
+        with self._cache_lock:
+            if key not in self._cache:
+                self._cache[key] = build()
+            return self._cache[key]
 
     # -- initialization ----------------------------------------------------
 
@@ -297,52 +369,50 @@ class SccaSolver:
     # -- sparse fit ----------------------------------------------------------
 
     def _feasible_proj(self, which: str, c: float, d: float):
-        """Approximate nearest-point map onto the constraint intersection.
+        """Nearest-point map onto {w : ||Mw||_2 <= 1, ||w||_1 <= c, ||w||_2 <= d}.
 
-        A capped Dykstra alternation gets close to the projection; exact
+        The exact projection onto the l1/l2 intersection comes first.  The
+        full set is a subset of that intersection, so when the point also
+        satisfies ||Mw||_2 <= 1 it is the exact projection onto the full
+        set; after spectral scaling (||Mw|| <= ||w|| <= d) this always holds.
+        Otherwise a Dykstra alternation between the ellipsoid and the l1/l2
+        intersection, capped at _DYKSTRA_SWEEPS, gets close to it.  Exact
         feasibility is then restored by dividing by the largest relative
-        constraint violation (all three sets are star-shaped around the
-        origin, so the rescaled point lies exactly inside, and rescaling
-        preserves the zero pattern from the final l1 projection).
+        constraint violation (all sets are star-shaped around the origin,
+        so the rescaled point lies exactly inside, and rescaling preserves
+        the zero pattern of the final l1/l2 projection).
         """
-        ell = self._ell_x if which == "x" else self._ell_y
-        dim = (self.x if which == "x" else self.y).shape[1]
-        use_l1 = c < math.sqrt(dim) * d  # otherwise the l1 ball cannot bind
+        m = self.x if which == "x" else self.y
+
+        def score_sq(w: np.ndarray) -> float:
+            s = m @ w
+            return float(s @ s)
 
         def violation(w: np.ndarray) -> float:
-            v = math.sqrt(max(float(w @ w), 0.0)) / d
-            if use_l1:
-                v = max(v, float(np.abs(w).sum()) / c)
-            return max(v, math.sqrt(max(ell.value(w), 0.0)))
+            return max(math.sqrt(float(w @ w)) / d, float(np.abs(w).sum()) / c,
+                       math.sqrt(score_sq(w)))
 
         def proj(z: np.ndarray) -> np.ndarray:
-            if violation(z) <= 1.0 + 1e-12:
-                return z
-            x = z.copy()
-            inc_ell = np.zeros_like(z)
-            inc_l2 = np.zeros_like(z)
-            inc_l1 = np.zeros_like(z)
-            lam = 0.0
-            for _ in range(30):
-                x_prev = x
-                y, lam = ell.project(x + inc_ell, lam)
-                inc_ell = x + inc_ell - y
-                x = y
-                y = project_l2_ball(x + inc_l2, d)
-                inc_l2 = x + inc_l2 - y
-                x = y
-                if use_l1:
-                    y = project_l1_ball(x + inc_l1, c)
-                    inc_l1 = x + inc_l1 - y
-                    x = y
-                if float(np.max(np.abs(x - x_prev))) <= 1e-9 * (
-                    1.0 + float(np.max(np.abs(x)))
-                ):
-                    break
-            factor = violation(x)
+            w = project_l1_l2(z, c, d)
+            if score_sq(w) > 1.0 + 1e-12:
+                ell = self._cached("ell_" + which, lambda: _EllipsoidProjection(m))
+                inc_ball = z - w
+                inc_ell = np.zeros_like(z)
+                lam = 0.0
+                for _ in range(_DYKSTRA_SWEEPS):
+                    w_prev = w
+                    e, lam = ell.project(w + inc_ell, lam)
+                    inc_ell = w + inc_ell - e
+                    w = project_l1_l2(e + inc_ball, c, d)
+                    inc_ball = e + inc_ball - w
+                    if float(np.max(np.abs(w - w_prev))) <= 1e-9 * (
+                        1.0 + float(np.max(np.abs(w)))
+                    ):
+                        break
+            factor = violation(w)
             if factor > 1.0:
-                x = x / factor
-            return x
+                w = w / factor
+            return w
 
         return proj
 
@@ -359,7 +429,7 @@ class SccaSolver:
         proj_u = self._feasible_proj("x", params.c1, params.d1)
         proj_v = self._feasible_proj("y", params.c2, params.d2)
         if init == "svd":
-            u0, v0 = self._power_init()
+            u0, v0 = self._cached("power_init", self._power_init)
         else:
             rng = replicate_rng(seed, STREAM_SCCA_INIT, 0)
             u0 = rng.standard_normal(p)

@@ -209,6 +209,38 @@ class TestScca:
         clusters = (sc / "clusters_x.csv").read_text().strip().splitlines()
         assert len(clusters) >= 3  # header + >= 2 selected features
 
+    def test_cv_report_records_solver_health(self, tmp_path, planted_pair):
+        x, y = planted_pair
+        out = tmp_path / "cvh"
+        grid = tmp_path / "grid.csv"
+        grid.write_text("c1,c2\n1.4,1.4\n2.0,2.0\n")
+        assert run(["scca", "cv", "--x", x, "--y", y, "--grid-file", grid, "--k", 3,
+                    "--max-iters", 3, "--tol", "1e-9", "--seed", 2, "--out", out]) == 0
+        rep = read_json(out / "cv_report.json")["results"]
+        iterations = np.array(rep["fold_iterations"])
+        converged = np.array(rep["fold_converged"])
+        assert iterations.shape == converged.shape == np.shape(rep["fold_correlations"]) == (2, 3)
+        assert iterations.dtype.kind == "i" and converged.dtype == bool
+        assert np.all((iterations >= 1) & (iterations <= 3))
+        # a fit stops before max_iters only once its objective stalls
+        assert np.all(converged[iterations < 3])
+        assert 1 <= rep["refit_iterations"] <= 3
+        assert isinstance(rep["refit_converged"], bool)
+
+        # the same numbers the library reports for the training rows
+        from hdpaired.model_selection import cv_grid_search, train_test_split
+        from hdpaired.scca import SccaParams
+
+        xm, ym = load_matrix(x, "bin"), load_matrix(y, "bin")
+        train, _ = train_test_split(xm.n_subjects, 2)
+        lib = cv_grid_search(xm.data[train], ym.data[train],
+                             [SccaParams(c, c, max_iters=3, tol=1e-9) for c in (1.4, 2.0)],
+                             k=3, seed=2)
+        assert iterations.tolist() == lib.fold_iterations.tolist()
+        assert converged.tolist() == lib.fold_converged.tolist()
+        assert rep["refit_iterations"] == lib.model.fit.iterations
+        assert rep["refit_converged"] == lib.model.fit.converged
+
     def test_cv_default_grid(self, tmp_path, planted_pair):
         x, y = planted_pair
         out = tmp_path / "cvd"

@@ -136,18 +136,21 @@ class TestCvGridSearch:
     def test_no_leakage_from_test_rows(self):
         # corrupt the held-out test rows with huge values: the fitted model
         # and training correlation must be bit-identical (only the test
-        # correlation may change)
+        # correlation may change).  Each row gets its own factor: a common
+        # factor would be an affine change after the frozen standardization
+        # and leave the test correlation as it was.
         x, y, _ = small_planted(seed=7)
         x_test = np.random.default_rng(0).standard_normal((12, x.shape[1]))
         y_test = np.random.default_rng(1).standard_normal((12, y.shape[1]))
         grid = [SccaParams(c1=2.0, c2=2.0, max_iters=60, tol=1e-5)]
         rep = cv_grid_search(x, y, grid, k=3, seed=4, x_test=x_test, y_test=y_test)
         rep2 = cv_grid_search(x, y, grid, k=3, seed=4,
-                              x_test=x_test * 1e6, y_test=y_test)
+                              x_test=x_test * np.geomspace(1, 1e6, 12)[:, None],
+                              y_test=y_test)
         np.testing.assert_array_equal(rep.model.fit.u, rep2.model.fit.u)
         np.testing.assert_array_equal(rep.model.fit.v, rep2.model.fit.v)
         assert rep.train_correlation == rep2.train_correlation
-        assert rep.test_correlation != rep2.test_correlation
+        assert abs(rep.test_correlation - rep2.test_correlation) > 1e-3
 
     def test_no_leakage_from_validation_rows(self):
         # the fit used against validation fold 0 is trained on the other

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import hdpaired.scca as scca
 from hdpaired.scca import (
     SccaParams,
     SccaSolver,
@@ -11,6 +14,7 @@ from hdpaired.scca import (
     fit_scca,
     project,
     project_l1_ball,
+    project_l1_l2,
     project_l2_ball,
 )
 from hdpaired.distances import d_y
@@ -85,6 +89,185 @@ class TestProjections:
                 resid = z - out
                 cos = resid @ grad / (np.linalg.norm(resid) * np.linalg.norm(grad))
                 assert cos == pytest.approx(1.0, abs=1e-6)
+
+
+def dykstra_l1_l2(w, c, d, sweeps=100000):
+    """Slow reference for project_l1_l2: Dykstra's alternation between the
+    l2 and l1 balls, run until the iterate stops moving."""
+    x = w.copy()
+    inc_l2 = np.zeros_like(w)
+    inc_l1 = np.zeros_like(w)
+    for _ in range(sweeps):
+        y = project_l2_ball(x + inc_l2, d)
+        inc_l2 = x + inc_l2 - y
+        x_new = project_l1_ball(y + inc_l1, c)
+        inc_l1 = y + inc_l1 - x_new
+        if np.array_equal(x_new, x):
+            break
+        x = x_new
+    return x_new
+
+
+def l1_l2_case(w, c, d):
+    """Which of project_l1_l2's four cases applies to (w, c, d)."""
+    l1, l2 = np.abs(w).sum(), np.linalg.norm(w)
+    if l1 <= c and l2 <= d:
+        return "inside"
+    if l2 > d and l1 * d / l2 <= c:
+        return "l2"
+    if np.linalg.norm(project_l1_ball(w, c)) <= d:
+        return "l1"
+    return "both"
+
+
+# Entries are 0 or at least 1e-100 in magnitude, so that squares and
+# norms stay normal floats (below that every l2 norm here loses precision).
+vectors = st.lists(
+    st.one_of(
+        st.floats(-10.0, 10.0).filter(lambda v: abs(v) >= 1e-100),
+        st.sampled_from([0.0, 0.5, -0.5, 2.0]),  # exact ties and zeros
+    ),
+    min_size=1,
+    max_size=40,
+).map(np.array)
+bounds = st.floats(0.05, 8.0)
+
+
+class TestProjectL1L2:
+    # one hand-built input per case
+    CASES = {
+        "inside": (np.array([0.3, -0.2, 0.1]), 1.0, 1.0),
+        "l2": (np.array([3.0, 4.0, 0.0]), 2.0, 1.0),
+        "l1": (np.array([0.5, -0.4, 0.3, 0.2]), 0.6, 1.0),
+        "both": (np.array([3.0, -2.0, 1.0, 0.5]), 1.5, 1.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_each_case_matches_dykstra_reference(self, case):
+        w, c, d = self.CASES[case]
+        assert l1_l2_case(w, c, d) == case
+        out = project_l1_l2(w, c, d)
+        np.testing.assert_allclose(out, dykstra_l1_l2(w, c, d), rtol=0, atol=1e-10)
+        if case == "both":
+            assert np.abs(out).sum() == pytest.approx(c, rel=1e-12)
+            assert np.linalg.norm(out) == pytest.approx(d, rel=1e-12)
+
+    @given(vectors, bounds, bounds)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dykstra_reference(self, w, c, d):
+        out = project_l1_l2(w, c, d)
+        scale = max(1.0, float(np.abs(w).max()))
+        np.testing.assert_allclose(out, dykstra_l1_l2(w, c, d), rtol=0, atol=1e-8 * scale)
+
+    @given(vectors, st.floats(0.02, 0.98), st.floats(0.02, 0.98))
+    @settings(max_examples=100, deadline=None)
+    def test_both_bounds_regime_matches_dykstra_reference(self, w, fd, fc):
+        # d below ||w||_2 and c/d strictly between 1 and ||w||_1/||w||_2:
+        # mostly the case where both bounds bind, rare under free bounds
+        l1, l2 = float(np.abs(w).sum()), float(np.linalg.norm(w))
+        assume(l2 > 0)
+        d = fd * l2
+        c = d * (1 + fc * (l1 / l2 - 1))
+        np.testing.assert_allclose(project_l1_l2(w, c, d), dykstra_l1_l2(w, c, d),
+                                   rtol=0, atol=1e-8 * float(np.abs(w).max()))
+
+    @given(vectors, bounds, bounds)
+    @settings(max_examples=300, deadline=None)
+    def test_feasible_and_idempotent(self, w, c, d):
+        out = project_l1_l2(w, c, d)
+        assert np.abs(out).sum() <= c * (1 + 1e-12)
+        assert np.linalg.norm(out) <= d * (1 + 1e-12)
+        np.testing.assert_allclose(project_l1_l2(out, c, d), out, rtol=1e-12, atol=1e-15)
+        if l1_l2_case(w, c, d) == "inside":
+            np.testing.assert_array_equal(out, w)
+
+
+class _NoEllipsoid:
+    def __init__(self, m):
+        raise AssertionError("ellipsoid projection built on spectrally scaled data")
+
+
+class TestFeasibleProjection:
+    def test_spectrally_scaled_uses_exact_projection_only(self, monkeypatch):
+        from hdpaired.matrixio import ColumnStandardizer
+        from hdpaired.model_selection import spectral_scale
+
+        rng = np.random.default_rng(21)
+        raw = rng.standard_normal((40, 25)), rng.standard_normal((40, 18))
+        x, y = (ColumnStandardizer.fit(m).apply(m) for m in raw)
+        x, y = x * spectral_scale(x), y * spectral_scale(y)
+        monkeypatch.setattr(scca, "_EllipsoidProjection", _NoEllipsoid)
+        solver = SccaSolver(x, y)
+        for c in (1.0, 1.7, 3.0, 5.0):
+            proj = solver._feasible_proj("x", c, 1.0)
+            for _ in range(40):
+                z = rng.standard_normal(25) * rng.uniform(0.01, 5)
+                np.testing.assert_allclose(proj(z), project_l1_l2(z, c, 1.0),
+                                           rtol=1e-14, atol=1e-300)
+        fit = solver.fit(SccaParams(c1=2.0, c2=2.0, max_iters=50))
+        assert np.linalg.norm(x @ fit.u) <= 1.0 and np.linalg.norm(y @ fit.v) <= 1.0
+
+    def test_fallback_feasible_where_ellipsoid_binds(self):
+        rng = np.random.default_rng(22)
+        x = unit_columns(rng.standard_normal((30, 20)))
+        solver = SccaSolver(x, unit_columns(rng.standard_normal((30, 10))))
+        bound = 0
+        for c, d in ((1.5, 1.0), (3.0, 1.0), (2.0, 0.8), (10.0, 2.0)):
+            proj = solver._feasible_proj("x", c, d)
+            for _ in range(25):
+                z = rng.standard_normal(20) * rng.uniform(0.1, 5)
+                out = proj(z)
+                assert np.linalg.norm(x @ out) <= 1.0 + 1e-12
+                assert np.abs(out).sum() <= c * (1 + 1e-12)
+                assert np.linalg.norm(out) <= d * (1 + 1e-12)
+                ball = project_l1_l2(z, c, d)
+                if np.linalg.norm(x @ ball) > 1.0:
+                    bound += 1
+                    # nearer to z than the feasible point that only
+                    # shrinks the l1/l2 projection into the ellipsoid
+                    shrunk = ball / np.linalg.norm(x @ ball)
+                    assert np.linalg.norm(out - z) < np.linalg.norm(shrunk - z)
+        assert bound >= 25  # the ellipsoid fallback really ran
+
+
+    def test_shared_solver_builds_cached_state_once_across_threads(self, monkeypatch):
+        # cross-validation fits many cells on one solver from several
+        # threads: the power-iteration start and the ellipsoid projection
+        # are built once, and every fit matches a fit on a fresh solver
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        rng = np.random.default_rng(23)
+        x = unit_columns(rng.standard_normal((20, 8)))
+        y = unit_columns(rng.standard_normal((20, 6)))
+        grid = [SccaParams(c1=c, c2=c, max_iters=1) for c in np.linspace(1.2, 3.0, 6)]
+        fresh = [SccaSolver(x, y).fit(params) for params in grid]
+
+        builds = []
+        power_init = SccaSolver._power_init
+
+        class CountingEllipsoid(scca._EllipsoidProjection):
+            def __init__(self, m):
+                builds.append("ellipsoid")
+                super().__init__(m)
+
+        def counting_power_init(self, sweeps=15):
+            builds.append("power_init")
+            return power_init(self, sweeps)
+
+        monkeypatch.setattr(scca, "_EllipsoidProjection", CountingEllipsoid)
+        monkeypatch.setattr(SccaSolver, "_power_init", counting_power_init)
+        solver = SccaSolver(x, y)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            with ThreadPoolExecutor(6) as pool:
+                fits = list(pool.map(solver.fit, grid, timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(builds) == ["ellipsoid", "ellipsoid", "power_init"]
+        for a, b in zip(fresh, fits):
+            assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
 
 
 class TestProjectAndCorrelation:
