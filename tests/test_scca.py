@@ -90,6 +90,22 @@ class TestProjections:
                 cos = resid @ grad / (np.linalg.norm(resid) * np.linalg.norm(grad))
                 assert cos == pytest.approx(1.0, abs=1e-6)
 
+    def test_ellipsoid_projection_on_boundary_whatever_the_hint(self):
+        from hdpaired.scca import _EllipsoidProjection
+
+        rng = np.random.default_rng(25)
+        m = rng.standard_normal((8, 5))
+        proj = _EllipsoidProjection(m)
+        for _ in range(30):
+            z = rng.standard_normal(5) * 3
+            if np.linalg.norm(m @ z) <= 1:
+                continue
+            out, lam = proj.project(z)
+            assert np.linalg.norm(m @ out) == pytest.approx(1.0, abs=1e-12)
+            # a warm-start hint on either side of the root lands on it
+            for hint in (0.5 * lam, 2.0 * lam):
+                np.testing.assert_allclose(proj.project(z, hint)[0], out, rtol=0, atol=1e-12)
+
 
 def dykstra_l1_l2(w, c, d, sweeps=100000):
     """Slow reference for project_l1_l2: Dykstra's alternation between the
@@ -228,6 +244,38 @@ class TestFeasibleProjection:
                     shrunk = ball / np.linalg.norm(x @ ball)
                     assert np.linalg.norm(out - z) < np.linalg.norm(shrunk - z)
         assert bound >= 25  # the ellipsoid fallback really ran
+
+    def test_fallback_matches_dykstra_reference(self):
+        # where the ellipsoid binds, the splitting finds the projection
+        # onto the full set: Dykstra's alternation between the ellipsoid
+        # and the l1/l2 intersection, run until it stops moving, agrees
+        rng = np.random.default_rng(24)
+        x = unit_columns(rng.standard_normal((30, 12)))
+        ell = scca._EllipsoidProjection(x)
+
+        def reference(z, c, d):
+            w = project_l1_l2(z, c, d)
+            inc_ball, inc_ell = z - w, np.zeros_like(z)
+            for _ in range(200000):
+                e = ell(w + inc_ell)
+                inc_ell = w + inc_ell - e
+                w_new = project_l1_l2(e + inc_ball, c, d)
+                inc_ball = e + inc_ball - w_new
+                if np.max(np.abs(w_new - w)) <= 1e-15:
+                    break
+                w = w_new
+            return w_new
+
+        bound = 0
+        for c, d in ((1.5, 1.0), (2.5, 1.0), (2.0, 0.8), (6.0, 2.0)):
+            for _ in range(6):
+                z = rng.standard_normal(12) * rng.uniform(0.5, 4)
+                if np.linalg.norm(x @ project_l1_l2(z, c, d)) <= 1.0:
+                    continue
+                bound += 1
+                out = scca._project_intersection(z, lambda v: project_l1_l2(v, c, d), ell)
+                np.testing.assert_allclose(out, reference(z, c, d), rtol=0, atol=1e-9)
+        assert bound >= 10
 
 
     def test_shared_solver_builds_cached_state_once_across_threads(self, monkeypatch):
