@@ -645,7 +645,8 @@ def _cmd_subcluster(args) -> None:
     with open(cfg["model"], "r", encoding="utf-8") as f:
         blob = json.load(f)
     model, _, train_ids = _model_from_json(blob)
-    rows = [i for i, sid in enumerate(x.subject_ids) if sid in set(train_ids)]
+    train = set(train_ids)
+    rows = [i for i, sid in enumerate(x.subject_ids) if sid in train]
     if not rows:
         raise CliError("none of the model's training subjects found in the input matrices")
     sel_u = model.support_u

@@ -65,6 +65,31 @@ def distance_pair_correlation(dx: DistanceMatrix, dy: DistanceMatrix) -> float:
     return math.fsum(cx * cy) / math.sqrt(ssx * ssy)
 
 
+def _observed_statistic(dx: DistanceMatrix, dy: DistanceMatrix) -> tuple[float, np.ndarray, float]:
+    """Observed distance-pair correlation shared by the replicate procedures.
+
+    Uses the replicates' own arithmetic (centered dot products), so it can
+    differ in the last bits from the exactly rounded
+    `distance_pair_correlation`.  Also returns the centered y triangle and
+    the denominator sqrt(ssx * ssy), from which the permutation test forms
+    its replicates; at the identity permutation that replicate equals the
+    observed value bit for bit.
+    """
+    n = _check_same_subjects(dx, dy)
+    if n < 3:
+        raise ValueError(f"need at least 3 subjects, got {n}")
+    cx = upper_triangle(dx)
+    cx -= cx.mean()
+    cy = upper_triangle(dy)
+    cy -= cy.mean()
+    ssx = float(cx @ cx)
+    ssy = float(cy @ cy)
+    if ssx == 0.0 or ssy == 0.0:
+        raise ValueError("constant distance triangle; correlation undefined")
+    denom = math.sqrt(ssx * ssy)
+    return float(cx @ cy) / denom, cy, denom
+
+
 @dataclass(frozen=True)
 class PermutationResult:
     """Observed statistic, null replicates and the one-sided p-value.
@@ -109,25 +134,12 @@ def permutation_test(
     n = _check_same_subjects(dx, dy)
     if b < 1:
         raise ValueError(f"need at least 1 permutation, got {b}")
-    if n < 3:
-        raise ValueError(f"need at least 3 subjects, got {n}")
+    observed, cy, denom = _observed_statistic(dx, dy)
     iu, ju = np.triu_indices(n, 1)
-    tx = dx.data[iu, ju]
-    ty = dy.data[iu, ju]
-    mx = tx.mean()
-    my = ty.mean()
-    cy = ty - my
-    ssx = float(((tx - mx) ** 2).sum())
-    ssy = float((cy**2).sum())
-    if ssx == 0.0 or ssy == 0.0:
-        raise ValueError("constant distance triangle; correlation undefined")
-    denom = math.sqrt(ssx * ssy)
     dxd = dx.data
 
     def stat(px: np.ndarray) -> float:
         return float((px - px.mean()) @ cy) / denom
-
-    observed = stat(tx)
 
     def one(i: int) -> float:
         rng = replicate_rng(seed, STREAM_PERMUTATION, i)
@@ -295,7 +307,7 @@ def subsample_ci(
         raise ValueError(f"subsample size {m} exceeds n = {n}")
     if b < 2:
         raise ValueError(f"need at least 2 subsamples, got {b}")
-    observed = distance_pair_correlation(dx, dy)
+    observed = _observed_statistic(dx, dy)[0]
     im, jm = np.triu_indices(m, 1)
     dxd, dyd = dx.data, dy.data
 
@@ -369,7 +381,7 @@ def bootstrap_distribution(
         raise ValueError(f"need n >= 4, got {n}")
     if b < 1:
         raise ValueError(f"need at least 1 resample, got {b}")
-    observed = distance_pair_correlation(dx, dy)
+    observed = _observed_statistic(dx, dy)[0]
     iu, ju = np.triu_indices(n, 1)
     dxd, dyd = dx.data, dy.data
 

@@ -12,7 +12,6 @@ deterministically toward the pair with the lexicographically smallest
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ class FeatureClustering:
     labels: np.ndarray
     k: int
     metric_tag: str
-    linkage: str = "complete"
 
     def __post_init__(self):
         if len(self.feature_indices) != len(self.labels):
@@ -85,36 +83,28 @@ def complete_linkage_merges(d: np.ndarray) -> list[tuple[int, int, float]]:
     member indices of the two merged clusters.  Heights are exact maxima of
     original pairwise distances (Lance-Williams max update), so they can be
     compared exactly against a recomputation from scratch.
+
+    The working matrix mirrors the i < j entries of `d`, and each live
+    cluster sits in the row and column of its minimum member; the diagonal
+    and merged-away rows and columns hold +inf.  The first row-major argmin
+    is then the lexicographically smallest (a, b), a < b, at the minimum
+    height, which is the tie rule.
     """
     d = np.asarray(d, dtype=float)
     f = d.shape[0]
     if d.ndim != 2 or d.shape[1] != f:
         raise ValueError(f"square distance matrix required, got {d.shape}")
-    work = d.copy()
+    work = np.triu(d, 1)
+    work = work + work.T
     np.fill_diagonal(work, np.inf)
-    alive = np.ones(f, dtype=bool)
-    min_member = np.arange(f)
     merges: list[tuple[int, int, float]] = []
     for _ in range(f - 1):
-        sub = np.where(alive[:, None] & alive[None, :], work, np.inf)
-        height = sub.min()
-        rows, cols = np.nonzero(sub == height)
-        best_key = None
-        best_pair = None
-        for r, s in zip(rows, cols):
-            if r >= s:
-                continue
-            key = (min(min_member[r], min_member[s]), max(min_member[r], min_member[s]))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_pair = (int(r), int(s))
-        r, s = best_pair
-        merges.append((best_key[0], best_key[1], float(height)))
-        np.maximum(work[r], work[s], out=work[r])
-        work[:, r] = work[r]
-        work[r, r] = np.inf
-        alive[s] = False
-        min_member[r] = best_key[0]
+        a, b = divmod(int(np.argmin(work)), f)
+        merges.append((a, b, float(work[a, b])))
+        np.maximum(work[a], work[b], out=work[a])
+        work[:, a] = work[a]
+        work[b] = np.inf
+        work[:, b] = np.inf
     return merges
 
 
@@ -123,26 +113,13 @@ def complete_linkage(d: DistanceMatrix, k: int) -> FeatureClustering:
     f = d.n_subjects
     if not 1 <= k <= f:
         raise ValueError(f"k={k} out of range for {f} features")
-    merges = complete_linkage_merges(d.data)[: f - k]
-    parent = np.arange(f)
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b, _ in merges:
-        ra, rb = find(a), find(b)
-        # Root at the smaller min-member index so roots stay canonical.
-        lo, hi = min(ra, rb), max(ra, rb)
-        parent[hi] = lo
-    roots = sorted({find(i) for i in range(f)})
-    label_of_root = {r: i + 1 for i, r in enumerate(roots)}
-    labels = np.array([label_of_root[find(i)] for i in range(f)])
+    # root[i] is the minimum member of i's cluster
+    root = np.arange(f)
+    for a, b, _ in complete_linkage_merges(d.data)[: f - k]:
+        root[root == b] = a
     return FeatureClustering(
         feature_indices=np.array([int(s) for s in d.subject_ids]),
-        labels=labels,
+        labels=np.unique(root, return_inverse=True)[1] + 1,
         k=k,
         metric_tag=d.metric_tag,
     )

@@ -149,6 +149,16 @@ class TestPermutationTest:
         assert scipy.stats.kstest(pvals, "uniform").pvalue > 0.005
 
 
+def test_replicate_procedures_share_one_observed_statistic():
+    for seed in range(20):
+        ds, _ = gen_shared_latent(40, 8, 8, 0.8, seed=seed)
+        dx, dy = both_distances(ds)
+        perm = permutation_test(dx, dy, b=2, seed=seed).observed
+        sub = subsample_ci(dx, dy, ratio=0.5, b=2, seed=seed).point_estimate
+        boot = bootstrap_distribution(dx, dy, b=2, seed=seed).observed
+        assert perm == sub == boot
+
+
 class TestRankCorrelations:
     def test_monotone_transform_gives_one(self):
         dx, _ = random_distance_pair(10, seed=11)

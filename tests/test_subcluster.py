@@ -102,14 +102,30 @@ class TestCompleteLinkage:
 
     def test_dendrogram_matches_oracle_with_ties(self):
         # integer-valued distances force exact ties, exercising the
-        # (min member, min member) tie-break
+        # (min member, min member) tie-break, on small and mid-size inputs
         rng = np.random.default_rng(6)
-        for _ in range(10):
-            f = int(rng.integers(4, 10))
+        for rep in range(16):
+            f = int(rng.integers(4, 10) if rep < 10 else rng.integers(20, 41))
             vals = rng.integers(1, 4, size=(f, f)).astype(float)
             d = np.triu(vals, 1)
             d = d + d.T
             assert complete_linkage_merges(d) == naive_complete_linkage_merges(d)
+
+    def test_near_symmetric_input_merges_from_upper_triangle(self):
+        # DistanceMatrix accepts asymmetry up to 1e-12; a lower mirror just
+        # below its upper entry must not change the merges.
+        pts = np.random.default_rng(15).standard_normal((6, 3))
+        pts[1] = pts[0] + 0.01
+        d = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
+        d[1, 0] -= 1e-14
+        dm = DistanceMatrix(d, "euclidean", tuple(str(i) for i in range(6)))
+        sym = np.triu(d, 1)
+        sym = sym + sym.T
+        merges = complete_linkage_merges(dm.data)
+        assert merges[0][:2] == (0, 1)
+        assert merges == naive_complete_linkage_merges(sym)
+        clust = complete_linkage(dm, 5)
+        assert clust.labels.tolist() == [1, 1, 2, 3, 4, 5]
 
     def test_label_permutation_invariance(self):
         d = random_feature_distance(9, 7)
