@@ -65,6 +65,7 @@ from hdpaired.model_selection import (
     cv_grid_search,
     default_grid,
     evaluate_test,
+    fit_model,
     kfold_partition,
     train_test_split,
 )

@@ -14,7 +14,7 @@ invariant to the common scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -107,6 +107,73 @@ class FittedSccaModel:
     def support_v(self) -> np.ndarray:
         return self.y_standardizer.kept[self.fit.support_v]
 
+    def to_json(self, params: SccaParams, train_ids: list[str]) -> dict:
+        """JSON-ready model: sparse u/v, both column transforms, the fit's
+        parameters and the training subject ids."""
+        fit = self.fit
+        return {
+            "params": asdict(params),
+            "objective": fit.objective,
+            "iterations": fit.iterations,
+            "converged": fit.converged,
+            "u": _sparse_to_json(fit.u, fit.support_u),
+            "v": _sparse_to_json(fit.v, fit.support_v),
+            "x_standardizer": _standardizer_to_json(self.x_standardizer),
+            "y_standardizer": _standardizer_to_json(self.y_standardizer),
+            "scale_x": self.scale_x,
+            "scale_y": self.scale_y,
+            "train_ids": list(train_ids),
+        }
+
+    @classmethod
+    def from_json(cls, blob: dict) -> tuple["FittedSccaModel", SccaParams, list[str]]:
+        """Inverse of to_json: (model, params, train_ids).  The objective
+        trace keeps only the final objective."""
+        u = _sparse_from_json(blob["u"])
+        v = _sparse_from_json(blob["v"])
+        fit = AlignmentPair(
+            u=u,
+            v=v,
+            objective=float(blob["objective"]),
+            support_u=np.flatnonzero(u),
+            support_v=np.flatnonzero(v),
+            iterations=int(blob["iterations"]),
+            converged=bool(blob["converged"]),
+            objective_trace=np.array([float(blob["objective"])]),
+        )
+        model = cls(
+            fit=fit,
+            x_standardizer=_standardizer_from_json(blob["x_standardizer"]),
+            y_standardizer=_standardizer_from_json(blob["y_standardizer"]),
+            scale_x=float(blob["scale_x"]),
+            scale_y=float(blob["scale_y"]),
+        )
+        return model, SccaParams(**blob["params"]), list(blob["train_ids"])
+
+
+def _sparse_to_json(w: np.ndarray, support: np.ndarray) -> dict:
+    return {"support": support.tolist(), "values": w[support].tolist(), "dim": int(w.size)}
+
+
+def _sparse_from_json(block: dict) -> np.ndarray:
+    out = np.zeros(int(block["dim"]))
+    out[np.asarray(block["support"], dtype=int)] = np.asarray(block["values"], dtype=float)
+    return out
+
+
+def _standardizer_to_json(s: ColumnStandardizer) -> dict:
+    return {"mean": s.mean.tolist(), "sd": s.sd.tolist(), "kept": s.kept.tolist(),
+            "n_columns": s.n_columns}
+
+
+def _standardizer_from_json(block: dict) -> ColumnStandardizer:
+    return ColumnStandardizer(
+        mean=np.asarray(block["mean"], dtype=float),
+        sd=np.asarray(block["sd"], dtype=float),
+        kept=np.asarray(block["kept"], dtype=int),
+        n_columns=int(block["n_columns"]),
+    )
+
 
 @dataclass(frozen=True)
 class CvReport:
@@ -142,6 +209,17 @@ def _fit_transforms(x_fit: np.ndarray, y_fit: np.ndarray):
     scale_x = spectral_scale(sx.apply(x_fit))
     scale_y = spectral_scale(sy.apply(y_fit))
     return sx, sy, scale_x, scale_y
+
+
+def fit_model(
+    x: np.ndarray, y: np.ndarray, params: SccaParams, init: str = "svd", seed: int = 0
+) -> FittedSccaModel:
+    """Standardize and spectrally scale both matrices on these rows, then fit."""
+    sx, sy, scale_x, scale_y = _fit_transforms(x, y)
+    fit = SccaSolver(sx.apply(x) * scale_x, sy.apply(y) * scale_y).fit(params, init=init, seed=seed)
+    return FittedSccaModel(
+        fit=fit, x_standardizer=sx, y_standardizer=sy, scale_x=scale_x, scale_y=scale_y
+    )
 
 
 def _safe_correlation(sx: np.ndarray, sy: np.ndarray) -> float:
@@ -224,14 +302,8 @@ def cv_grid_search(
     selected_params = grid[selected_index]
 
     # Refit on the full training set with transforms fitted on all rows.
-    sx, sy, scale_x, scale_y = _fit_transforms(x, y)
-    xs = sx.apply(x) * scale_x
-    ys = sy.apply(y) * scale_y
-    fit = SccaSolver(xs, ys).fit(selected_params, init=init, seed=seed)
-    model = FittedSccaModel(
-        fit=fit, x_standardizer=sx, y_standardizer=sy, scale_x=scale_x, scale_y=scale_y
-    )
-    train_correlation = _safe_correlation(project(xs, fit.u), project(ys, fit.v))
+    model = fit_model(x, y, selected_params, init=init, seed=seed)
+    train_correlation = _safe_correlation(*model.scores(x, y))
 
     test_correlation = None
     if x_test is not None and y_test is not None:

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from hdpaired.cli import main
+from hdpaired.cli import _COMMANDS, _resolve, build_parser, main
 from hdpaired.distances import distance_matrix
 from hdpaired.matrixio import FeatureMatrix, load_matrix, save_matrix
 
@@ -241,6 +241,22 @@ class TestScca:
         assert rep["refit_iterations"] == lib.model.fit.iterations
         assert rep["refit_converged"] == lib.model.fit.converged
 
+    @pytest.mark.parametrize("rows, lineno, detail", [
+        ("1.4,1.4\n1.4\n", 3, "expected two values c1,c2, got '1.4'"),
+        ("1.4,abc\n", 2, "could not convert string to float: 'abc'"),
+        ("2.0,2.0\n\n1.4,-2\n", 4, "l1 bounds must be positive"),
+    ])
+    def test_grid_file_error_names_file_and_line(self, tmp_path, planted_pair, capsys,
+                                                 rows, lineno, detail):
+        x, y = planted_pair
+        grid = tmp_path / "grid.csv"
+        grid.write_text("c1,c2\n" + rows)
+        assert run(["scca", "cv", "--x", x, "--y", y, "--grid-file", grid,
+                    "--out", tmp_path / "cv"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "CliError"
+        assert f"grid file {grid}, line {lineno}: {detail}" in err["message"]
+
     def test_cv_default_grid(self, tmp_path, planted_pair):
         x, y = planted_pair
         out = tmp_path / "cvd"
@@ -315,6 +331,133 @@ class TestConfigPrecedence:
         rc = run(["infer", "perm", "--config", cfg, "--x", x, "--y", y,
                   "--out", tmp_path / "i"])
         assert rc == 1
+
+    def test_unknown_config_keys_of_mixed_types_named(self, tmp_path, latent_pair, capsys):
+        x, y = latent_pair
+        cfg = tmp_path / "conf.yaml"
+        cfg.write_text("1: 2\nbogus_key: 1\n")
+        rc = run(["infer", "perm", "--config", cfg, "--x", x, "--y", y,
+                  "--out", tmp_path / "i"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "CliError", "message": "unknown config keys: [1, 'bogus_key']"}
+
+
+    @pytest.mark.parametrize("command, text, key", [
+        (["infer", "perm"], "seed: 1.5\n", "seed"),
+        (["infer", "perm"], "seed: true\n", "seed"),
+        (["infer", "perm"], "b: '10'\n", "b"),
+        (["infer", "perm"], "ratio: false\n", "ratio"),
+        (["infer", "perm"], "method: median\n", "method"),
+        (["infer", "perm"], "dump_replicates: 1\n", "dump_replicates"),
+        (["infer", "perm"], "metric_x: cosine\n", "metric_x"),
+        (["scca", "cv"], "grid_file: 3\n", "grid_file"),
+        (["fcg", "--input", "no-such-dir"], "out_format: txt\n", "out_format"),
+    ])
+    def test_config_value_checked_like_its_flag(self, tmp_path, latent_pair, capsys,
+                                                command, text, key):
+        x, y = latent_pair
+        cfg = tmp_path / "conf.yaml"
+        cfg.write_text(text)
+        xy = [] if command[0] == "fcg" else ["--x", x, "--y", y]
+        rc = run(command + xy + ["--config", cfg, "--out", tmp_path / "o"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "CliError"
+        assert f"config key {key!r}" in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_float_option_takes_yaml_int(self, tmp_path, latent_pair):
+        x, y = latent_pair
+        cfg = tmp_path / "conf.yaml"
+        cfg.write_text("ratio: 1\nlevel: 0.9\nb: 20\n")
+        out = tmp_path / "i"
+        assert run(["infer", "perm", "--x", x, "--y", y, "--config", cfg, "--out", out]) == 0
+        assert read_json(out / "infer_perm.json")["config"]["ratio"] == 1
+
+
+# Every key each command path reads, with its default, as the reports'
+# config block records it when only the required flags are given.
+RESOLVED_DEFAULTS = {
+    "synth": {"kind": "null", "n": 100, "p": 200, "q": 200, "strength": 0.8, "rho": 0.9,
+              "su": 10, "sv": 10, "seed": 0, "out": "o"},
+    "fcg": {"input": "i", "out": "o", "fs": 1.0, "low": 0.08, "high": 0.15, "order": 1,
+            "no_zero_phase": False, "nuisance_suffix": ".nuisance.csv",
+            "no_nuisance": False, "out_format": "bin"},
+    "dist": {"x": "x", "y": "y", "out": "o", "bins": 50, "metric_x": "scaled_euclidean",
+             "metric_y": "pearson_correlation_distance"},
+    **{f"infer {mode}": {"x": "x", "y": "y", "out": "o", "b": 10_000, "seed": 0,
+                         "ratio": 0.135, "level": 0.95, "method": "root", "threads": 1,
+                         "metric_x": "scaled_euclidean",
+                         "metric_y": "pearson_correlation_distance",
+                         "dump_replicates": False}
+       for mode in ("perm", "dcor", "subsample", "bootstrap")},
+    "scca fit": {"x": "x", "y": "y", "out": "o", "c1": 2.0, "c2": 3.0, "d1": 1.0,
+                 "d2": 1.0, "tol": 1e-6, "max_iters": 500, "init": "svd", "seed": 0},
+    "scca cv": {"x": "x", "y": "y", "out": "o", "grid_file": None, "cells": 8, "k": 5,
+                "seed": 0, "tol": 1e-5, "max_iters": 200, "init": "svd", "threads": 1},
+    "scca eval": {"x": "x", "y": "y", "model": "m", "out": "o"},
+    "subcluster": {"x": "x", "y": "y", "model": "m", "out": "o", "k": 5, "top": 3,
+                   "metric_x": "scaled_euclidean",
+                   "metric_y": "pearson_correlation_distance"},
+    "report": {"x": "x", "y": "y", "out": "o", "b": 10_000, "seed": 0, "ratio": 0.135,
+               "level": 0.95, "method": "root", "threads": 1,
+               "metric_x": "scaled_euclidean", "metric_y": "pearson_correlation_distance"},
+}
+
+REQUIRED_ARGS = {"input": "i", "out": "o", "x": "x", "y": "y", "model": "m",
+                 "c1": "2", "c2": "3"}
+
+# Flags the scca parser accepted in every mode before each mode had its own.
+SCCA_FLAGS = ("x", "y", "out", "seed", "threads", "config", "c1", "c2", "d1", "d2", "tol",
+              "max-iters", "init", "grid-file", "cells", "k", "model")
+SCCA_READS = {
+    "fit": {"x", "y", "out", "c1", "c2", "d1", "d2", "tol", "max-iters", "init", "seed",
+            "config"},
+    "cv": {"x", "y", "out", "grid-file", "cells", "k", "seed", "tol", "max-iters", "init",
+           "threads", "config"},
+    "eval": {"x", "y", "model", "out", "config"},
+}
+
+
+class TestOptionTable:
+    def test_table_covers_every_command_path(self):
+        assert set(_COMMANDS) == set(RESOLVED_DEFAULTS)
+
+    @pytest.mark.parametrize("path", sorted(RESOLVED_DEFAULTS))
+    def test_resolved_defaults_pin_the_config_block(self, path):
+        argv = path.split() + (["null"] if path == "synth" else [])
+        for key in _COMMANDS[path].required:
+            argv += ["--" + key, REQUIRED_ARGS[key]]
+        args = build_parser().parse_args(argv)
+        assert _resolve(args, _COMMANDS[path]) == RESOLVED_DEFAULTS[path]
+
+    @pytest.mark.parametrize("path", sorted(RESOLVED_DEFAULTS))
+    def test_help_exits_zero(self, path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(path.split() + ["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: hdpaired {path}")
+
+    @pytest.mark.parametrize("mode, flag", [
+        (mode, flag) for mode in SCCA_READS for flag in SCCA_FLAGS
+    ])
+    def test_scca_mode_accepts_only_the_flags_it_reads(self, mode, flag, capsys):
+        value = "svd" if flag == "init" else "3"
+        argv = ["scca", mode, "--" + flag, value]
+        if flag in SCCA_READS[mode]:
+            parsed = getattr(build_parser().parse_args(argv), flag.replace("-", "_"))
+            assert str(parsed).removesuffix(".0") == value
+        else:
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: --{flag} {value}" in capsys.readouterr().err
+
+    def test_mode_flags_follow_the_mode(self):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["scca", "--x", "a.bin", "fit"])
+        assert exc.value.code == 2
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,10 +9,11 @@ from hdpaired.model_selection import (
     cv_grid_search,
     default_grid,
     evaluate_test,
+    fit_model,
     kfold_partition,
     train_test_split,
 )
-from hdpaired.scca import SccaParams
+from hdpaired.scca import SccaParams, canonical_correlation
 from hdpaired.synthgen import gen_null, gen_sparse_canonical_pair
 
 
@@ -226,3 +228,44 @@ class TestEvaluateTest:
         grid = [SccaParams(c1=2.0, c2=2.0, max_iters=50, tol=1e-5)]
         rep = cv_grid_search(x[tr], y[tr], grid, k=4, seed=9, x_test=x[te], y_test=y[te])
         assert abs(rep.test_correlation) < 0.35
+
+
+class TestFitModel:
+    def test_equals_cv_refit_at_selected_cell(self):
+        x, y, _ = small_planted(seed=4)
+        grid = [SccaParams(c1=c, c2=c, max_iters=60, tol=1e-5) for c in (1.0, 1.6, 2.5)]
+        rep = cv_grid_search(x, y, grid, k=3, seed=5)
+        model = fit_model(x, y, grid[rep.selected_index], seed=5)
+        assert np.array_equal(model.fit.u, rep.model.fit.u)
+        assert np.array_equal(model.fit.v, rep.model.fit.v)
+        assert model.fit.iterations == rep.model.fit.iterations
+        assert (model.scale_x, model.scale_y) == (rep.model.scale_x, rep.model.scale_y)
+        for a, b in ((model.x_standardizer, rep.model.x_standardizer),
+                     (model.y_standardizer, rep.model.y_standardizer)):
+            assert np.array_equal(a.mean, b.mean) and np.array_equal(a.sd, b.sd)
+            assert np.array_equal(a.kept, b.kept)
+        assert canonical_correlation(*model.scores(x, y)) == rep.train_correlation
+
+
+class TestModelJson:
+    def test_round_trip_is_bit_identical(self):
+        x, y, _ = small_planted(seed=6)
+        x = x.copy()
+        x[:, 3] = 1.5  # a dropped column exercises the kept-column manifest
+        params = SccaParams(c1=1.7, c2=2.2, d1=0.9, max_iters=40, tol=1e-7)
+        with pytest.warns(RuntimeWarning, match="zero-variance"):
+            model = fit_model(x, y, params, init="seeded-random", seed=3)
+        ids = [f"s{i}" for i in range(x.shape[0])]
+        blob = json.loads(json.dumps(model.to_json(params, ids)))
+        back, back_params, back_ids = FittedSccaModel.from_json(blob)
+        assert back_params == params
+        assert back_ids == ids
+        assert 3 not in back.x_standardizer.kept
+        assert np.array_equal(back.support_u, model.support_u)
+        rng = np.random.default_rng(0)
+        xn, yn = rng.standard_normal(x.shape), rng.standard_normal(y.shape)
+        for a, b in zip(back.scores(xn, yn), model.scores(xn, yn)):
+            assert np.array_equal(a, b)
+        assert back.fit.objective == model.fit.objective
+        assert (back.fit.iterations, back.fit.converged) == (
+            model.fit.iterations, model.fit.converged)
