@@ -1,7 +1,8 @@
-"""Shared plumbing: replicate-keyed RNG streams and ordered thread mapping."""
+"""Shared plumbing: replicate-keyed RNG streams, ordered thread mapping, Pearson."""
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -34,3 +35,17 @@ def parallel_map(fn, items, threads: int = 1) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=int(threads)) as pool:
         return list(pool.map(fn, items))
+
+
+def pearson_or_nan(a: np.ndarray, b: np.ndarray) -> float:
+    """Pearson correlation of two equal-length vectors by centered dot
+    products; NaN when they have fewer than 3 entries or either is constant."""
+    if a.size < 3:
+        return math.nan
+    ca = a - a.mean()
+    cb = b - b.mean()
+    ssa = float(ca @ ca)
+    ssb = float(cb @ cb)
+    if ssa == 0.0 or ssb == 0.0:
+        return math.nan
+    return float(ca @ cb) / math.sqrt(ssa * ssb)

@@ -23,6 +23,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -39,7 +40,14 @@ from hdpaired.inference import (
     rank_correlations,
     subsample_ci,
 )
-from hdpaired.matrixio import FeatureMatrix, load_matrix_auto, pair, save_matrix
+from hdpaired.matrixio import (
+    FeatureMatrix,
+    load_matrix_auto,
+    pair,
+    read_csv,
+    save_matrix,
+    write_csv,
+)
 from hdpaired.model_selection import (
     FittedSccaModel,
     cv_grid_search,
@@ -83,24 +91,6 @@ def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, sort_keys=True, indent=2, default=_json_default)
         f.write("\n")
-
-
-def _write_csv(path: str, header: list[str], rows) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_csv_cell(v) for v in row) + "\n")
-
-
-def _csv_cell(v) -> str:
-    # repr(float(v)): np.float64 subclasses float, but its own repr is
-    # "np.float64(...)" under numpy 2.
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, np.integer):
-        return str(int(v))
-    return str(v)
 
 
 def _report(command: str, config: dict, inputs: dict[str, str], results: dict) -> dict:
@@ -182,11 +172,20 @@ def _check_config_value(key: str, value) -> None:
         raise CliError(f"config key {key!r} must be one of {list(flag['choices'])}, got {value!r}")
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """SafeLoader plus YAML 1.2 exponent floats (1e-6), which YAML 1.1 reads as strings."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float", re.compile(r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
 def _resolve(args: argparse.Namespace, command: _Command) -> dict:
     file_cfg = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
-            file_cfg = yaml.safe_load(f) or {}
+            file_cfg = yaml.load(f, Loader=_ConfigLoader) or {}
         if not isinstance(file_cfg, dict):
             raise CliError(f"config file {args.config} must be a key-value mapping")
         unknown = set(file_cfg) - set(command.defaults)
@@ -297,12 +296,7 @@ def _cmd_fcg(cfg: dict) -> None:
 
 def _read_plain_csv(path: str) -> np.ndarray:
     """Numeric CSV with one header row (column labels are ignored)."""
-    data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float)
-    if data.ndim == 1:
-        data = data[:, None]
-    if np.isnan(data).any():
-        raise CliError(f"{path}: non-numeric or missing entries")
-    return data
+    return read_csv(path, labels=False)[2]
 
 
 def _cmd_dist(cfg: dict) -> None:
@@ -329,10 +323,10 @@ def _cmd_dist(cfg: dict) -> None:
             "min": float(tri.min()),
             "max": float(tri.max()),
         }
-    _write_csv(os.path.join(cfg["out"], "distances.csv"),
-               ["modality", "id_i", "id_j", "distance"], dist_rows)
-    _write_csv(os.path.join(cfg["out"], "histogram.csv"),
-               ["modality", "bin_index", "bin_left", "bin_right", "count"], hist_rows)
+    write_csv(os.path.join(cfg["out"], "distances.csv"),
+              ["modality", "id_i", "id_j", "distance"], dist_rows)
+    write_csv(os.path.join(cfg["out"], "histogram.csv"),
+              ["modality", "bin_index", "bin_left", "bin_right", "count"], hist_rows)
     _write_json(os.path.join(cfg["out"], "dist_report.json"),
                 _report("dist", cfg, {"x": cfg["x"], "y": cfg["y"]}, summary))
 
@@ -390,8 +384,8 @@ def _cmd_infer(cfg: dict, mode: str) -> None:
     _write_json(os.path.join(cfg["out"], f"infer_{mode}.json"),
                 _report(f"infer {mode}", cfg, inputs, results))
     if cfg["dump_replicates"] and reps is not None:
-        _write_csv(os.path.join(cfg["out"], f"replicates_{mode}.csv"),
-                   ["replicate", "value"], list(enumerate(reps)))
+        write_csv(os.path.join(cfg["out"], f"replicates_{mode}.csv"),
+                  ["replicate", "value"], list(enumerate(reps)))
 
 
 def _cmd_report(cfg: dict) -> None:
@@ -490,14 +484,14 @@ def _cmd_scca_cv(cfg: dict) -> None:
     test_ids = [x.subject_ids[i] for i in test_idx]
     _write_json(os.path.join(cfg["out"], "model.json"),
                 report.model.to_json(grid[report.selected_index], train_ids))
-    _write_csv(
+    write_csv(
         os.path.join(cfg["out"], "cv_surface.csv"),
         ["c1", "c2", "mean_validation"],
         [(c1, c2, report.mean_validation[i]) for i, (c1, c2) in enumerate(report.grid)],
     )
     su, sv = report.model.scores(x.data[train_idx], y.data[train_idx])
     tu, tv = report.model.scores(x.data[test_idx], y.data[test_idx])
-    _write_csv(
+    write_csv(
         os.path.join(cfg["out"], "projections.csv"),
         ["set", "id", "score_x", "score_y"],
         [("train", sid, a, b) for sid, a, b in zip(train_ids, su, sv)]
@@ -564,7 +558,7 @@ def _cmd_subcluster(cfg: dict) -> None:
 
     os.makedirs(cfg["out"], exist_ok=True)
     for tag, clustering in (("x", cx), ("y", cy)):
-        _write_csv(
+        write_csv(
             os.path.join(cfg["out"], f"clusters_{tag}.csv"),
             ["cluster", "feature_index"],
             [(int(l), int(fi)) for l, fi in zip(clustering.labels, clustering.feature_indices)],

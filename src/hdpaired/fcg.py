@@ -46,10 +46,9 @@ class RoiTimeSeries:
 
 @dataclass(frozen=True)
 class NuisanceMatrix:
-    """T x r regressor columns; an intercept is added unless already present."""
+    """T x r regressor columns; the design prepends an intercept column."""
 
     data: np.ndarray
-    includes_intercept: bool = False
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
@@ -64,9 +63,7 @@ class NuisanceMatrix:
         return cls(np.empty((t, 0)))
 
     def design(self) -> np.ndarray:
-        """Regressors with intercept column prepended when needed."""
-        if self.includes_intercept:
-            return np.asarray(self.data)
+        """Regressors with an intercept column prepended."""
         ones = np.ones((self.data.shape[0], 1))
         return np.hstack([ones, self.data])
 

@@ -29,6 +29,7 @@ from hdpaired._util import (
     STREAM_PERMUTATION,
     STREAM_SUBSAMPLE,
     parallel_map,
+    pearson_or_nan,
     replicate_rng,
 )
 from hdpaired.distances import DistanceMatrix, distance_matrix, upper_triangle
@@ -267,16 +268,6 @@ class ConfidenceInterval:
             raise ValueError("lower bound above upper bound")
 
 
-def _triangle_corr_fast(tx: np.ndarray, ty: np.ndarray) -> float:
-    cx = tx - tx.mean()
-    cy = ty - ty.mean()
-    ssx = float(cx @ cx)
-    ssy = float(cy @ cy)
-    if ssx == 0.0 or ssy == 0.0:
-        return math.nan
-    return float(cx @ cy) / math.sqrt(ssx * ssy)
-
-
 def subsample_ci(
     dx: DistanceMatrix,
     dy: DistanceMatrix,
@@ -314,7 +305,7 @@ def subsample_ci(
     def one(i: int) -> float:
         rng = replicate_rng(seed, STREAM_SUBSAMPLE, i)
         idx = rng.choice(n, size=m, replace=False)
-        return _triangle_corr_fast(dxd[idx[im], idx[jm]], dyd[idx[im], idx[jm]])
+        return pearson_or_nan(dxd[idx[im], idx[jm]], dyd[idx[im], idx[jm]])
 
     stats = np.array(parallel_map(one, range(b), threads))
     valid = stats[~np.isnan(stats)]
@@ -388,7 +379,7 @@ def bootstrap_distribution(
     def one(i: int) -> float:
         rng = replicate_rng(seed, STREAM_BOOTSTRAP, i)
         idx = rng.choice(n, size=n, replace=True)
-        return _triangle_corr_fast(dxd[idx[iu], idx[ju]], dyd[idx[iu], idx[ju]])
+        return pearson_or_nan(dxd[idx[iu], idx[ju]], dyd[idx[iu], idx[ju]])
 
     reps = np.array(parallel_map(one, range(b), threads))
     return BootstrapResult(replicates=reps, observed=observed, seed=seed)

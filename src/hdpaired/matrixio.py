@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -56,8 +57,8 @@ class FeatureMatrix:
         if len(set(ids)) != len(ids):
             dup = sorted({s for s in ids if ids.count(s) > 1})
             raise ValueError(f"duplicate subject ids: {dup}")
-        if any("\n" in s for s in ids):
-            raise ValueError("subject ids must not contain newlines")
+        if any("\n" in s or "\r" in s for s in ids):
+            raise ValueError("subject ids must not contain line breaks")
         object.__setattr__(self, "data", _as_readonly(data))
         object.__setattr__(self, "subject_ids", ids)
 
@@ -186,53 +187,77 @@ def standardize_columns(m: FeatureMatrix) -> tuple[FeatureMatrix, ColumnStandard
 
 
 # ---------------------------------------------------------------------------
-# I/O: CSV (id column + numeric features) and the binary matrix format.
+# I/O: the one CSV writer and reader, and the binary matrix format.
 # ---------------------------------------------------------------------------
 
 
-def _load_csv(path: str, modality_tag: str) -> FeatureMatrix:
+def _csv_cell(v) -> str:
+    # repr(float(v)): np.float64 subclasses float, but its own repr is
+    # "np.float64(...)" under numpy 2.
+    return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+
+
+def write_csv(path: str, header: list[str], rows) -> None:
+    """Write a header row and data rows, creating the parent directory.  A
+    field is quoted only when it holds a comma, a quote or a newline."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_csv_cell(v) for v in row] for row in rows)
+
+
+def read_csv(path: str, labels: bool) -> tuple[list[str], list[str] | None, np.ndarray]:
+    """Numeric CSV with one header row; blank lines are skipped.
+
+    Returns (header, labels, data).  With `labels` the first column holds
+    row labels (subject ids), else every column is numeric and labels is
+    None.  Cells parse as float() parses them.  An error names the file and
+    the line; a bad cell also its column and, in a labelled file, its subject.
+    """
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if not header or header[0] != "id":
-            raise ValueError(f"{path}: first header column must be 'id', got {header[:1]}")
-        colnames = header[1:]
-        if not colnames:
-            raise ValueError(f"{path}: no feature columns")
-        ids: list[str] = []
-        rows: list[list[float]] = []
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
+        header = next(filter(None, reader), None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        rows = []  # (line number, record)
+        for rec in filter(None, reader):
             if len(rec) != len(header):
                 raise ValueError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(rec)}"
+                    f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(rec)}"
                 )
-            ids.append(rec[0])
-            vals = []
-            for name, tok in zip(colnames, rec[1:]):
-                try:
-                    v = float(tok)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: cannot parse value {tok!r} in column {name!r}"
-                    ) from None
-                if not math.isfinite(v):
-                    raise ValueError(
-                        f"{path}:{lineno}: non-finite value {tok!r} in column {name!r} "
-                        f"for subject {rec[0]!r}"
-                    )
-                vals.append(v)
-            rows.append(vals)
+            rows.append((reader.line_num, rec))
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    if len(set(ids)) != len(ids):
-        dup = sorted({s for s in ids if ids.count(s) > 1})
-        raise ValueError(f"{path}: duplicate subject ids {dup}")
-    return FeatureMatrix(np.array(rows, dtype=float), tuple(ids), modality_tag)
+    start = 1 if labels else 0
+    try:
+        data = np.array([rec[start:] for _, rec in rows], dtype=float)
+    except ValueError:
+        data = np.full((len(rows), len(header) - start), np.nan)
+    if not np.isfinite(data).all():
+        # Parse cell by cell with float() to name the first bad cell.
+        for (line, rec), out in zip(rows, data):
+            for j, tok in enumerate(rec[start:]):
+                try:
+                    out[j] = float(tok)
+                    problem = None if math.isfinite(out[j]) else "non-finite"
+                except ValueError:
+                    problem = "cannot parse"
+                if problem:
+                    subject = f" for subject {rec[0]!r}" if labels else ""
+                    raise ValueError(f"{path}:{line}: {problem} value {tok!r} in column "
+                                     f"{header[start + j]!r}{subject}")
+    return header, [rec[0] for _, rec in rows] if labels else None, data
+
+
+def _load_csv(path: str, modality_tag: str) -> FeatureMatrix:
+    header, ids, data = read_csv(path, labels=True)
+    if header[0] != "id":
+        raise ValueError(f"{path}: first header column must be 'id', got {header[:1]}")
+    try:
+        return FeatureMatrix(data, tuple(ids), modality_tag)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_bin(path: str, modality_tag: str) -> FeatureMatrix:
@@ -291,10 +316,9 @@ def save_matrix(m: FeatureMatrix, path: str, format: str = "bin") -> None:
             f.write(ids_block)
         return
     if format == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write("id," + ",".join(f"f{j + 1}" for j in range(m.n_features)) + "\n")
-            for sid, row in zip(m.subject_ids, m.data):
-                f.write(sid + "," + ",".join(repr(float(v)) for v in row) + "\n")
+        header = ["id"] + [f"f{j + 1}" for j in range(m.n_features)]
+        write_csv(path, header,
+                  ([sid, *row] for sid, row in zip(m.subject_ids, m.data.tolist())))
         return
     raise ValueError(f"unknown format {format!r}; expected 'csv' or 'bin'")
 

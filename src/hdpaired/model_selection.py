@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from hdpaired._util import STREAM_KFOLD, STREAM_SPLIT, parallel_map, replicate_rng
+from hdpaired._util import STREAM_KFOLD, STREAM_SPLIT, parallel_map, pearson_or_nan, replicate_rng
 from hdpaired.matrixio import ColumnStandardizer
 from hdpaired.scca import AlignmentPair, SccaParams, SccaSolver, canonical_correlation, project
 
@@ -66,9 +66,9 @@ class FittedSccaModel:
     """An alignment fit together with the training-time column transforms.
 
     u/v live in the kept-column space of the respective standardizers;
-    u_full/v_full map them back to original column indices (zeros at
-    dropped columns).  scale_x/scale_y are the reciprocal top singular
-    values of the standardized training matrices.
+    support_u/support_v map their nonzero entries back to original column
+    indices.  scale_x/scale_y are the reciprocal top singular values of the
+    standardized training matrices.
     """
 
     fit: AlignmentPair
@@ -85,18 +85,6 @@ class FittedSccaModel:
 
     def scores(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return project(self.transform_x(x), self.fit.u), project(self.transform_y(y), self.fit.v)
-
-    @property
-    def u_full(self) -> np.ndarray:
-        out = np.zeros(self.x_standardizer.n_columns)
-        out[self.x_standardizer.kept] = self.fit.u
-        return out
-
-    @property
-    def v_full(self) -> np.ndarray:
-        out = np.zeros(self.y_standardizer.n_columns)
-        out[self.y_standardizer.kept] = self.fit.v
-        return out
 
     @property
     def support_u(self) -> np.ndarray:
@@ -222,13 +210,6 @@ def fit_model(
     )
 
 
-def _safe_correlation(sx: np.ndarray, sy: np.ndarray) -> float:
-    try:
-        return canonical_correlation(sx, sy)
-    except ValueError:
-        return math.nan
-
-
 def cv_grid_search(
     x: np.ndarray,
     y: np.ndarray,
@@ -271,7 +252,7 @@ def cv_grid_search(
 
         def one_cell(params: SccaParams) -> tuple[float, int, bool]:
             fit = solver.fit(params, init=init, seed=seed)
-            corr = _safe_correlation(project(xv, fit.u), project(yv, fit.v))
+            corr = pearson_or_nan(project(xv, fit.u), project(yv, fit.v))
             return corr, fit.iterations, fit.converged
 
         (fold_correlations[:, fold_idx], fold_iterations[:, fold_idx],
@@ -303,7 +284,7 @@ def cv_grid_search(
 
     # Refit on the full training set with transforms fitted on all rows.
     model = fit_model(x, y, selected_params, init=init, seed=seed)
-    train_correlation = _safe_correlation(*model.scores(x, y))
+    train_correlation = pearson_or_nan(*model.scores(x, y))
 
     test_correlation = None
     if x_test is not None and y_test is not None:

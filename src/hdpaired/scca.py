@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hdpaired._util import STREAM_SCCA_INIT, replicate_rng
+from hdpaired._util import STREAM_SCCA_INIT, pearson_or_nan, replicate_rng
 
 _INIT_MODES = ("svd", "seeded-random")
 # Iteration cap and memory of the Anderson-accelerated Douglas-Rachford
@@ -104,13 +104,10 @@ def canonical_correlation(sx: np.ndarray, sy: np.ndarray) -> float:
     sy = np.asarray(sy, dtype=float)
     if sx.shape != sy.shape or sx.ndim != 1 or sx.size < 3:
         raise ValueError(f"score vectors must match with length >= 3: {sx.shape} vs {sy.shape}")
-    a = sx - sx.mean()
-    b = sy - sy.mean()
-    na = float(a @ a)
-    nb = float(b @ b)
-    if na == 0.0 or nb == 0.0:
+    r = pearson_or_nan(sx, sy)
+    if math.isnan(r):
         raise ValueError("constant scores; correlation undefined")
-    return float(a @ b) / math.sqrt(na * nb)
+    return r
 
 
 def _l1_threshold(u: np.ndarray, c: float) -> float:

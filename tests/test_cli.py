@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -5,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from hdpaired.cli import _COMMANDS, _resolve, build_parser, main
+from hdpaired.cli import _COMMANDS, _read_plain_csv, _resolve, build_parser, main
 from hdpaired.distances import distance_matrix
 from hdpaired.matrixio import FeatureMatrix, load_matrix, save_matrix
 
@@ -81,6 +82,20 @@ class TestDist:
         report = read_json(out / "dist_report.json")
         assert report["results"]["x"]["n_pairs"] == 3
         assert report["results"]["x"]["bin_total"] == 3
+
+    def test_ids_with_commas_and_quotes_quoted(self, tmp_path):
+        rng = np.random.default_rng(4)
+        ids = ("sub,01", 'x"y', "c")
+        for tag in ("x", "y"):
+            m = FeatureMatrix(rng.standard_normal((3, 4)), ids)
+            save_matrix(m, str(tmp_path / f"{tag}.bin"))
+        out = tmp_path / "d"
+        assert run(["dist", "--x", tmp_path / "x.bin", "--y", tmp_path / "y.bin",
+                    "--out", out]) == 0
+        with open(out / "distances.csv", newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        assert [r[:3] for r in rows[:3]] == [["x", "sub,01", 'x"y'], ["x", "sub,01", "c"],
+                                             ["x", 'x"y', "c"]]
 
     def test_histogram_bins_sum_to_pair_count(self, tmp_path, latent_pair):
         x, y = latent_pair
@@ -299,6 +314,30 @@ class TestFcg:
         err = json.loads(capsys.readouterr().err.strip())
         assert "beta" in err["message"]
 
+    @pytest.mark.parametrize("suffix, line", [
+        (".csv", "1.0,inf,2.0"),
+        (".csv", "1.0,2.0"),
+        (".nuisance.csv", "0.5,-inf"),
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, capsys, suffix, line):
+        src = tmp_path / "ts"
+        src.mkdir()
+        self.write_subject(src, "alpha", seed=1)
+        self.write_subject(src, "beta", seed=2)
+        path = src / f"beta{suffix}"
+        lines = path.read_text().splitlines()
+        lines[5] = line
+        path.write_text("\n".join(lines) + "\n")
+        rc = run(["fcg", "--input", src, "--fs", "1.0", "--out", tmp_path / "o"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"].startswith(f"{path}:6: ")
+
+    def test_one_row_table_is_not_transposed(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1.0,2.0\n")
+        assert _read_plain_csv(str(path)).shape == (1, 2)
+
     def test_rerun_bit_identical(self, tmp_path):
         src = tmp_path / "ts"
         src.mkdir()
@@ -353,6 +392,8 @@ class TestConfigPrecedence:
         (["infer", "perm"], "metric_x: cosine\n", "metric_x"),
         (["scca", "cv"], "grid_file: 3\n", "grid_file"),
         (["fcg", "--input", "no-such-dir"], "out_format: txt\n", "out_format"),
+        (["infer", "perm"], "b: 1e3\n", "b"),
+        (["infer", "perm"], "ratio: '1e-1'\n", "ratio"),
     ])
     def test_config_value_checked_like_its_flag(self, tmp_path, latent_pair, capsys,
                                                 command, text, key):
@@ -366,6 +407,14 @@ class TestConfigPrecedence:
         assert err["error"] == "CliError"
         assert f"config key {key!r}" in err["message"]
         assert not (tmp_path / "o").exists()
+
+    def test_config_reads_exponent_floats(self, tmp_path):
+        cfg = tmp_path / "conf.yaml"
+        cfg.write_text("tol: 1e-6\nd1: 5E-1\nd2: .25e+1\n")
+        args = build_parser().parse_args(["scca", "fit", "--x", "x", "--y", "y", "--c1", "2",
+                                          "--c2", "3", "--out", "o", "--config", str(cfg)])
+        resolved = _resolve(args, _COMMANDS["scca fit"])
+        assert (resolved["tol"], resolved["d1"], resolved["d2"]) == (1e-6, 0.5, 2.5)
 
     def test_float_option_takes_yaml_int(self, tmp_path, latent_pair):
         x, y = latent_pair

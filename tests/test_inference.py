@@ -299,8 +299,7 @@ class TestBootstrap:
         dmx, dmy = both_distances(ds)
         ci = subsample_ci(dmx, dmy, ratio=0.5, b=300, seed=3)
         # reconstruct replicates through the same seeded path
-        from hdpaired._util import STREAM_SUBSAMPLE, replicate_rng
-        from hdpaired.inference import _triangle_corr_fast
+        from hdpaired._util import STREAM_SUBSAMPLE, pearson_or_nan, replicate_rng
 
         dx, dy = dmx.data, dmy.data
         m = round(0.5 * 100)
@@ -308,7 +307,7 @@ class TestBootstrap:
         reps = []
         for i in range(300):
             idx = replicate_rng(3, STREAM_SUBSAMPLE, i).choice(100, size=m, replace=False)
-            reps.append(_triangle_corr_fast(dx[idx[im], idx[jm]], dy[idx[im], idx[jm]]))
+            reps.append(pearson_or_nan(dx[idx[im], idx[jm]], dy[idx[im], idx[jm]]))
         reps = np.array(reps)
         se = reps.std(ddof=1) / math.sqrt(reps.size)
         assert reps.mean() - ci.point_estimate <= 2 * se

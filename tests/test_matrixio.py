@@ -9,10 +9,12 @@ from hdpaired.matrixio import (
     PairedDataset,
     load_matrix,
     pair,
+    read_csv,
     save_matrix,
     scale_rows_to_unit_variance,
     scale_to_unit_variance,
     standardize_columns,
+    write_csv,
 )
 
 
@@ -83,6 +85,73 @@ class TestCsvIo:
         save_matrix(m, str(path), "csv")
         back = load_matrix(str(path), "csv")
         np.testing.assert_array_equal(back.data, m.data)
+
+
+class TestCsvReaderWriter:
+    def test_one_data_row_reads_as_one_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1.0,2.0\n")
+        header, labels, data = read_csv(str(path), labels=False)
+        assert header == ["a", "b"] and labels is None
+        np.testing.assert_array_equal(data, [[1.0, 2.0]])
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("\nid,f1\n\na,1.5\n\nb,2.5\n\n")
+        header, labels, data = read_csv(str(path), labels=True)
+        assert header == ["id", "f1"] and labels == ["a", "b"]
+        np.testing.assert_array_equal(data, [[1.5], [2.5]])
+
+    @pytest.mark.parametrize("body, message", [
+        ("r0,r1\n1,2\n3\n", r"t\.csv:3: expected 2 fields, got 1"),
+        ("r0,r1\n1,2\n3,x\n", r"t\.csv:3: cannot parse value 'x' in column 'r1'"),
+        ("r0,r1\n1,2\n\n-inf,4\n", r"t\.csv:4: non-finite value '-inf' in column 'r0'$"),
+        ("r0,r1\n", r"t\.csv: no data rows"),
+        ("", r"t\.csv: empty file"),
+    ])
+    def test_errors_name_file_line_and_column(self, tmp_path, body, message):
+        path = tmp_path / "t.csv"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=message):
+            read_csv(str(path), labels=False)
+
+    def test_non_finite_cell_names_subject(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("id,f1,f2\na,1,2\nb,3,inf\n")
+        with pytest.raises(ValueError, match=r"t\.csv:3: non-finite value 'inf' in column "
+                                             r"'f2' for subject 'b'"):
+            read_csv(str(path), labels=True)
+
+    def test_ids_with_commas_and_quotes_round_trip(self, tmp_path):
+        m = fm([[1.0, 2.0], [3.0, 4.5], [0.1, -2.0]], ids=("sub,01", 'x"y', "plain"))
+        path = tmp_path / "rt.csv"
+        save_matrix(m, str(path), "csv")
+        assert path.read_text().splitlines()[1:3] == ['"sub,01",1.0,2.0', '"x""y",3.0,4.5']
+        back = load_matrix(str(path), "csv")
+        assert back.subject_ids == m.subject_ids
+        np.testing.assert_array_equal(back.data, m.data)
+
+    def test_ids_with_line_breaks_rejected(self):
+        for sid in ("a\nb", "a\rb"):
+            with pytest.raises(ValueError, match="line breaks"):
+                fm([[1.0], [2.0]], ids=(sid, "c"))
+
+    def test_writer_formats_numpy_scalars_as_plain_numbers(self, tmp_path):
+        path = tmp_path / "w.csv"
+        write_csv(str(path), ["k", "v", "tag"], [(np.int64(3), np.float64(0.1), "a b")])
+        assert path.read_text() == "k,v,tag\n3,0.1,a b\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                             min_size=3, max_size=3), min_size=1, max_size=8),
+           st.sampled_from([repr, "{:.8g}".format, "{:.17e}".format]))
+    def test_cells_parse_to_the_bits_of_float(self, tmp_path_factory, rows, form):
+        path = tmp_path_factory.mktemp("prop") / "p.csv"
+        tokens = [[form(v) for v in row] for row in rows]
+        path.write_text("a,b,c\n" + "".join(",".join(r) + "\n" for r in tokens))
+        data = read_csv(str(path), labels=False)[2]
+        expected = np.array([[float(t) for t in r] for r in tokens])
+        assert data.tobytes() == expected.tobytes()
 
 
 class TestBinaryIo:
