@@ -43,7 +43,7 @@ boot = hp.bootstrap_distribution(dx, dy, b=2_000, seed=3)
 print("\nbootstrap comparison (NOT an inference path):")
 print(f"  mean replicate {boot.valid.mean():.4f} vs observed {boot.observed:.4f} "
       f"-- duplicates zero out distances and push replicates upward")
-print(f"  degenerate replicates: {boot.n_missing}")
+print(f"  degenerate replicates: {boot.n_degenerate}")
 
 target = hp.shared_latent_population_r(p, q, strength, n_pairs=200_000, seed=4)
 print(f"\nMonte-Carlo population value for this generator: {target:.4f}")

@@ -9,8 +9,10 @@ import numpy as np
 
 # Stream tags keep RNG draws from colliding when the same user seed is reused
 # across different operations.  A generator is a pure function of
-# (seed, stream, index), so replicate results do not depend on execution
-# order or worker count.
+# (seed, stream, index).  The replicate procedures read one generator keyed
+# by (seed, stream) and start each block of replicates at its own offset in
+# that stream, so their results do not depend on execution order, worker
+# count or block size.
 STREAM_PERMUTATION = 1
 STREAM_SUBSAMPLE = 2
 STREAM_BOOTSTRAP = 3
@@ -24,7 +26,7 @@ STREAM_POPULATION_MC = 10
 
 
 def replicate_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
-    """Generator keyed by (seed, stream, replicate index)."""
+    """Generator keyed by (seed, stream, index)."""
     return np.random.default_rng((int(seed), int(stream), int(index)))
 
 

@@ -377,7 +377,7 @@ def _cmd_infer(cfg: dict, mode: str) -> None:
         boot = bootstrap_distribution(dx, dy, cfg["b"], cfg["seed"], cfg["threads"])
         results = {
             "observed": boot.observed,
-            "n_missing": boot.n_missing,
+            "n_degenerate": boot.n_degenerate,
             "replicate_summary": _summary(boot.replicates),
         }
         reps = boot.replicates

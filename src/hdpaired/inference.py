@@ -12,8 +12,10 @@ and bootstrap procedures all take that pair, built once by
   sampling WITH replacement biases this statistic upward (duplicate
   subjects zero out distance entries).
 
-Replicate streams are keyed by (seed, stream, replicate index), so results
-are identical across runs and worker counts.
+Replicates are drawn in blocks from one generator keyed by (seed, stream);
+each block jumps straight to its first replicate's draws.  Replicate i is
+therefore a function of (seed, i, n) alone: the same across runs, thread
+counts and block sizes, and the first b replicates of a larger run.
 """
 
 from __future__ import annotations
@@ -34,6 +36,61 @@ from hdpaired._util import (
 )
 from hdpaired.distances import DistanceMatrix, distance_matrix, upper_triangle
 from hdpaired.matrixio import FeatureMatrix
+
+# Byte budget of one block's raw draws (rows x n 64-bit words): 873
+# replicates per block at n=150, 65 at n=2000.  Threads split the work
+# across blocks; no result depends on this value.
+_BLOCK_BYTES = 1 << 20
+
+
+def _replicates(stat, n: int, b: int, seed: int, stream: int, threads: int = 1,
+                replace: bool = False) -> np.ndarray:
+    """stat(s) for b index draws s of length n, in replicate order.
+
+    Replicate i reads the raw 64-bit outputs i*n .. (i+1)*n - 1 of the
+    generator keyed by (seed, stream).  Their stable argsort is a uniform
+    permutation of 0..n-1 (two equal words, the only source of bias, come
+    with probability below n**2 / 2**65); with replace=True each output
+    mod n is one draw with replacement (bias below n / 2**64).  Each block
+    jumps to its first replicate with `advance`, so replicate i depends on
+    neither b, the block size nor the thread count.  Each replicate's
+    statistic is computed on its own: gathering a whole block's triangles
+    at once would take rows x n(n-1)/2 entries and was measured slower.
+    """
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+
+    def block(start: int) -> list:
+        bits = replicate_rng(seed, stream).bit_generator
+        bits.advance(start * n)
+        raw = bits.random_raw((min(rows, b - start), n))
+        if replace:
+            draws = (raw % np.uint64(n)).astype(np.intp)
+        else:
+            draws = raw.argsort(axis=1, kind="stable")
+        return [stat(s) for s in draws]
+
+    return np.array([v for vals in parallel_map(block, range(0, b, rows), threads) for v in vals])
+
+
+def _pair_index(s: np.ndarray, n: int, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
+    """Flat indices into an n x n matrix of the pairs (s[iu], s[ju])."""
+    k = (s * n)[iu]
+    k += s[ju]
+    return k
+
+
+def _pair_pearson(dx: DistanceMatrix, dy: DistanceMatrix, m: int):
+    """Statistic of a draw s: pearson_or_nan over the distance pairs of the
+    subjects s[:m] in both matrices, gathered through one flat index."""
+    n = dx.n_subjects
+    im, jm = np.triu_indices(m, 1)
+    fx, fy = dx.data.ravel(), dy.data.ravel()
+
+    def stat(s: np.ndarray) -> float:
+        k = _pair_index(s[:m], n, im, jm)
+        return pearson_or_nan(fx.take(k), fy.take(k))
+
+    return stat
 
 
 def _check_same_subjects(dx: DistanceMatrix, dy: DistanceMatrix) -> int:
@@ -137,17 +194,14 @@ def permutation_test(
         raise ValueError(f"need at least 1 permutation, got {b}")
     observed, cy, denom = _observed_statistic(dx, dy)
     iu, ju = np.triu_indices(n, 1)
-    dxd = dx.data
+    flat = dx.data.ravel()
 
-    def stat(px: np.ndarray) -> float:
-        return float((px - px.mean()) @ cy) / denom
+    def stat(sigma: np.ndarray) -> float:
+        px = flat.take(_pair_index(sigma, n, iu, ju))
+        px -= px.mean()
+        return float(px @ cy) / denom
 
-    def one(i: int) -> float:
-        rng = replicate_rng(seed, STREAM_PERMUTATION, i)
-        sigma = rng.permutation(n)
-        return stat(dxd[sigma[iu], sigma[ju]])
-
-    null = np.array(parallel_map(one, range(b), threads))
+    null = _replicates(stat, n, b, seed, STREAM_PERMUTATION, threads)
     count = int(np.sum(null >= observed))
     return PermutationResult(
         observed=observed,
@@ -299,15 +353,7 @@ def subsample_ci(
     if b < 2:
         raise ValueError(f"need at least 2 subsamples, got {b}")
     observed = _observed_statistic(dx, dy)[0]
-    im, jm = np.triu_indices(m, 1)
-    dxd, dyd = dx.data, dy.data
-
-    def one(i: int) -> float:
-        rng = replicate_rng(seed, STREAM_SUBSAMPLE, i)
-        idx = rng.choice(n, size=m, replace=False)
-        return pearson_or_nan(dxd[idx[im], idx[jm]], dyd[idx[im], idx[jm]])
-
-    stats = np.array(parallel_map(one, range(b), threads))
+    stats = _replicates(_pair_pearson(dx, dy, m), n, b, seed, STREAM_SUBSAMPLE, threads)
     valid = stats[~np.isnan(stats)]
     n_degenerate = int(b - valid.size)
     if valid.size < 2:
@@ -344,7 +390,7 @@ class BootstrapResult:
     seed: int
 
     @property
-    def n_missing(self) -> int:
+    def n_degenerate(self) -> int:
         return int(np.isnan(self.replicates).sum())
 
     @property
@@ -365,7 +411,7 @@ def bootstrap_distribution(
     biases the replicate distribution upward relative to the observed
     statistic; this function exists to demonstrate that failure mode, not
     as an inference path.  Replicates whose distance triangle is constant
-    are recorded as NaN and counted via n_missing.
+    are recorded as NaN and counted by n_degenerate.
     """
     n = _check_same_subjects(dx, dy)
     if n < 4:
@@ -373,13 +419,6 @@ def bootstrap_distribution(
     if b < 1:
         raise ValueError(f"need at least 1 resample, got {b}")
     observed = _observed_statistic(dx, dy)[0]
-    iu, ju = np.triu_indices(n, 1)
-    dxd, dyd = dx.data, dy.data
-
-    def one(i: int) -> float:
-        rng = replicate_rng(seed, STREAM_BOOTSTRAP, i)
-        idx = rng.choice(n, size=n, replace=True)
-        return pearson_or_nan(dxd[idx[iu], idx[ju]], dyd[idx[iu], idx[ju]])
-
-    reps = np.array(parallel_map(one, range(b), threads))
+    reps = _replicates(_pair_pearson(dx, dy, n), n, b, seed, STREAM_BOOTSTRAP, threads,
+                       replace=True)
     return BootstrapResult(replicates=reps, observed=observed, seed=seed)

@@ -1,11 +1,18 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hdpaired import inference
+from hdpaired._util import STREAM_BOOTSTRAP, STREAM_PERMUTATION, STREAM_SUBSAMPLE, pearson_or_nan
 from hdpaired.distances import DistanceMatrix, distance_matrix, upper_triangle
 from hdpaired.inference import (
+    _observed_statistic,
+    _replicates,
     bootstrap_distribution,
     dcor_ttest,
     distance_pair_correlation,
@@ -36,6 +43,11 @@ def random_distance_pair(n, p=8, q=6, seed=0):
     dx = distance_matrix(fm(rng.standard_normal((n, p))), "scaled_euclidean")
     dy = distance_matrix(fm(rng.standard_normal((n, q))), "pearson_correlation_distance")
     return dx, dy
+
+
+def replicate_draws(n, b, seed, stream, replace=False):
+    """The b index draws the replicate procedures see, taken from the engine."""
+    return _replicates(lambda s: s, n, b, seed, stream, replace=replace)
 
 
 def both_distances(ds):
@@ -91,15 +103,12 @@ class TestDistancePairCorrelation:
 
 class TestPermutationTest:
     def test_identity_replicate_equals_observed(self):
-        # Replicates draw sigma via rng.permutation; find a replicate index
-        # whose permutation is identity on a tiny n and check exact equality.
-        from hdpaired._util import STREAM_PERMUTATION, replicate_rng
-
+        # Find a replicate whose permutation is the identity on a tiny n
+        # and check exact equality.
         dx, dy = random_distance_pair(5, seed=6)
         res = permutation_test(dx, dy, b=600, seed=9)
         hits = 0
-        for i in range(600):
-            sigma = replicate_rng(9, STREAM_PERMUTATION, i).permutation(5)
+        for i, sigma in enumerate(replicate_draws(5, 600, 9, STREAM_PERMUTATION)):
             if np.array_equal(sigma, np.arange(5)):
                 assert res.null_samples[i] == res.observed
                 hits += 1
@@ -275,19 +284,16 @@ class TestSubsampleCi:
 
 class TestBootstrap:
     def test_all_identical_resample_recorded_missing(self):
-        from hdpaired._util import STREAM_BOOTSTRAP, replicate_rng
-
         ds, _ = gen_shared_latent(4, 5, 5, 0.5, seed=25)
         res = bootstrap_distribution(*both_distances(ds), b=400, seed=2)
         # find replicates that drew a constant index vector
         found_constant = False
-        for i in range(400):
-            idx = replicate_rng(2, STREAM_BOOTSTRAP, i).choice(4, size=4, replace=True)
+        for i, idx in enumerate(replicate_draws(4, 400, 2, STREAM_BOOTSTRAP, replace=True)):
             if len(set(idx.tolist())) == 1:
                 assert math.isnan(res.replicates[i])
                 found_constant = True
         assert found_constant, "no constant resample drawn; adjust b or seed"
-        assert res.n_missing >= 1
+        assert res.n_degenerate >= 1
 
     def test_upward_bias_on_planted_dependence(self):
         ds, _ = gen_shared_latent(100, 12, 12, 0.8, seed=26)
@@ -297,17 +303,76 @@ class TestBootstrap:
     def test_subsampling_not_systematically_above(self):
         ds, _ = gen_shared_latent(100, 12, 12, 0.8, seed=26)
         dmx, dmy = both_distances(ds)
-        ci = subsample_ci(dmx, dmy, ratio=0.5, b=300, seed=3)
-        # reconstruct replicates through the same seeded path
-        from hdpaired._util import STREAM_SUBSAMPLE, pearson_or_nan, replicate_rng
-
-        dx, dy = dmx.data, dmy.data
-        m = round(0.5 * 100)
-        im, jm = np.triu_indices(m, 1)
-        reps = []
-        for i in range(300):
-            idx = replicate_rng(3, STREAM_SUBSAMPLE, i).choice(100, size=m, replace=False)
-            reps.append(pearson_or_nan(dx[idx[im], idx[jm]], dy[idx[im], idx[jm]]))
-        reps = np.array(reps)
+        ci = subsample_ci(dmx, dmy, ratio=0.5, b=300, seed=3, keep_replicates=True)
+        reps = ci.replicates
         se = reps.std(ddof=1) / math.sqrt(reps.size)
         assert reps.mean() - ci.point_estimate <= 2 * se
+
+
+def all_replicates(dx, dy, b, seed, threads=1, ratio=0.5):
+    """Replicate values of the three procedures, as one bytes string each."""
+    return (
+        permutation_test(dx, dy, b=b, seed=seed, threads=threads).null_samples.tobytes(),
+        subsample_ci(dx, dy, ratio=ratio, b=b, seed=seed, threads=threads,
+                     keep_replicates=True).replicates.tobytes(),
+        bootstrap_distribution(dx, dy, b=b, seed=seed, threads=threads).replicates.tobytes(),
+    )
+
+
+class TestReplicateEngine:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(4, 40), rows=st.integers(1, 6), extra=st.integers(1, 8),
+           m_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+           data_seed=st.integers(0, 999))
+    def test_replicates_match_two_index_reference(self, n, rows, extra, m_frac, seed, data_seed):
+        # A block budget of `rows` draws makes b cross at least one block
+        # boundary; each replicate is rebuilt from the engine's own draws
+        # with a two-index gather, and the default budget (one block here)
+        # gives the same bytes.
+        b = rows + extra
+        m = 4 + round(m_frac * (n - 4))
+        dx, dy = random_distance_pair(n, seed=data_seed)
+        _, cy, denom = _observed_statistic(dx, dy)
+        with mock.patch.object(inference, "_BLOCK_BYTES", 8 * n * rows):
+            blocks = all_replicates(dx, dy, b, seed, ratio=m / n)
+            perm_draws = replicate_draws(n, b, seed, STREAM_PERMUTATION)
+            sub_draws = replicate_draws(n, b, seed, STREAM_SUBSAMPLE)[:, :m]
+            boot_draws = replicate_draws(n, b, seed, STREAM_BOOTSTRAP, replace=True)
+        assert all_replicates(dx, dy, b, seed, ratio=m / n) == blocks
+
+        def centered(s):
+            iu, ju = np.triu_indices(n, 1)
+            px = dx.data[s[iu], s[ju]]
+            return float((px - px.mean()) @ cy) / denom
+
+        def pearson(s):
+            iu, ju = np.triu_indices(s.size, 1)
+            return pearson_or_nan(dx.data[s[iu], s[ju]], dy.data[s[iu], s[ju]])
+
+        assert blocks == (
+            np.array([centered(s) for s in perm_draws]).tobytes(),
+            np.array([pearson(s) for s in sub_draws]).tobytes(),
+            np.array([pearson(s) for s in boot_draws]).tobytes(),
+        )
+        assert all(np.array_equal(np.sort(s), np.arange(n)) for s in perm_draws)
+
+    def test_same_bytes_at_any_thread_count(self):
+        dx, dy = random_distance_pair(150, seed=31)
+        rows = inference._BLOCK_BYTES // (8 * 150)
+        assert rows == 873
+        for b in (rows - 1, rows, rows + 1, 2 * rows + 3):
+            serial = all_replicates(dx, dy, b, seed=5, ratio=0.135)
+            for threads in (2, 8):
+                assert all_replicates(dx, dy, b, seed=5, threads=threads, ratio=0.135) == serial
+
+    def test_replicates_are_a_prefix_of_a_longer_run(self):
+        # At n=300 a block holds 436 replicates: b=300 is one short block,
+        # b=1000 two full blocks and a short one.
+        dx, dy = random_distance_pair(300, seed=32)
+        short = all_replicates(dx, dy, 300, seed=6)
+        long = all_replicates(dx, dy, 1000, seed=6)
+        for a, c in zip(short, long):
+            assert a == c[: len(a)]
+        for stream, replace in ((STREAM_PERMUTATION, False), (STREAM_BOOTSTRAP, True)):
+            head = replicate_draws(300, 300, 6, stream, replace)
+            assert np.array_equal(head, replicate_draws(300, 1000, 6, stream, replace)[:300])
