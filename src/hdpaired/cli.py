@@ -332,12 +332,11 @@ def _cmd_dist(cfg: dict) -> None:
 
 
 def _cmd_infer(cfg: dict, mode: str) -> None:
-    if cfg["b"] < 1:
+    if "b" in cfg and cfg["b"] < 1:
         raise CliError(f"--b must be >= 1, got {cfg['b']}")
     x, y = _load_pair(cfg)
     inputs = {"x": cfg["x"], "y": cfg["y"]}
     os.makedirs(cfg["out"], exist_ok=True)
-    reps = None
     if mode != "dcor":
         dx = distance_matrix(x, cfg["metric_x"])
         dy = distance_matrix(y, cfg["metric_y"])
@@ -383,7 +382,7 @@ def _cmd_infer(cfg: dict, mode: str) -> None:
         reps = boot.replicates
     _write_json(os.path.join(cfg["out"], f"infer_{mode}.json"),
                 _report(f"infer {mode}", cfg, inputs, results))
-    if cfg["dump_replicates"] and reps is not None:
+    if cfg.get("dump_replicates"):
         write_csv(os.path.join(cfg["out"], f"replicates_{mode}.csv"),
                   ["replicate", "value"], list(enumerate(reps)))
 
@@ -537,8 +536,10 @@ def _cmd_subcluster(cfg: dict) -> None:
     model, _, train_ids = _load_model(cfg["model"])
     train = set(train_ids)
     rows = [i for i, sid in enumerate(x.subject_ids) if sid in train]
-    if not rows:
-        raise CliError("none of the model's training subjects found in the input matrices")
+    if len(rows) < len(train):
+        missing = sorted(train - set(x.subject_ids))
+        raise CliError(f"{len(missing)} of the model's {len(train)} training subjects "
+                       f"missing from the input matrices, e.g. {missing[:5]}")
     sel_u = model.support_u
     sel_v = model.support_v
     if sel_u.size < 2 or sel_v.size < 2:
@@ -579,6 +580,14 @@ def _cmd_subcluster(cfg: dict) -> None:
 # command table and parser
 # ---------------------------------------------------------------------------
 
+# Defaults that several commands share, each declared once.
+_PAIR = {"x": None, "y": None, "out": None}
+_METRIC_PAIR = {"metric_x": "scaled_euclidean", "metric_y": "pearson_correlation_distance"}
+# The keys of every command that draws replicates from distance matrices.
+_DRAWS = {**_PAIR, "b": 10_000, "seed": 0, "threads": 1, **_METRIC_PAIR}
+_DUMP = {**_DRAWS, "dump_replicates": False}  # infer perm, infer bootstrap
+_INTERVAL = {**_DRAWS, "ratio": 0.135, "level": 0.95, "method": "root"}  # infer subsample, report
+
 _COMMANDS = {
     "synth": _Command(
         _cmd_synth, "generate synthetic paired datasets", ("out",),
@@ -593,46 +602,39 @@ _COMMANDS = {
     ),
     "dist": _Command(
         _cmd_dist, "pairwise distance report for both modalities", ("x", "y", "out"),
-        {"x": None, "y": None, "out": None, "bins": 50,
-         "metric_x": "scaled_euclidean", "metric_y": "pearson_correlation_distance"},
+        {**_PAIR, "bins": 50, **_METRIC_PAIR},
     ),
-    # The infer modes share one key set, so every infer report records all of it.
     **{f"infer {mode}": _Command(
-        functools.partial(_cmd_infer, mode=mode), text, ("x", "y", "out"),
-        {"x": None, "y": None, "out": None, "b": 10_000, "seed": 0, "ratio": 0.135,
-         "level": 0.95, "method": "root", "threads": 1, "metric_x": "scaled_euclidean",
-         "metric_y": "pearson_correlation_distance", "dump_replicates": False},
-    ) for mode, text in (
-        ("perm", "permutation test of the distance-pair correlation"),
-        ("dcor", "bias-corrected distance-correlation t-test"),
-        ("subsample", "subsampling confidence interval"),
-        ("bootstrap", "bootstrap distribution of the distance-pair correlation"),
+        functools.partial(_cmd_infer, mode=mode), text, ("x", "y", "out"), defaults,
+    ) for mode, text, defaults in (
+        ("perm", "permutation test of the distance-pair correlation", _DUMP),
+        # dcor_ttest always uses Euclidean distances and draws no replicates.
+        ("dcor", "bias-corrected distance-correlation t-test", _PAIR),
+        ("subsample", "subsampling confidence interval", _INTERVAL),
+        ("bootstrap", "bootstrap distribution of the distance-pair correlation", _DUMP),
     )},
     "scca fit": _Command(
         _cmd_scca_fit, "fit sparse CCA at given l1 bounds", ("x", "y", "c1", "c2", "out"),
-        {"x": None, "y": None, "out": None, "c1": None, "c2": None, "d1": 1.0,
-         "d2": 1.0, "tol": 1e-6, "max_iters": 500, "init": "svd", "seed": 0},
+        {**_PAIR, "c1": None, "c2": None, "d1": 1.0, "d2": 1.0, "tol": 1e-6,
+         "max_iters": 500, "init": "svd", "seed": 0},
     ),
     "scca cv": _Command(
         _cmd_scca_cv, "cross-validated grid search, refit, held-out test", ("x", "y", "out"),
-        {"x": None, "y": None, "out": None, "grid_file": None, "cells": 8, "k": 5,
-         "seed": 0, "tol": 1e-5, "max_iters": 200, "init": "svd", "threads": 1},
+        {**_PAIR, "grid_file": None, "cells": 8, "k": 5, "seed": 0, "tol": 1e-5,
+         "max_iters": 200, "init": "svd", "threads": 1},
     ),
     "scca eval": _Command(
         _cmd_scca_eval, "held-out correlation of a saved model", ("x", "y", "model", "out"),
-        {"x": None, "y": None, "model": None, "out": None},
+        {**_PAIR, "model": None},
     ),
     "subcluster": _Command(
         _cmd_subcluster, "cluster selected features, rank cluster pairs",
         ("x", "y", "model", "out"),
-        {"x": None, "y": None, "model": None, "out": None, "k": 5, "top": 3,
-         "metric_x": "scaled_euclidean", "metric_y": "pearson_correlation_distance"},
+        {**_PAIR, "model": None, "k": 5, "top": 3, **_METRIC_PAIR},
     ),
     "report": _Command(
         _cmd_report, "permutation + dcor + subsampling summary table", ("x", "y", "out"),
-        {"x": None, "y": None, "out": None, "b": 10_000, "seed": 0, "ratio": 0.135,
-         "level": 0.95, "method": "root", "threads": 1, "metric_x": "scaled_euclidean",
-         "metric_y": "pearson_correlation_distance"},
+        _INTERVAL,
     ),
 }
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.signal
 
 from hdpaired.matrixio import _as_readonly
 
@@ -125,6 +124,8 @@ def design_bandpass(spec: BandpassSpec, fs: float) -> tuple[np.ndarray, np.ndarr
     prewarping; `spec.order` is the order per band edge, so the overall
     transfer function has twice that order.
     """
+    import scipy.signal  # imported here: it is slow to load, and only filtering needs it
+
     spec.validate_against(fs)
     b, a = scipy.signal.butter(
         spec.order, [spec.f_low, spec.f_high], btype="bandpass", fs=fs, output="ba"
@@ -154,6 +155,8 @@ def butterworth_bandpass(
     by three times the filter's effective impulse length before filtering
     and cropped after.  zero_phase=False is single-pass causal filtering.
     """
+    import scipy.signal
+
     spec = spec or BandpassSpec()
     b, a = design_bandpass(spec, ts.fs)
     if zero_phase:

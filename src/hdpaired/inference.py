@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.stats
+from scipy.special import stdtr
 
 from hdpaired._util import (
     STREAM_BOOTSTRAP,
@@ -220,6 +220,8 @@ def rank_correlations(dx: DistanceMatrix, dy: DistanceMatrix) -> tuple[float, fl
     ty = upper_triangle(dy)
     if tx.size < 2 or np.all(tx == tx[0]) or np.all(ty == ty[0]):
         raise ValueError("constant distance triangle; rank correlation undefined")
+    import scipy.stats  # imported here: it is slow to load, and only rank checks need it
+
     rho = scipy.stats.spearmanr(tx, ty).statistic
     tau = scipy.stats.kendalltau(tx, ty).statistic
     return float(rho), float(tau)
@@ -291,7 +293,7 @@ def dcor_ttest(x: FeatureMatrix, y: FeatureMatrix) -> DcorResult:
         t = math.inf if rc > 0 else -math.inf
     else:
         t = math.sqrt(v - 1) * rc / math.sqrt(1.0 - rc * rc)
-    p = float(scipy.stats.t.sf(t, df=v - 1))
+    p = float(stdtr(v - 1, -t))  # upper tail of Student-t with v - 1 df
     return DcorResult(bias_corrected_r=r, t_statistic=t, degrees_of_freedom=v - 1, p_value=p)
 
 

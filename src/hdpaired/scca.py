@@ -1,8 +1,8 @@
 """Plain and elastic-net sparse canonical correlation analysis.
 
 fit_cca computes the top singular pair of the empirical cross-covariance
-(by Gram-free power iteration) and rescales so the projected scores have
-unit norm.  fit_scca solves
+exactly, from the thin SVDs of X and Y and one SVD of their small core, and
+rescales so the projected scores have unit norm.  fit_scca solves
 
     maximize  <Xu, Yv>
     s.t.      ||Xu||2 <= 1, ||u||1 <= c1, ||u||2 <= d1   (and same for v)
@@ -368,33 +368,20 @@ class SccaSolver:
             v /= nv
         return u, v
 
-    def fit_cca(self, max_iters: int = 5000, tol: float = 1e-14) -> AlignmentPair:
+    def fit_cca(self) -> AlignmentPair:
         """Top singular pair of the cross-covariance, rescaled so
         ||Xu||_2 = ||Yv||_2 = 1; the objective is the achieved canonical
-        correlation of the (centered) scores."""
-        u, v = self._power_init(sweeps=1)
-        obj = 0.0
-        it = 0
-        converged = False
-        for it in range(1, max_iters + 1):
-            u = self.x.T @ (self.y @ v)
-            u /= math.sqrt(float(u @ u))
-            v = self.y.T @ (self.x @ u)
-            v /= math.sqrt(float(v @ v))
-            new_obj = float(u @ (self.x.T @ (self.y @ v)))
-            if abs(new_obj - obj) <= tol * max(1.0, abs(new_obj)):
-                converged = True
-                obj = new_obj
-                break
-            obj = new_obj
-        sx = self.x @ u
-        sy = self.y @ v
-        nx = math.sqrt(float(sx @ sx))
-        ny = math.sqrt(float(sy @ sy))
-        if nx == 0.0 or ny == 0.0:
-            raise ValueError("projected scores vanish; alignment direction undefined")
-        u = u / nx
-        v = v / ny
+        correlation of the (centered) scores.  Exact and Gram-free: with thin
+        SVDs X = Ux Sx Vx^T and Y = Uy Sy Vy^T, the pair is (Vx a, Vy b) for
+        the top singular pair (a, b) of the small core Sx Ux^T Uy Sy."""
+        ux, sx, vxt = np.linalg.svd(self.x, full_matrices=False)
+        uy, sy, vyt = np.linalg.svd(self.y, full_matrices=False)
+        a, s, bt = np.linalg.svd(sx[:, None] * (ux.T @ uy) * sy)
+        if s[0] == 0.0:
+            raise ValueError("zero cross-covariance; alignment direction undefined")
+        # ||X Vx a||_2 = ||Sx a||_2, so dividing by it gives unit-norm scores.
+        u = vxt.T @ (a[:, 0] / np.linalg.norm(sx * a[:, 0]))
+        v = vyt.T @ (bt[0] / np.linalg.norm(sy * bt[0]))
         u, v = _sign_canonical(u, v)
         objective = float((self.x @ u) @ (self.y @ v))
         return AlignmentPair(
@@ -403,8 +390,8 @@ class SccaSolver:
             objective=objective,
             support_u=np.flatnonzero(u),
             support_v=np.flatnonzero(v),
-            iterations=it,
-            converged=converged,
+            iterations=1,
+            converged=True,
             objective_trace=np.array([objective]),
         )
 

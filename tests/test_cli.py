@@ -2,10 +2,13 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hdpaired
 from hdpaired.cli import _COMMANDS, _read_plain_csv, _resolve, build_parser, main
 from hdpaired.distances import distance_matrix
 from hdpaired.matrixio import FeatureMatrix, load_matrix, save_matrix
@@ -272,6 +275,25 @@ class TestScca:
         assert err["error"] == "CliError"
         assert f"grid file {grid}, line {lineno}: {detail}" in err["message"]
 
+    def test_subcluster_names_missing_training_subjects(self, tmp_path, planted_pair, capsys):
+        x, y = planted_pair
+        fit_dir = tmp_path / "f"
+        assert run(["scca", "fit", "--x", x, "--y", y, "--c1", "1.8", "--c2", "1.8",
+                    "--out", fit_dir]) == 0
+        part = tmp_path / "part"
+        part.mkdir()
+        for tag, path in (("x", x), ("y", y)):
+            m = load_matrix(path, "bin")
+            save_matrix(FeatureMatrix(m.data[7:], m.subject_ids[7:]), str(part / f"{tag}.bin"))
+        assert run(["subcluster", "--x", part / "x.bin", "--y", part / "y.bin",
+                    "--model", fit_dir / "model.json", "--out", tmp_path / "sc"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        first = list(load_matrix(x, "bin").subject_ids[:5])
+        assert err == {"error": "CliError", "message": (
+            "7 of the model's 60 training subjects missing from the input matrices, "
+            f"e.g. {first}")}
+        assert not (tmp_path / "sc").exists()
+
     def test_cv_default_grid(self, tmp_path, planted_pair):
         x, y = planted_pair
         out = tmp_path / "cvd"
@@ -361,7 +383,7 @@ class TestConfigPrecedence:
         rep = read_json(out / "infer_perm.json")
         assert rep["config"]["b"] == 77      # flag wins
         assert rep["config"]["seed"] == 3    # config beats default
-        assert rep["config"]["ratio"] == 0.135  # default survives
+        assert rep["config"]["threads"] == 1  # default survives
 
     def test_unknown_config_key_rejected(self, tmp_path, latent_pair, capsys):
         x, y = latent_pair
@@ -386,14 +408,14 @@ class TestConfigPrecedence:
         (["infer", "perm"], "seed: 1.5\n", "seed"),
         (["infer", "perm"], "seed: true\n", "seed"),
         (["infer", "perm"], "b: '10'\n", "b"),
-        (["infer", "perm"], "ratio: false\n", "ratio"),
-        (["infer", "perm"], "method: median\n", "method"),
+        (["infer", "subsample"], "ratio: false\n", "ratio"),
+        (["infer", "subsample"], "method: median\n", "method"),
         (["infer", "perm"], "dump_replicates: 1\n", "dump_replicates"),
         (["infer", "perm"], "metric_x: cosine\n", "metric_x"),
         (["scca", "cv"], "grid_file: 3\n", "grid_file"),
         (["fcg", "--input", "no-such-dir"], "out_format: txt\n", "out_format"),
         (["infer", "perm"], "b: 1e3\n", "b"),
-        (["infer", "perm"], "ratio: '1e-1'\n", "ratio"),
+        (["infer", "subsample"], "ratio: '1e-1'\n", "ratio"),
     ])
     def test_config_value_checked_like_its_flag(self, tmp_path, latent_pair, capsys,
                                                 command, text, key):
@@ -421,8 +443,9 @@ class TestConfigPrecedence:
         cfg = tmp_path / "conf.yaml"
         cfg.write_text("ratio: 1\nlevel: 0.9\nb: 20\n")
         out = tmp_path / "i"
-        assert run(["infer", "perm", "--x", x, "--y", y, "--config", cfg, "--out", out]) == 0
-        assert read_json(out / "infer_perm.json")["config"]["ratio"] == 1
+        assert run(["infer", "subsample", "--x", x, "--y", y, "--config", cfg,
+                    "--out", out]) == 0
+        assert read_json(out / "infer_subsample.json")["config"]["ratio"] == 1
 
 
 # Every key each command path reads, with its default, as the reports'
@@ -436,11 +459,15 @@ RESOLVED_DEFAULTS = {
     "dist": {"x": "x", "y": "y", "out": "o", "bins": 50, "metric_x": "scaled_euclidean",
              "metric_y": "pearson_correlation_distance"},
     **{f"infer {mode}": {"x": "x", "y": "y", "out": "o", "b": 10_000, "seed": 0,
-                         "ratio": 0.135, "level": 0.95, "method": "root", "threads": 1,
-                         "metric_x": "scaled_euclidean",
+                         "threads": 1, "metric_x": "scaled_euclidean",
                          "metric_y": "pearson_correlation_distance",
                          "dump_replicates": False}
-       for mode in ("perm", "dcor", "subsample", "bootstrap")},
+       for mode in ("perm", "bootstrap")},
+    "infer dcor": {"x": "x", "y": "y", "out": "o"},
+    "infer subsample": {"x": "x", "y": "y", "out": "o", "b": 10_000, "seed": 0,
+                        "ratio": 0.135, "level": 0.95, "method": "root", "threads": 1,
+                        "metric_x": "scaled_euclidean",
+                        "metric_y": "pearson_correlation_distance"},
     "scca fit": {"x": "x", "y": "y", "out": "o", "c1": 2.0, "c2": 3.0, "d1": 1.0,
                  "d2": 1.0, "tol": 1e-6, "max_iters": 500, "init": "svd", "seed": 0},
     "scca cv": {"x": "x", "y": "y", "out": "o", "grid_file": None, "cells": 8, "k": 5,
@@ -467,6 +494,19 @@ SCCA_READS = {
            "threads", "config"},
     "eval": {"x", "y", "model", "out", "config"},
 }
+# Flags the infer parser accepted in every mode before each mode had its own.
+INFER_FLAGS = ("x", "y", "out", "b", "seed", "ratio", "level", "method", "threads",
+               "metric-x", "metric-y", "dump-replicates", "config")
+_DRAWS = {"x", "y", "out", "b", "seed", "threads", "metric-x", "metric-y", "config"}
+INFER_READS = {
+    "perm": _DRAWS | {"dump-replicates"},
+    "dcor": {"x", "y", "out", "config"},
+    "subsample": _DRAWS | {"ratio", "level", "method"},
+    "bootstrap": _DRAWS | {"dump-replicates"},
+}
+# A value each flag accepts (default "3"); None marks a switch.
+FLAG_VALUES = {"method": "root", "metric-x": "euclidean", "metric-y": "euclidean",
+               "dump-replicates": None}
 
 
 class TestOptionTable:
@@ -503,10 +543,48 @@ class TestOptionTable:
             assert exc.value.code == 2
             assert f"unrecognized arguments: --{flag} {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode, flag", [
+        (mode, flag) for mode in INFER_READS for flag in INFER_FLAGS
+    ])
+    def test_infer_mode_accepts_only_the_flags_it_reads(self, mode, flag, capsys):
+        value = FLAG_VALUES.get(flag, "3")
+        given = ["--" + flag] + ([] if value is None else [value])
+        argv = ["infer", mode] + given
+        if flag in INFER_READS[mode]:
+            parsed = getattr(build_parser().parse_args(argv), flag.replace("-", "_"))
+            assert (parsed is True) if value is None else str(parsed).removesuffix(".0") == value
+        else:
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(given)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", sorted(INFER_READS))
+    def test_infer_config_key_the_mode_does_not_read_rejected(self, mode, tmp_path, capsys):
+        unread = sorted(key.replace("-", "_") for key in set(INFER_FLAGS) - INFER_READS[mode])
+        cfg = tmp_path / "conf.yaml"
+        cfg.write_text(f"{unread[0]}: 1\n")
+        assert run(["infer", mode, "--x", "x", "--y", "y", "--config", cfg,
+                    "--out", tmp_path / "o"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "CliError", "message": f"unknown config keys: [{unread[0]!r}]"}
+        assert not (tmp_path / "o").exists()
+
     def test_mode_flags_follow_the_mode(self):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["scca", "--x", "a.bin", "fit"])
         assert exc.value.code == 2
+
+
+def test_import_skips_slow_scipy_modules():
+    # scipy.signal and scipy.stats cost most of the CLI's start-up; only
+    # fcg filtering and the rank correlations load them, on first use.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(hdpaired.__file__)))
+    code = (f"import sys; sys.path.insert(0, {root!r}); import hdpaired.cli; "
+            "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestDeterminism:
