@@ -391,10 +391,12 @@ def _cmd_report(cfg: dict) -> None:
     x, y = _load_pair(cfg)
     dx = distance_matrix(x, cfg["metric_x"])
     dy = distance_matrix(y, cfg["metric_y"])
-    perm = permutation_test(dx, dy, cfg["b"], cfg["seed"], threads=cfg["threads"])
-    dcor = dcor_ttest(x, y)
+    # The interval comes first so that its argument checks run before any
+    # permutation is drawn; each procedure reads its own stream.
     ci = subsample_ci(dx, dy, cfg["ratio"], cfg["b"], cfg["level"], cfg["seed"],
                       cfg["method"], cfg["threads"])
+    perm = permutation_test(dx, dy, cfg["b"], cfg["seed"], threads=cfg["threads"])
+    dcor = dcor_ttest(x, y)
     rows = [
         {
             "method": "permutation",
@@ -460,6 +462,7 @@ def _cmd_scca_fit(cfg: dict) -> None:
             "objective": fit.objective,
             "converged": fit.converged,
             "iterations": fit.iterations,
+            "split_cap_hits": fit.split_cap_hits,
             "support_u_size": int(fit.support_u.size),
             "support_v_size": int(fit.support_v.size),
         }),

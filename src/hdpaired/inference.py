@@ -297,6 +297,13 @@ def dcor_ttest(x: FeatureMatrix, y: FeatureMatrix) -> DcorResult:
     return DcorResult(bias_corrected_r=r, t_statistic=t, degrees_of_freedom=v - 1, p_value=p)
 
 
+def _check_interval(level: float, method: str) -> None:
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level}")
+    if method not in ("root", "percentile"):
+        raise ValueError(f"method must be 'root' or 'percentile', got {method!r}")
+
+
 @dataclass(frozen=True)
 class ConfidenceInterval:
     """Subsampling confidence interval for the distance-pair correlation.
@@ -316,10 +323,7 @@ class ConfidenceInterval:
     replicates: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level must be in (0, 1), got {self.level}")
-        if self.method not in ("root", "percentile"):
-            raise ValueError(f"method must be 'root' or 'percentile', got {self.method!r}")
+        _check_interval(self.level, self.method)
         if self.lower > self.upper:
             raise ValueError("lower bound above upper bound")
 
@@ -354,6 +358,7 @@ def subsample_ci(
         raise ValueError(f"subsample size {m} exceeds n = {n}")
     if b < 2:
         raise ValueError(f"need at least 2 subsamples, got {b}")
+    _check_interval(level, method)
     observed = _observed_statistic(dx, dy)[0]
     stats = _replicates(_pair_pearson(dx, dy, m), n, b, seed, STREAM_SUBSAMPLE, threads)
     valid = stats[~np.isnan(stats)]
@@ -366,10 +371,8 @@ def subsample_ci(
         q_lo, q_hi = np.quantile(roots, [alpha / 2, 1 - alpha / 2])
         lower = observed - q_hi / math.sqrt(n)
         upper = observed - q_lo / math.sqrt(n)
-    elif method == "percentile":
+    else:  # percentile
         lower, upper = np.quantile(valid, [alpha / 2, 1 - alpha / 2])
-    else:
-        raise ValueError(f"method must be 'root' or 'percentile', got {method!r}")
     return ConfidenceInterval(
         point_estimate=observed,
         lower=float(lower),

@@ -7,12 +7,11 @@ rescales so the projected scores have unit norm.  fit_scca solves
     maximize  <Xu, Yv>
     s.t.      ||Xu||2 <= 1, ||u||1 <= c1, ||u||2 <= d1   (and same for v)
 
-by alternating over u and v.  Each half-step is a linear objective over a
-convex set, maximized with projected gradient ascent and backtracking.  The
-feasible-set projection is exact whenever the ellipsoid {w : ||Xw||2 <= 1}
-does not bind: the nearest point of {||w||1 <= c, ||w||2 <= d} is a
-soft-threshold followed by a rescale (project_l1_l2), and when that point
-also satisfies ||Xw||2 <= 1 it is the nearest point of the full set.  Only
+by alternating over u and v.  Each half-step maximizes a linear function
+g @ w over a convex set.  Over {||w||1 <= c, ||w||2 <= d} the maximizer has
+a closed form (_lmo_l1_l2: a soft-threshold of g rescaled to norm d, the
+PMD update of Witten, Tibshirani & Hastie 2009), and when that point also
+satisfies ||Xw||2 <= 1 it is the maximizer over the full set.  Only
 otherwise does an Anderson-accelerated Douglas-Rachford splitting between
 the ellipsoid and the l1/l2 intersection run; the thin SVD that the
 ellipsoid projection needs is built the first time the ellipsoid binds.
@@ -42,8 +41,8 @@ from hdpaired._util import STREAM_SCCA_INIT, pearson_or_nan, replicate_rng
 
 _INIT_MODES = ("svd", "seeded-random")
 # Iteration cap and memory of the Anderson-accelerated Douglas-Rachford
-# splitting that projects onto the ellipsoid and the l1/l2 intersection;
-# it runs only when the ellipsoid binds.
+# splitting that maximizes a half-step over the ellipsoid and the l1/l2
+# intersection; it runs only when the ellipsoid binds.
 _SPLIT_ITERS = 200
 _ANDERSON_MEMORY = 5
 
@@ -75,8 +74,10 @@ class AlignmentPair:
     """Fitted alignment vectors with sparsity metadata.
 
     objective is <Xu, Yv> on the training data; objective_trace records the
-    value after each accepted alternation step and is nondecreasing within
-    floating-point tolerance.
+    value after each alternation step and is nondecreasing within
+    floating-point tolerance.  split_cap_hits counts the half-steps whose
+    splitting stopped at _SPLIT_ITERS iterations (0 when the ellipsoid
+    never binds).
     """
 
     u: np.ndarray
@@ -87,6 +88,7 @@ class AlignmentPair:
     iterations: int
     converged: bool
     objective_trace: np.ndarray
+    split_cap_hits: int = 0
 
 
 def project(m: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -142,10 +144,7 @@ def project_l1_l2(w: np.ndarray, c: float, d: float) -> np.ndarray:
     soft-threshold at some theta >= 0 (the PMD update of Witten, Tibshirani
     & Hastie 2009).  Either the l2 projection already meets the l1 bound
     (theta = 0), or the l1 projection already meets the l2 bound, or both
-    bounds are active and theta solves ||S(w)||_1 / ||S(w)||_2 = c / d.
-    That ratio does not increase with theta; it is evaluated at every
-    sorted |w| from cumulative sums, and on the segment holding the root
-    theta is the root of one quadratic.
+    bounds are active and _both_bounds finds theta.
     """
     a = np.abs(w)
     l1 = float(a.sum())
@@ -160,13 +159,40 @@ def project_l1_l2(w: np.ndarray, c: float, d: float) -> np.ndarray:
     ns = math.sqrt(float(s @ s))
     if ns <= d:
         return np.sign(w) * s
-    # Both bounds active.  Thresholding at u[k] (0 past the end) keeps the
-    # top k entries.  With e = u[0] - u and E1, E2 the sums of e and e^2
-    # over the top k, their l1 norm is k e_k - E1 and their squared l2 norm
-    # k e_k^2 - 2 e_k E1 + E2; measured from the largest entry, neither
-    # cancels below its own size.  The l1/l2 ratio does not increase with
-    # the threshold, so the root lies on the segment above the first u[k]
-    # where the ratio reaches c/d (at theta = 0 it exceeds c/d).
+    return _both_bounds(w, a, u, c, d)
+
+
+def _lmo_l1_l2(g: np.ndarray, c: float, d: float) -> np.ndarray:
+    """A maximizer of g @ w over {w : ||w||_1 <= c, ||w||_2 <= d}: d g / ||g||_2
+    if that meets the l1 bound; else c sign(g_j) / k on the k entries tied
+    at max |g_j| if that meets the l2 bound (always when c <= d); else the
+    both-bounds point of g.  None depends on ||g||; g = 0 gives 0."""
+    a = np.abs(g)
+    top = float(a.max())
+    if top == 0.0:
+        return np.zeros_like(g)
+    l2 = math.sqrt(float(g @ g))
+    if float(a.sum()) * d <= c * l2:
+        return g * (d / l2)
+    ties = a == top
+    k = int(np.count_nonzero(ties))
+    if c <= d * math.sqrt(k):
+        return np.where(ties, np.sign(g) * (c / k), 0.0)
+    return _both_bounds(g, a, np.sort(a)[::-1], c, d)
+
+
+def _both_bounds(w: np.ndarray, a: np.ndarray, u: np.ndarray, c: float, d: float) -> np.ndarray:
+    """d S(w) / ||S(w)||_2 for the soft-threshold S at the theta where
+    ||S(w)||_1 / ||S(w)||_2 = c / d, given a = |w|, u = a sorted descending
+    and a ratio above c/d at theta = 0.  The ratio does not increase with
+    theta; it is evaluated at every sorted |w| from cumulative sums, and on
+    the segment holding the root theta is the root of one quadratic."""
+    # Thresholding at u[k] (0 past the end) keeps the top k entries.  With
+    # e = u[0] - u and E1, E2 the sums of e and e^2 over the top k, their l1
+    # norm is k e_k - E1 and their squared l2 norm k e_k^2 - 2 e_k E1 + E2;
+    # measured from the largest entry, neither cancels below its own size.
+    # The root lies on the segment above the first u[k] where the ratio
+    # reaches c/d.
     u = np.append(u, 0.0)
     e = u[0] - u
     sizes = np.arange(1, u.size)
@@ -205,10 +231,6 @@ class _EllipsoidProjection:
         self.s2 = s[keep] ** 2
         self.vt = np.ascontiguousarray(vt[keep])
 
-    def __call__(self, z: np.ndarray, lam_hint: float = 0.0) -> np.ndarray:
-        out, _ = self.project(z, lam_hint)
-        return out
-
     def project(self, z: np.ndarray, lam_hint: float = 0.0) -> tuple[np.ndarray, float]:
         """Project z; lam_hint warm-starts the Newton solve (the root moves
         little between consecutive splitting iterations)."""
@@ -238,14 +260,17 @@ class _EllipsoidProjection:
         return z + self.vt.T @ (w_new - w), lam
 
 
-def _project_intersection(z: np.ndarray, proj_ball, ell: _EllipsoidProjection) -> np.ndarray:
-    """Nearest point to z of the intersection of the ellipsoid of ell and a
-    convex set given by its exact projection proj_ball.
+def _maximize_on_intersection(
+    g: np.ndarray, start: np.ndarray, proj_ball, ell: _EllipsoidProjection
+) -> tuple[np.ndarray, bool]:
+    """Maximizer of g @ w over the intersection of the ellipsoid of ell and
+    a convex set given by its exact projection proj_ball, and whether the
+    splitting stopped at its cap.
 
-    Douglas-Rachford splitting of 1/2 ||x - z||^2 + ind_ell(x) and
-    ind_ball(x): x = ell((s + z) / 2), f = proj_ball(2x - s) - x, s <- s + f,
-    started from s = proj_ball(z).  At its fixed points f = 0 and x is the
-    projection.  Type-II Anderson acceleration over the last
+    Douglas-Rachford splitting of -g @ x + ind_ell(x) and ind_ball(x) with
+    step t = ||start|| / ||g||: x = ell(s + t g), f = proj_ball(2x - s) - x,
+    s <- s + f, from s = start.  At its fixed points f = 0 and x is the
+    maximizer.  Type-II Anderson acceleration over the last
     _ANDERSON_MEMORY steps extrapolates s, with its least-squares weights
     Tikhonov-regularized so that they stay bounded.  Stops when
     max |f| <= 1e-12 (1 + max |x|) or after _SPLIT_ITERS iterations, and
@@ -253,20 +278,21 @@ def _project_intersection(z: np.ndarray, proj_ball, ell: _EllipsoidProjection) -
     in the second set.  The tolerance is near rounding level so that inputs
     equal up to rounding give fits equal up to rounding.
     """
-    s = proj_ball(z)
+    t = math.sqrt(float(start @ start) / float(g @ g))
+    s = start
     ss: list[np.ndarray] = []
     fs: list[np.ndarray] = []
     best, best_y = math.inf, s
     lam = 0.0
     for _ in range(_SPLIT_ITERS):
-        x, lam = ell.project(0.5 * (s + z), lam)
+        x, lam = ell.project(s + t * g, lam)
         y = proj_ball(2.0 * x - s)
         f = y - x
         resid = float(f @ f)
         if resid < best:
             best, best_y = resid, y
         if float(np.max(np.abs(f))) <= 1e-12 * (1.0 + float(np.max(np.abs(x)))):
-            break
+            return best_y, False
         ss.append(s)
         fs.append(f)
         del ss[:-_ANDERSON_MEMORY - 1], fs[:-_ANDERSON_MEMORY - 1]
@@ -278,39 +304,7 @@ def _project_intersection(z: np.ndarray, proj_ball, ell: _EllipsoidProjection) -
             if reg > 0.0:
                 gamma = np.linalg.solve(gram + reg * np.eye(len(gram)), df @ f)
                 s = s - (np.diff(ss, axis=0) + df).T @ gamma
-    return best_y
-
-
-def _maximize_linear(g, w0, feasible_proj, max_steps: int = 8, rel_tol: float = 1e-9):
-    """Maximize g @ w over a convex set via projected gradient with backtracking.
-
-    Starts from the feasible point w0 and only accepts improving steps, so
-    the returned point never has a smaller objective than the start.
-    """
-    w = w0
-    f = float(g @ w)
-    gnorm = math.sqrt(float(g @ g))
-    if gnorm == 0.0:
-        return w
-    step = (math.sqrt(float(w @ w)) + 1.0) / gnorm
-    for _ in range(max_steps):
-        accepted = False
-        s = step
-        for _ in range(14):
-            cand = feasible_proj(w + s * g)
-            fc = float(g @ cand)
-            if fc > f:
-                improvement = fc - f
-                w, f = cand, fc
-                step = s * 2.0
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
-            break
-        if improvement <= rel_tol * max(1.0, abs(f)):
-            break
-    return w
+    return best_y, True
 
 
 def _sign_canonical(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -397,73 +391,71 @@ class SccaSolver:
 
     # -- sparse fit ----------------------------------------------------------
 
-    def _feasible_proj(self, which: str, c: float, d: float):
-        """Nearest-point map onto {w : ||Mw||_2 <= 1, ||w||_1 <= c, ||w||_2 <= d}.
+    def _half_step(self, which: str, c: float, d: float):
+        """Map (g, current point w) to a maximizer of g @ w over
+        {w : ||Mw||_2 <= 1, ||w||_1 <= c, ||w||_2 <= d}, and whether the
+        splitting stopped at its cap.
 
-        The exact projection onto the l1/l2 intersection comes first.  The
-        full set is a subset of that intersection, so when the point also
-        satisfies ||Mw||_2 <= 1 it is the exact projection onto the full
-        set.  After spectral scaling ||Mw|| <= ||w|| <= d, so this always
-        holds when d <= 1.  Otherwise (d > 1, or unscaled M)
-        _project_intersection finds the projection by splitting between
-        the ellipsoid and the l1/l2 intersection.  Exact feasibility is
-        then restored by dividing by the largest relative constraint
-        violation (all sets are star-shaped around the origin, so the
-        rescaled point lies exactly inside, and rescaling preserves the
-        zero pattern of the final l1/l2 projection).
+        The maximizer over the l1/l2 intersection, which holds the full
+        set, is exact when it also satisfies ||Mw||_2 <= 1; after spectral
+        scaling ||Mw|| <= ||w|| <= d, so always when d <= 1.  Otherwise the
+        splitting runs, from w (or that maximizer, at the start).  Dividing
+        by the largest relative constraint violation then restores exact
+        feasibility: all sets are star-shaped around the origin.
         """
         m = self.x if which == "x" else self.y
 
-        def score_sq(w: np.ndarray) -> float:
-            s = m @ w
-            return float(s @ s)
-
-        def violation(w: np.ndarray) -> float:
-            return max(math.sqrt(float(w @ w)) / d, float(np.abs(w).sum()) / c,
-                       math.sqrt(score_sq(w)))
-
-        def proj(z: np.ndarray) -> np.ndarray:
-            w = project_l1_l2(z, c, d)
-            if score_sq(w) > 1.0 + 1e-12:
+        def step(g: np.ndarray, w: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
+            best = _lmo_l1_l2(g, c, d)
+            score = m @ best
+            capped = False
+            if float(score @ score) > 1.0 + 1e-12:
                 ell = self._cached("ell_" + which, lambda: _EllipsoidProjection(m))
-                w = _project_intersection(z, lambda v: project_l1_l2(v, c, d), ell)
-            factor = violation(w)
+                best, capped = _maximize_on_intersection(
+                    g, best if w is None else w, lambda z: project_l1_l2(z, c, d), ell)
+                score = m @ best
+            factor = max(math.sqrt(float(best @ best)) / d, float(np.abs(best).sum()) / c,
+                         math.sqrt(float(score @ score)))
             if factor > 1.0:
-                w = w / factor
-            return w
+                best = best / factor
+            return best, capped
 
-        return proj
+        return step
 
     def fit(
         self, params: SccaParams, init: str = "svd", seed: int = 0
     ) -> AlignmentPair:
-        """Alternating convex maximization of <Xu, Yv> under the elastic-net
-        constraint sets.  Returns the best feasible iterate; converged=False
-        flags hitting max_iters before the objective stalls below tol."""
+        """Alternating maximization of <Xu, Yv> under the elastic-net
+        constraint sets; a half-step is kept only if it improves its linear
+        objective.  converged=False flags hitting max_iters before the
+        objective stalls below tol."""
         if init not in _INIT_MODES:
             raise ValueError(f"init must be one of {_INIT_MODES}, got {init!r}")
-        p = self.x.shape[1]
-        q = self.y.shape[1]
-        proj_u = self._feasible_proj("x", params.c1, params.d1)
-        proj_v = self._feasible_proj("y", params.c2, params.d2)
+        step_u = self._half_step("x", params.c1, params.d1)
+        step_v = self._half_step("y", params.c2, params.d2)
         if init == "svd":
             u0, v0 = self._cached("power_init", self._power_init)
         else:
             rng = replicate_rng(seed, STREAM_SCCA_INIT, 0)
-            u0 = rng.standard_normal(p)
-            v0 = rng.standard_normal(q)
-        u = proj_u(u0)
-        v = proj_v(v0)
-        inner_tol = min(params.tol * 0.1, 1e-7)
+            u0 = rng.standard_normal(self.x.shape[1])
+            v0 = rng.standard_normal(self.y.shape[1])
+        (u, cap_u), (v, cap_v) = step_u(u0), step_v(v0)
+        cap_hits = cap_u + cap_v
         obj = float((self.x @ u) @ (self.y @ v))
         trace = [obj]
         converged = False
         it = 0
         for it in range(1, params.max_iters + 1):
             gu = self.x.T @ (self.y @ v)
-            u = _maximize_linear(gu, u, proj_u, rel_tol=inner_tol)
+            cand, capped = step_u(gu, u)
+            cap_hits += capped
+            if float(gu @ cand) > float(gu @ u):
+                u = cand
             gv = self.y.T @ (self.x @ u)
-            v = _maximize_linear(gv, v, proj_v, rel_tol=inner_tol)
+            cand, capped = step_v(gv, v)
+            cap_hits += capped
+            if float(gv @ cand) > float(gv @ v):
+                v = cand
             new_obj = float((self.x @ u) @ (self.y @ v))
             trace.append(new_obj)
             if new_obj - obj <= params.tol * max(1.0, abs(new_obj)):
@@ -481,6 +473,7 @@ class SccaSolver:
             iterations=it,
             converged=converged,
             objective_trace=np.array(trace),
+            split_cap_hits=int(cap_hits),
         )
 
 

@@ -173,6 +173,25 @@ class TestReport:
         assert rows[2]["result_type"] == "95% confidence interval"
         assert len(rows[2]["result"]) == 2
 
+    @pytest.mark.parametrize("command", [["infer", "subsample"], ["report"]])
+    @pytest.mark.parametrize("flags, message", [
+        (["--ratio", "2"], "subsample size 60 exceeds n = 30"),
+        (["--ratio", "0.5", "--level", "1.5"], "level must be in (0, 1), got 1.5"),
+    ])
+    def test_interval_arguments_checked_before_any_draw(self, tmp_path, latent_pair, capsys,
+                                                        monkeypatch, command, flags, message):
+        import hdpaired.inference as inference
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("replicates drawn before the interval arguments were checked")
+
+        monkeypatch.setattr(inference, "_replicates", no_draws)
+        x, y = latent_pair
+        rc = run([*command, "--x", x, "--y", y, "--b", 200000, *flags, "--out", tmp_path / "o"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError", "message": message}
+
 
 @pytest.fixture()
 def planted_pair(tmp_path):

@@ -80,7 +80,7 @@ class TestProjections:
         proj = _EllipsoidProjection(m)
         for _ in range(30):
             z = rng.standard_normal(5) * 3
-            out = proj(z)
+            out, _ = proj.project(z)
             assert np.linalg.norm(m @ out) <= 1 + 1e-9
             # optimality: the correction is normal to the boundary (parallel
             # to M^T M out) whenever the constraint was active
@@ -198,13 +198,70 @@ class TestProjectL1L2:
             np.testing.assert_array_equal(out, w)
 
 
+def support_function_l1_l2(g, c, d):
+    """max of g @ w over {||w||_1 <= c, ||w||_2 <= d}, evaluated as its dual
+    min over lam >= 0 of d ||S_lam(g)||_2 + c lam (S the soft-threshold).
+    The dual is convex in lam and increasing past max |g|, so a golden-section
+    search over [0, max |g|] finds it."""
+    a = np.abs(g)
+
+    def dual(lam):
+        return d * np.linalg.norm(np.maximum(a - lam, 0.0)) + c * lam
+
+    lo, hi = 0.0, float(a.max())
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(300):
+        m1, m2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        if dual(m1) <= dual(m2):
+            hi = m2
+        else:
+            lo = m1
+    return min(dual(lo), dual(hi), dual(0.0), dual(float(a.max())))
+
+
+class TestLinearMaximizer:
+    @given(vectors, bounds, bounds)
+    @settings(max_examples=300, deadline=None)
+    def test_l1_l2_maximizer_feasible_and_attains_support_function(self, g, c, d):
+        w = scca._lmo_l1_l2(g, c, d)
+        assert np.abs(w).sum() <= c * (1 + 1e-12)
+        assert np.linalg.norm(w) <= d * (1 + 1e-12)
+        assert float(g @ w) == pytest.approx(support_function_l1_l2(g, c, d), rel=1e-9, abs=0)
+
+
 class _NoEllipsoid:
     def __init__(self, m):
         raise AssertionError("ellipsoid projection built on spectrally scaled data")
 
 
-class TestFeasibleProjection:
-    def test_spectrally_scaled_uses_exact_projection_only(self, monkeypatch):
+def slsqp_half_step(m, g, c, d):
+    """Reference maximizer of g @ w over {||Mw||_2 <= 1, ||w||_1 <= c,
+    ||w||_2 <= d}: scipy SLSQP on w = w+ - w- with w+, w- >= 0."""
+    from scipy.optimize import minimize
+
+    p = g.size
+
+    def w_of(z):
+        return z[:p] - z[p:]
+
+    def both(h):
+        return np.concatenate([h, -h])
+
+    cons = [
+        {"type": "ineq", "fun": lambda z: c - z.sum(), "jac": lambda z: -np.ones(2 * p)},
+        {"type": "ineq", "fun": lambda z: d * d - w_of(z) @ w_of(z),
+         "jac": lambda z: both(-2.0 * w_of(z))},
+        {"type": "ineq", "fun": lambda z: 1.0 - np.sum((m @ w_of(z)) ** 2),
+         "jac": lambda z: both(-2.0 * m.T @ (m @ w_of(z)))},
+    ]
+    res = minimize(lambda z: -(g @ w_of(z)), np.zeros(2 * p), jac=lambda z: both(-g),
+                   bounds=[(0.0, None)] * (2 * p), constraints=cons, method="SLSQP",
+                   options={"ftol": 1e-15, "maxiter": 1000})
+    return w_of(res.x)
+
+
+class TestHalfStep:
+    def test_spectrally_scaled_fit_never_builds_ellipsoid(self, monkeypatch):
         from hdpaired.matrixio import ColumnStandardizer
         from hdpaired.model_selection import spectral_scale
 
@@ -215,69 +272,58 @@ class TestFeasibleProjection:
         monkeypatch.setattr(scca, "_EllipsoidProjection", _NoEllipsoid)
         solver = SccaSolver(x, y)
         for c in (1.0, 1.7, 3.0, 5.0):
-            proj = solver._feasible_proj("x", c, 1.0)
-            for _ in range(40):
-                z = rng.standard_normal(25) * rng.uniform(0.01, 5)
-                np.testing.assert_allclose(proj(z), project_l1_l2(z, c, 1.0),
-                                           rtol=1e-14, atol=1e-300)
-        fit = solver.fit(SccaParams(c1=2.0, c2=2.0, max_iters=50))
-        assert np.linalg.norm(x @ fit.u) <= 1.0 and np.linalg.norm(y @ fit.v) <= 1.0
+            for d in (0.6, 1.0):
+                step = solver._half_step("x", c, d)
+                for _ in range(20):
+                    g = rng.standard_normal(25) * rng.uniform(0.01, 5)
+                    w, capped = step(g)
+                    assert not capped
+                    np.testing.assert_allclose(w, scca._lmo_l1_l2(g, c, d),
+                                               rtol=1e-14, atol=1e-300)
+            fit = solver.fit(SccaParams(c1=c, c2=c, max_iters=50))
+            assert np.linalg.norm(x @ fit.u) <= 1.0 and np.linalg.norm(y @ fit.v) <= 1.0
+            assert fit.split_cap_hits == 0
 
-    def test_fallback_feasible_where_ellipsoid_binds(self):
-        rng = np.random.default_rng(22)
-        x = unit_columns(rng.standard_normal((30, 20)))
-        solver = SccaSolver(x, unit_columns(rng.standard_normal((30, 10))))
-        bound = 0
-        for c, d in ((1.5, 1.0), (3.0, 1.0), (2.0, 0.8), (10.0, 2.0)):
-            proj = solver._feasible_proj("x", c, d)
-            for _ in range(25):
-                z = rng.standard_normal(20) * rng.uniform(0.1, 5)
-                out = proj(z)
-                assert np.linalg.norm(x @ out) <= 1.0 + 1e-12
-                assert np.abs(out).sum() <= c * (1 + 1e-12)
-                assert np.linalg.norm(out) <= d * (1 + 1e-12)
-                ball = project_l1_l2(z, c, d)
-                if np.linalg.norm(x @ ball) > 1.0:
-                    bound += 1
-                    # nearer to z than the feasible point that only
-                    # shrinks the l1/l2 projection into the ellipsoid
-                    shrunk = ball / np.linalg.norm(x @ ball)
-                    assert np.linalg.norm(out - z) < np.linalg.norm(shrunk - z)
-        assert bound >= 25  # the ellipsoid fallback really ran
-
-    def test_fallback_matches_dykstra_reference(self):
-        # where the ellipsoid binds, the splitting finds the projection
-        # onto the full set: Dykstra's alternation between the ellipsoid
-        # and the l1/l2 intersection, run until it stops moving, agrees
+    def test_binding_ellipsoid_matches_slsqp_reference(self):
+        # Measured worst relative gap to SLSQP over these draws: 2.7e-10
+        # (SLSQP itself overshoots the constraints by up to 8e-10).
         rng = np.random.default_rng(24)
         x = unit_columns(rng.standard_normal((30, 12)))
-        ell = scca._EllipsoidProjection(x)
-
-        def reference(z, c, d):
-            w = project_l1_l2(z, c, d)
-            inc_ball, inc_ell = z - w, np.zeros_like(z)
-            for _ in range(200000):
-                e = ell(w + inc_ell)
-                inc_ell = w + inc_ell - e
-                w_new = project_l1_l2(e + inc_ball, c, d)
-                inc_ball = e + inc_ball - w_new
-                if np.max(np.abs(w_new - w)) <= 1e-15:
-                    break
-                w = w_new
-            return w_new
-
+        solver = SccaSolver(x, x)
         bound = 0
-        for c, d in ((1.5, 1.0), (2.5, 1.0), (2.0, 0.8), (6.0, 2.0)):
-            for _ in range(6):
-                z = rng.standard_normal(12) * rng.uniform(0.5, 4)
-                if np.linalg.norm(x @ project_l1_l2(z, c, d)) <= 1.0:
+        for c, d in ((1.5, 1.0), (2.5, 1.0), (6.0, 2.0), (3.0, 3.0)):
+            step = solver._half_step("x", c, d)
+            for _ in range(10):
+                g = rng.standard_normal(12) * rng.uniform(0.5, 4)
+                if np.linalg.norm(x @ scca._lmo_l1_l2(g, c, d)) <= 1.0:
                     continue
                 bound += 1
-                out = scca._project_intersection(z, lambda v: project_l1_l2(v, c, d), ell)
-                np.testing.assert_allclose(out, reference(z, c, d), rtol=0, atol=1e-9)
-        assert bound >= 10
+                w, capped = step(g)
+                assert not capped
+                assert np.linalg.norm(x @ w) <= 1.0 + 1e-12
+                assert np.abs(w).sum() <= c * (1 + 1e-12)
+                assert np.linalg.norm(w) <= d * (1 + 1e-12)
+                ref = slsqp_half_step(x, g, c, d)
+                assert float(g @ w) == pytest.approx(float(g @ ref), rel=1e-9)
+        assert bound >= 20  # the splitting really ran
+
+    def test_split_cap_hits_counted(self, monkeypatch):
+        from hdpaired.matrixio import ColumnStandardizer
+        from hdpaired.model_selection import spectral_scale
+
+        monkeypatch.setattr(scca, "_SPLIT_ITERS", 1)
+        rng = np.random.default_rng(26)
+        raw = rng.standard_normal((30, 20)), rng.standard_normal((30, 15))
+        unit = fit_scca(unit_columns(raw[0]), unit_columns(raw[1]),
+                        SccaParams(c1=2.5, c2=2.5, max_iters=20))
+        assert unit.split_cap_hits > 0
+        x, y = (ColumnStandardizer.fit(m).apply(m) for m in raw)
+        x, y = x * spectral_scale(x), y * spectral_scale(y)
+        scaled = fit_scca(x, y, SccaParams(c1=2.5, c2=2.5, d1=0.8, max_iters=20))
+        assert scaled.split_cap_hits == 0
 
 
+class TestFeasibleProjection:
     def test_shared_solver_builds_cached_state_once_across_threads(self, monkeypatch):
         # cross-validation fits many cells on one solver from several
         # threads: the power-iteration start and the ellipsoid projection
