@@ -1,4 +1,5 @@
-"""Shared plumbing: replicate-keyed RNG streams, ordered thread mapping, Pearson."""
+"""Shared plumbing: replicate-keyed RNG streams, ordered thread mapping, Pearson,
+the sign rule for directions."""
 
 from __future__ import annotations
 
@@ -51,3 +52,11 @@ def pearson_or_nan(a: np.ndarray, b: np.ndarray) -> float:
     if ssa == 0.0 or ssb == 0.0:
         return math.nan
     return float(ca @ cb) / math.sqrt(ssa * ssb)
+
+
+def canonical_sign(w: np.ndarray) -> float:
+    """+1.0 or -1.0, whichever makes the first largest-magnitude entry of w
+    positive.  A direction's sign is unidentifiable; multiplying by this
+    fixes one (a zero vector keeps its sign)."""
+    i = int(np.argmax(np.abs(w)))
+    return -1.0 if w[i] < 0 else 1.0

@@ -17,7 +17,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from hdpaired.matrixio import FeatureMatrix, _as_readonly, load_matrix, save_matrix
 
@@ -103,6 +102,8 @@ def _pairwise(rows: np.ndarray, metric_tag: str, labels: tuple[str, ...]) -> np.
     order; squareform mirrors the condensed vector, so symmetry and the zero
     diagonal are exact.  `labels` name the rows in error messages.
     """
+    from scipy.spatial.distance import pdist, squareform  # slow to load; only builds need it
+
     rows = np.asarray(rows, dtype=float)
     if metric_tag in ("scaled_euclidean", "euclidean"):
         cond = pdist(rows, "euclidean")

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from hdpaired._util import canonical_sign
 from hdpaired.matrixio import _as_readonly
 
 
@@ -102,7 +102,9 @@ def ols_residualize(ts: RoiTimeSeries, nuisance: NuisanceMatrix) -> RoiTimeSerie
     t, r = design.shape
     if r > t:
         raise ValueError(f"design has more columns ({r}) than rows ({t})")
-    _, rr, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
+    import scipy.linalg  # imported here: it is slow to load, and only residualizing needs it
+
+    q, rr, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
     diag = np.abs(np.diag(rr))
     tol = diag[0] * max(t, r) * np.finfo(float).eps if diag.size else 0.0
     rank = int(np.sum(diag > tol))
@@ -112,7 +114,7 @@ def ols_residualize(ts: RoiTimeSeries, nuisance: NuisanceMatrix) -> RoiTimeSerie
             f"rank-deficient design (rank {rank} < {r} columns); "
             f"dependent design columns (0 = intercept): {dependent}"
         )
-    q, _ = np.linalg.qr(design)
+    # q is an orthonormal basis of the full-rank design's column space.
     residual = ts.data - q @ (q.T @ ts.data)
     return RoiTimeSeries(residual, ts.fs)
 
@@ -199,12 +201,8 @@ def pca_regressors(voxel_data: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k={k} out of range for shape {voxel_data.shape}")
     centered = voxel_data - voxel_data.mean(axis=0)
     u, _, _ = np.linalg.svd(centered, full_matrices=False)
-    comps = u[:, :k].copy()
-    for j in range(k):
-        i = int(np.argmax(np.abs(comps[:, j])))
-        if comps[i, j] < 0:
-            comps[:, j] = -comps[:, j]
-    return comps
+    comps = u[:, :k]
+    return comps * np.array([canonical_sign(col) for col in comps.T])
 
 
 def fcg_from_timeseries(

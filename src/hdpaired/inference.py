@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import stdtr
 
 from hdpaired._util import (
     STREAM_BOOTSTRAP,
@@ -273,6 +272,8 @@ def dcor_ttest(x: FeatureMatrix, y: FeatureMatrix) -> DcorResult:
     t = sqrt(v-1) r / sqrt(1-r^2), v = n(n-3)/2, follows a Student-t with
     v-1 degrees of freedom; the p-value is the upper tail.
     """
+    from scipy.special import stdtr  # imported here: it is slow to load, and only this test needs it
+
     if x.subject_ids != y.subject_ids:
         raise ValueError("matrices must be row-aligned over the same subjects")
     n = x.n_subjects

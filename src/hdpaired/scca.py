@@ -15,7 +15,11 @@ satisfies ||Xw||2 <= 1 it is the maximizer over the full set.  Only
 otherwise does an Anderson-accelerated Douglas-Rachford splitting between
 the ellipsoid and the l1/l2 intersection run; the thin SVD that the
 ellipsoid projection needs is built the first time the ellipsoid binds.
-The p x q cross-covariance is never materialized.
+The p x q cross-covariance is never materialized.  Every l1/l2 step, that
+maximization and the l1, l2 and l1/l2 projections alike, finds its
+threshold with one routine, _soft_threshold, which measures it from the
+largest entry and so is exact at any magnitude whose squares stay normal
+floats.
 
 The biconvex problem has no known globally optimal algorithm; the returned
 pair is a feasible point with a nondecreasing objective trace.
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hdpaired._util import STREAM_SCCA_INIT, pearson_or_nan, replicate_rng
+from hdpaired._util import STREAM_SCCA_INIT, canonical_sign, pearson_or_nan, replicate_rng
 
 _INIT_MODES = ("svd", "seeded-random")
 # Iteration cap and memory of the Anderson-accelerated Douglas-Rachford
@@ -112,39 +116,66 @@ def canonical_correlation(sx: np.ndarray, sy: np.ndarray) -> float:
     return r
 
 
-def _l1_threshold(u: np.ndarray, c: float) -> float:
-    """Soft-threshold level that brings the l1 norm to c, given |w| sorted
-    in descending order with sum above c (Duchi et al. 2008)."""
-    css = np.cumsum(u)
-    k = np.arange(1, u.size + 1)
-    rho = np.nonzero(u * k > css - c)[0][-1]
-    return (css[rho] - c) / (rho + 1.0)
+def _soft_threshold(a: np.ndarray, u: np.ndarray, c: float, d: float) -> np.ndarray:
+    """Magnitudes of the soft-threshold S of a = |w| at the theta where
+    ||S||_1 = c (d = inf) or ||S||_1 / ||S||_2 = c / d, given u = a sorted
+    descending and, at theta = 0, an l1 norm above c or a ratio above c/d.
+
+    Both norms fall as theta rises; they are evaluated at every sorted |w|
+    from cumulative sums, and on the segment holding the root theta solves
+    one linear (l1) or quadratic (ratio) equation.  Everything is measured
+    from the largest entry u[0]: with the gaps e = u[0] - u and r = u[0] -
+    theta, S = max(r - (u[0] - a), 0).  The kept entries have gaps below r,
+    and r is at most the kept l1 norm, so nothing cancels at any scale of w
+    (Duchi et al. 2008 for the l1 bound, Witten, Tibshirani & Hastie 2009
+    for the ratio)."""
+    # Thresholding at u[k] (0 past the end) keeps the top k entries.  With
+    # E1, E2 the sums of e and e^2 over the top k, their l1 norm is
+    # k e_k - E1 and their squared l2 norm k e_k^2 - 2 e_k E1 + E2; the root
+    # lies on the segment above the first u[k] where the bound is reached.
+    e = u[0] - np.append(u, 0.0)
+    sizes = np.arange(1, e.size)
+    e1 = np.cumsum(e)[:-1]
+    s1 = sizes * e[1:] - e1
+    if d == math.inf:
+        reached = s1 >= c
+    else:
+        s2 = sizes * e[1:] ** 2 - 2.0 * e[1:] * e1 + np.cumsum(e * e)[:-1]
+        reached = (s1 > 0.0) & (s1 * d >= c * np.sqrt(np.maximum(s2, 0.0)))
+    reached[-1] = True
+    k = int(np.argmax(reached)) + 1
+    # k kept entries r - e_i with mean r - m and squared deviation dev:
+    # ||S||_1 = k (r - m), ||S||_2^2 = dev + k (r - m)^2.
+    m = float(e1[k - 1]) / k
+    if d == math.inf:
+        r = m + c / k
+    else:
+        dev = float(((e[:k] - m) ** 2).sum())
+        slack = d * d * k - c * c
+        r = m + c * math.sqrt(dev / (k * slack)) if slack > 0.0 and dev > 0.0 else e[k]
+    r = min(max(r, e[k - 1]), e[k])
+    return np.maximum(r - (u[0] - a), 0.0)
 
 
 def project_l1_ball(w: np.ndarray, c: float) -> np.ndarray:
     """Euclidean projection onto {w : ||w||_1 <= c} (sort-based)."""
-    a = np.abs(w)
-    if a.sum() <= c:
-        return w.copy()
-    theta = _l1_threshold(np.sort(a)[::-1], c)
-    return np.sign(w) * np.maximum(a - theta, 0.0)
+    return project_l1_l2(w, c, math.inf)
 
 
 def project_l2_ball(w: np.ndarray, d: float) -> np.ndarray:
-    nrm = math.sqrt(float(w @ w))
-    if nrm <= d:
-        return w.copy()
-    return w * (d / nrm)
+    """Euclidean projection onto {w : ||w||_2 <= d}."""
+    return project_l1_l2(w, math.inf, d)
 
 
 def project_l1_l2(w: np.ndarray, c: float, d: float) -> np.ndarray:
-    """Euclidean projection onto {w : ||w||_1 <= c, ||w||_2 <= d}.
+    """Euclidean projection onto {w : ||w||_1 <= c, ||w||_2 <= d}; either
+    bound may be inf.
 
     The nearest point is d * S(w) / ||S(w)||_2 or S(w) itself, with S the
     soft-threshold at some theta >= 0 (the PMD update of Witten, Tibshirani
     & Hastie 2009).  Either the l2 projection already meets the l1 bound
     (theta = 0), or the l1 projection already meets the l2 bound, or both
-    bounds are active and _both_bounds finds theta.
+    bounds are active; _soft_threshold finds theta in the last two cases.
     """
     a = np.abs(w)
     l1 = float(a.sum())
@@ -155,18 +186,19 @@ def project_l1_l2(w: np.ndarray, c: float, d: float) -> np.ndarray:
     elif l1 <= c:
         return w.copy()
     u = np.sort(a)[::-1]
-    s = np.maximum(a - _l1_threshold(u, c), 0.0)
-    ns = math.sqrt(float(s @ s))
-    if ns <= d:
+    s = _soft_threshold(a, u, c, math.inf)
+    if math.sqrt(float(s @ s)) <= d:
         return np.sign(w) * s
-    return _both_bounds(w, a, u, c, d)
+    s = _soft_threshold(a, u, c, d)
+    return np.sign(w) * s * (d / math.sqrt(float(s @ s)))
 
 
 def _lmo_l1_l2(g: np.ndarray, c: float, d: float) -> np.ndarray:
     """A maximizer of g @ w over {w : ||w||_1 <= c, ||w||_2 <= d}: d g / ||g||_2
     if that meets the l1 bound; else c sign(g_j) / k on the k entries tied
     at max |g_j| if that meets the l2 bound (always when c <= d); else the
-    both-bounds point of g.  None depends on ||g||; g = 0 gives 0."""
+    both-bounds point of g, as in project_l1_l2.  None depends on ||g||;
+    g = 0 gives 0."""
     a = np.abs(g)
     top = float(a.max())
     if top == 0.0:
@@ -178,40 +210,8 @@ def _lmo_l1_l2(g: np.ndarray, c: float, d: float) -> np.ndarray:
     k = int(np.count_nonzero(ties))
     if c <= d * math.sqrt(k):
         return np.where(ties, np.sign(g) * (c / k), 0.0)
-    return _both_bounds(g, a, np.sort(a)[::-1], c, d)
-
-
-def _both_bounds(w: np.ndarray, a: np.ndarray, u: np.ndarray, c: float, d: float) -> np.ndarray:
-    """d S(w) / ||S(w)||_2 for the soft-threshold S at the theta where
-    ||S(w)||_1 / ||S(w)||_2 = c / d, given a = |w|, u = a sorted descending
-    and a ratio above c/d at theta = 0.  The ratio does not increase with
-    theta; it is evaluated at every sorted |w| from cumulative sums, and on
-    the segment holding the root theta is the root of one quadratic."""
-    # Thresholding at u[k] (0 past the end) keeps the top k entries.  With
-    # e = u[0] - u and E1, E2 the sums of e and e^2 over the top k, their l1
-    # norm is k e_k - E1 and their squared l2 norm k e_k^2 - 2 e_k E1 + E2;
-    # measured from the largest entry, neither cancels below its own size.
-    # The root lies on the segment above the first u[k] where the ratio
-    # reaches c/d.
-    u = np.append(u, 0.0)
-    e = u[0] - u
-    sizes = np.arange(1, u.size)
-    e1 = np.cumsum(e)[:-1]
-    s1 = sizes * e[1:] - e1
-    s2 = sizes * e[1:] ** 2 - 2.0 * e[1:] * e1 + np.cumsum(e * e)[:-1]
-    reached = (s1 > 0.0) & (s1 * d >= c * np.sqrt(np.maximum(s2, 0.0)))
-    reached[-1] = True
-    # k active entries with mean m and squared deviation dev:
-    # ||S||_1 = k (m - theta), ||S||_2^2 = dev + k (m - theta)^2.
-    k = int(np.argmax(reached)) + 1
-    top = u[:k]
-    m = float(top.mean())
-    dev = float(((top - m) ** 2).sum())
-    slack = d * d * k - c * c
-    theta = m - c * math.sqrt(dev / (k * slack)) if slack > 0.0 and dev > 0.0 else u[k]
-    theta = min(max(theta, u[k]), u[k - 1])
-    s = np.maximum(a - theta, 0.0)
-    return np.sign(w) * s * (d / math.sqrt(float(s @ s)))
+    s = _soft_threshold(a, np.sort(a)[::-1], c, d)
+    return np.sign(g) * s * (d / math.sqrt(float(s @ s)))
 
 
 class _EllipsoidProjection:
@@ -307,15 +307,6 @@ def _maximize_on_intersection(
     return best_y, True
 
 
-def _sign_canonical(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Joint flip so the largest-magnitude entry of u is positive; the
-    # objective <Xu, Yv> is invariant under (u, v) -> (-u, -v).
-    i = int(np.argmax(np.abs(u)))
-    if u[i] < 0:
-        return -u, -v
-    return u, v
-
-
 class SccaSolver:
     """Reusable solver for one (X, Y) pair.  The power-iteration start and,
     once the ellipsoid first binds, its SVD-based projection are computed
@@ -376,7 +367,8 @@ class SccaSolver:
         # ||X Vx a||_2 = ||Sx a||_2, so dividing by it gives unit-norm scores.
         u = vxt.T @ (a[:, 0] / np.linalg.norm(sx * a[:, 0]))
         v = vyt.T @ (bt[0] / np.linalg.norm(sy * bt[0]))
-        u, v = _sign_canonical(u, v)
+        sign = canonical_sign(u)  # <Xu, Yv> is invariant under (u, v) -> (-u, -v)
+        u, v = sign * u, sign * v
         objective = float((self.x @ u) @ (self.y @ v))
         return AlignmentPair(
             u=u,
@@ -463,7 +455,8 @@ class SccaSolver:
                 obj = new_obj
                 break
             obj = new_obj
-        u, v = _sign_canonical(u, v)
+        sign = canonical_sign(u)
+        u, v = sign * u, sign * v
         return AlignmentPair(
             u=u,
             v=v,

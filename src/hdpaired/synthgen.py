@@ -25,6 +25,7 @@ from hdpaired._util import (
     STREAM_SYNTH_LATENT,
     STREAM_SYNTH_NULL,
     STREAM_SYNTH_PLANTED,
+    canonical_sign,
     replicate_rng,
 )
 from hdpaired.matrixio import FeatureMatrix, PairedDataset, pair
@@ -73,11 +74,6 @@ def _ids(n: int) -> tuple[str, ...]:
 def _paired(x: np.ndarray, y: np.ndarray, n: int) -> PairedDataset:
     ids = _ids(n)
     return pair(FeatureMatrix(x, ids, "X"), FeatureMatrix(y, ids, "Y"))
-
-
-def _canonical_sign(w: np.ndarray) -> np.ndarray:
-    i = int(np.argmax(np.abs(w)))
-    return -w if w[i] < 0 else w
 
 
 def gen_null(n: int, p: int, q: int, seed: int = 0) -> PairedDataset:
@@ -130,8 +126,9 @@ def gen_shared_latent(
         b = np.asarray(directions[1], dtype=float)
         if a.shape != (p,) or b.shape != (q,):
             raise ValueError(f"direction shapes {a.shape}, {b.shape} do not match (p, q)")
-    a = _canonical_sign(a / math.sqrt(float(a @ a)))
-    b = _canonical_sign(b / math.sqrt(float(b @ b)))
+    a = a / math.sqrt(float(a @ a))
+    b = b / math.sqrt(float(b @ b))
+    a, b = canonical_sign(a) * a, canonical_sign(b) * b
     x = strength * np.outer(g, a) + noise_sd * ex
     y = strength * np.outer(g, b) + noise_sd * ey
     truth = PlantedTruth(kind="shared-latent", latent_correlation=strength, seed=seed)
@@ -180,7 +177,7 @@ def gen_sparse_canonical_pair(
         signs = rng.choice([-1.0, 1.0], size=s)
         w = np.zeros(dim)
         w[support] = signs / math.sqrt(s)
-        return _canonical_sign(w)
+        return canonical_sign(w) * w
 
     u_star = planted(p, s_u)
     v_star = planted(q, s_v)

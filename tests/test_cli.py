@@ -8,10 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-import hdpaired
 from hdpaired.cli import _COMMANDS, _read_plain_csv, _resolve, build_parser, main
 from hdpaired.distances import distance_matrix
 from hdpaired.matrixio import FeatureMatrix, load_matrix, save_matrix
+
+from test_acceptance import _child_env
 
 
 def run(args):
@@ -596,13 +597,12 @@ class TestOptionTable:
 
 
 def test_import_skips_slow_scipy_modules():
-    # scipy.signal and scipy.stats cost most of the CLI's start-up; only
-    # fcg filtering and the rank correlations load them, on first use.
-    root = os.path.dirname(os.path.dirname(os.path.abspath(hdpaired.__file__)))
-    code = (f"import sys; sys.path.insert(0, {root!r}); import hdpaired.cli; "
-            "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])")
+    # scipy costs most of the CLI's start-up, so every scipy import sits in
+    # the function that uses it: synth and scca never load scipy at all.
+    code = ("import sys, hdpaired.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True)
+                          env=_child_env(), check=True)
     assert proc.stdout.strip() == "[]"
 
 

@@ -107,6 +107,23 @@ class TestProjections:
                 np.testing.assert_allclose(proj.project(z, hint)[0], out, rtol=0, atol=1e-12)
 
 
+def reference_l2_ball(w, d):
+    nrm = np.linalg.norm(w)
+    return w if nrm <= d else w * (d / nrm)
+
+
+def reference_l1_ball(w, c):
+    """Sort-based projection onto the l1 ball (Duchi et al. 2008), on raw
+    cumulative sums: exact enough at the moderate scales it is used on."""
+    a = np.abs(w)
+    if a.sum() <= c:
+        return w
+    u = np.sort(a)[::-1]
+    css = np.cumsum(u)
+    rho = np.nonzero(u * np.arange(1, u.size + 1) > css - c)[0][-1]
+    return np.sign(w) * np.maximum(a - (css[rho] - c) / (rho + 1.0), 0.0)
+
+
 def dykstra_l1_l2(w, c, d, sweeps=100000):
     """Slow reference for project_l1_l2: Dykstra's alternation between the
     l2 and l1 balls, run until the iterate stops moving."""
@@ -114,9 +131,9 @@ def dykstra_l1_l2(w, c, d, sweeps=100000):
     inc_l2 = np.zeros_like(w)
     inc_l1 = np.zeros_like(w)
     for _ in range(sweeps):
-        y = project_l2_ball(x + inc_l2, d)
+        y = reference_l2_ball(x + inc_l2, d)
         inc_l2 = x + inc_l2 - y
-        x_new = project_l1_ball(y + inc_l1, c)
+        x_new = reference_l1_ball(y + inc_l1, c)
         inc_l1 = y + inc_l1 - x_new
         if np.array_equal(x_new, x):
             break
@@ -131,7 +148,7 @@ def l1_l2_case(w, c, d):
         return "inside"
     if l2 > d and l1 * d / l2 <= c:
         return "l2"
-    if np.linalg.norm(project_l1_ball(w, c)) <= d:
+    if np.linalg.norm(reference_l1_ball(w, c)) <= d:
         return "l1"
     return "both"
 
@@ -198,6 +215,51 @@ class TestProjectL1L2:
             np.testing.assert_array_equal(out, w)
 
 
+@st.composite
+def wide_vectors(draw):
+    """Entries of magnitude 1e-150..1e150 with random signs; the first few
+    are often copies of the largest, so the top is tied."""
+    exponents = draw(st.lists(st.floats(-150.0, 150.0), min_size=1, max_size=40))
+    w = 10.0 ** np.array(exponents)
+    w[:draw(st.integers(0, w.size))] = w.max()
+    signs = draw(st.lists(st.booleans(), min_size=w.size, max_size=w.size))
+    return np.where(signs, -w, w)
+
+
+def check_l1_l2_projection(w, c, d):
+    """project_l1_l2 (and project_l1_ball when d is inf) is feasible, spends
+    the whole l1 budget when that bound binds, and is idempotent."""
+    out = project_l1_l2(w, c, d)
+    if d == math.inf:
+        np.testing.assert_array_equal(project_l1_ball(w, c), out)
+    l1 = float(np.abs(out).sum())
+    assert l1 <= c * (1 + 1e-12)
+    assert np.linalg.norm(out) <= d * (1 + 1e-12)
+    # the l1 bound binds unless w, or w scaled onto the l2 sphere, meets it
+    if float(np.abs(w).sum()) * min(1.0, d / np.linalg.norm(w)) > c:
+        assert l1 == pytest.approx(c, rel=1e-12)
+    np.testing.assert_allclose(project_l1_l2(out, c, d), out, rtol=1e-12, atol=1e-15)
+
+
+class TestProjectionsAtAnyScale:
+    @given(wide_vectors(), bounds, bounds)
+    @settings(max_examples=300, deadline=None)
+    def test_l1_and_l1_l2_projections(self, w, c, d):
+        check_l1_l2_projection(w, c, math.inf)
+        check_l1_l2_projection(w, c, d)
+
+    @pytest.mark.parametrize("w", [np.full(5, 1.6e17), np.array([1e15, 1e15 * (1 - 1e-9), 3.0])],
+                             ids=["tied-1.6e17", "near-tied-1e15"])
+    def test_regression_cases(self, w):
+        # c is near or below the rounding unit of max |w|, so a threshold
+        # taken from raw cumulative sums of |w| loses it
+        check_l1_l2_projection(w, 1.1, math.inf)
+        check_l1_l2_projection(w, 1.1, 1.0)
+
+    def test_tied_maxima_share_the_budget(self):
+        np.testing.assert_array_equal(project_l1_ball(np.full(5, 1.6e17), 1.1), np.full(5, 1.1 / 5))
+
+
 def support_function_l1_l2(g, c, d):
     """max of g @ w over {||w||_1 <= c, ||w||_2 <= d}, evaluated as its dual
     min over lam >= 0 of d ||S_lam(g)||_2 + c lam (S the soft-threshold).
@@ -227,6 +289,17 @@ class TestLinearMaximizer:
         assert np.abs(w).sum() <= c * (1 + 1e-12)
         assert np.linalg.norm(w) <= d * (1 + 1e-12)
         assert float(g @ w) == pytest.approx(support_function_l1_l2(g, c, d), rel=1e-9, abs=0)
+
+    @given(vectors, bounds, bounds, st.floats(-140.0, 140.0))
+    @settings(max_examples=300, deadline=None)
+    def test_l1_l2_maximizer_does_not_depend_on_the_scale_of_g(self, g, c, d, exponent):
+        a = np.abs(g)
+        top = float(a.max())
+        # keep tied maxima tied and apart from the rest: among entries tied
+        # at the top the maximizer may split the budget any way
+        assume(top >= 1e-8 and np.all((a == top) | (a <= top * (1 - 1e-9))))
+        np.testing.assert_allclose(scca._lmo_l1_l2(10.0 ** exponent * g, c, d),
+                                   scca._lmo_l1_l2(g, c, d), rtol=0, atol=1e-12)
 
 
 class _NoEllipsoid:
