@@ -191,23 +191,26 @@ def spectral_scale(standardized: np.ndarray) -> float:
     return 1.0 / top if top > 0 else 1.0
 
 
-def _fit_transforms(x_fit: np.ndarray, y_fit: np.ndarray):
-    sx = ColumnStandardizer.fit(x_fit)
-    sy = ColumnStandardizer.fit(y_fit)
-    scale_x = spectral_scale(sx.apply(x_fit))
-    scale_y = spectral_scale(sy.apply(y_fit))
-    return sx, sy, scale_x, scale_y
+def _fit_cells(
+    x: np.ndarray, y: np.ndarray, cells: list[SccaParams], init: str, seed: int,
+    threads: int = 1,
+) -> list[FittedSccaModel]:
+    """Standardize and spectrally scale both matrices on these rows, freeze
+    those transforms, and fit every cell on one solver (cells run through
+    parallel_map); one model per cell, in cell order."""
+    sx, sy = ColumnStandardizer.fit(x), ColumnStandardizer.fit(y)
+    xs, ys = sx.apply(x), sy.apply(y)
+    scale_x, scale_y = spectral_scale(xs), spectral_scale(ys)
+    solver = SccaSolver(xs * scale_x, ys * scale_y)
+    fits = parallel_map(lambda params: solver.fit(params, init=init, seed=seed), cells, threads)
+    return [FittedSccaModel(fit, sx, sy, scale_x, scale_y) for fit in fits]
 
 
 def fit_model(
     x: np.ndarray, y: np.ndarray, params: SccaParams, init: str = "svd", seed: int = 0
 ) -> FittedSccaModel:
     """Standardize and spectrally scale both matrices on these rows, then fit."""
-    sx, sy, scale_x, scale_y = _fit_transforms(x, y)
-    fit = SccaSolver(sx.apply(x) * scale_x, sy.apply(y) * scale_y).fit(params, init=init, seed=seed)
-    return FittedSccaModel(
-        fit=fit, x_standardizer=sx, y_standardizer=sy, scale_x=scale_x, scale_y=scale_y
-    )
+    return _fit_cells(x, y, [params], init, seed)[0]
 
 
 def cv_grid_search(
@@ -237,6 +240,8 @@ def cv_grid_search(
         raise ValueError(f"row mismatch: {x.shape[0]} vs {y.shape[0]}")
     if not grid:
         raise ValueError("empty parameter grid")
+    if k < 2:
+        raise ValueError(f"cross-validation needs k >= 2 folds, got {k}")
     n = x.shape[0]
     folds = kfold_partition(np.arange(n), k, seed)
     fold_correlations = np.full((len(grid), k), math.nan)
@@ -245,24 +250,17 @@ def cv_grid_search(
 
     for fold_idx, val in enumerate(folds):
         fit_rows = np.setdiff1d(np.arange(n), val)
-        sx, sy, scale_x, scale_y = _fit_transforms(x[fit_rows], y[fit_rows])
-        solver = SccaSolver(sx.apply(x[fit_rows]) * scale_x, sy.apply(y[fit_rows]) * scale_y)
-        xv = sx.apply(x[val]) * scale_x
-        yv = sy.apply(y[val]) * scale_y
+        models = _fit_cells(x[fit_rows], y[fit_rows], grid, init, seed, threads)
+        xv = models[0].transform_x(x[val])
+        yv = models[0].transform_y(y[val])
+        for i, model in enumerate(models):
+            fit = model.fit
+            fold_correlations[i, fold_idx] = pearson_or_nan(project(xv, fit.u), project(yv, fit.v))
+            fold_iterations[i, fold_idx] = fit.iterations
+            fold_converged[i, fold_idx] = fit.converged
 
-        def one_cell(params: SccaParams) -> tuple[float, int, bool]:
-            fit = solver.fit(params, init=init, seed=seed)
-            corr = pearson_or_nan(project(xv, fit.u), project(yv, fit.v))
-            return corr, fit.iterations, fit.converged
-
-        (fold_correlations[:, fold_idx], fold_iterations[:, fold_idx],
-         fold_converged[:, fold_idx]) = zip(*parallel_map(one_cell, grid, threads))
-
-    all_nan = np.all(np.isnan(fold_correlations), axis=1)
-    mean_validation = np.full(len(grid), math.nan)
-    if not np.all(all_nan):
-        mean_validation[~all_nan] = np.nanmean(fold_correlations[~all_nan], axis=1)
-    if np.all(np.isnan(mean_validation)):
+    finite = ~np.all(np.isnan(fold_correlations), axis=1)
+    if not finite.any():
         raise ValueError(
             "every grid cell degenerate; per-cell fold correlations: "
             + ", ".join(
@@ -270,16 +268,12 @@ def cv_grid_search(
                 for p, row in zip(grid, fold_correlations)
             )
         )
-
-    best = -math.inf
-    selected_index = 0
-    for i, params in enumerate(grid):
-        m = mean_validation[i]
-        if math.isnan(m):
-            continue
-        if m > best or (m == best and params.c1 + params.c2 < grid[selected_index].c1 + grid[selected_index].c2):
-            best = m
-            selected_index = i
+    mean_validation = np.full(len(grid), math.nan)
+    mean_validation[finite] = np.nanmean(fold_correlations[finite], axis=1)
+    # Largest fold mean, then smallest c1 + c2; min keeps the first in grid
+    # order on a full tie.
+    selected_index = min((i for i in range(len(grid)) if finite[i]),
+                         key=lambda i: (-mean_validation[i], grid[i].c1 + grid[i].c2))
     selected_params = grid[selected_index]
 
     # Refit on the full training set with transforms fitted on all rows.

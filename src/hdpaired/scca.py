@@ -261,21 +261,21 @@ class _EllipsoidProjection:
 
 
 def _maximize_on_intersection(
-    g: np.ndarray, start: np.ndarray, proj_ball, ell: _EllipsoidProjection
+    g: np.ndarray, start: np.ndarray, c: float, d: float, ell: _EllipsoidProjection
 ) -> tuple[np.ndarray, bool]:
     """Maximizer of g @ w over the intersection of the ellipsoid of ell and
-    a convex set given by its exact projection proj_ball, and whether the
-    splitting stopped at its cap.
+    the ball B = {w : ||w||_1 <= c, ||w||_2 <= d}, and whether the splitting
+    stopped at its cap.
 
-    Douglas-Rachford splitting of -g @ x + ind_ell(x) and ind_ball(x) with
-    step t = ||start|| / ||g||: x = ell(s + t g), f = proj_ball(2x - s) - x,
-    s <- s + f, from s = start.  At its fixed points f = 0 and x is the
-    maximizer.  Type-II Anderson acceleration over the last
-    _ANDERSON_MEMORY steps extrapolates s, with its least-squares weights
-    Tikhonov-regularized so that they stay bounded.  Stops when
-    max |f| <= 1e-12 (1 + max |x|) or after _SPLIT_ITERS iterations, and
-    returns proj_ball(2x - s) at the smallest ||f|| seen, so the point lies
-    in the second set.  The tolerance is near rounding level so that inputs
+    Douglas-Rachford splitting of -g @ x + ind_ell(x) and ind_B(x) with
+    step t = ||start|| / ||g||: x = ell(s + t g), f = P_B(2x - s) - x,
+    s <- s + f, from s = start, with P_B = project_l1_l2.  At its fixed
+    points f = 0 and x is the maximizer.  Type-II Anderson acceleration
+    over the last _ANDERSON_MEMORY steps extrapolates s, with its
+    least-squares weights Tikhonov-regularized so that they stay bounded.
+    Stops when max |f| <= 1e-12 (1 + max |x|) or after _SPLIT_ITERS
+    iterations, and returns P_B(2x - s) at the smallest ||f|| seen, so the
+    point lies in B.  The tolerance is near rounding level so that inputs
     equal up to rounding give fits equal up to rounding.
     """
     t = math.sqrt(float(start @ start) / float(g @ g))
@@ -286,7 +286,7 @@ def _maximize_on_intersection(
     lam = 0.0
     for _ in range(_SPLIT_ITERS):
         x, lam = ell.project(s + t * g, lam)
-        y = proj_ball(2.0 * x - s)
+        y = project_l1_l2(2.0 * x - s, c, d)
         f = y - x
         resid = float(f @ f)
         if resid < best:
@@ -404,7 +404,7 @@ class SccaSolver:
             if float(score @ score) > 1.0 + 1e-12:
                 ell = self._cached("ell_" + which, lambda: _EllipsoidProjection(m))
                 best, capped = _maximize_on_intersection(
-                    g, best if w is None else w, lambda z: project_l1_l2(z, c, d), ell)
+                    g, best if w is None else w, c, d, ell)
                 score = m @ best
             factor = max(math.sqrt(float(best @ best)) / d, float(np.abs(best).sum()) / c,
                          math.sqrt(float(score @ score)))
@@ -435,8 +435,6 @@ class SccaSolver:
         cap_hits = cap_u + cap_v
         obj = float((self.x @ u) @ (self.y @ v))
         trace = [obj]
-        converged = False
-        it = 0
         for it in range(1, params.max_iters + 1):
             gu = self.x.T @ (self.y @ v)
             cand, capped = step_u(gu, u)
@@ -450,17 +448,17 @@ class SccaSolver:
                 v = cand
             new_obj = float((self.x @ u) @ (self.y @ v))
             trace.append(new_obj)
-            if new_obj - obj <= params.tol * max(1.0, abs(new_obj)):
-                converged = True
-                obj = new_obj
-                break
+            converged = new_obj - obj <= params.tol * max(1.0, abs(new_obj))
             obj = new_obj
+            if converged:
+                break
+        # <Xu, Yv> is unchanged, bit for bit, by (u, v) -> (-u, -v).
         sign = canonical_sign(u)
         u, v = sign * u, sign * v
         return AlignmentPair(
             u=u,
             v=v,
-            objective=float((self.x @ u) @ (self.y @ v)),
+            objective=obj,
             support_u=np.flatnonzero(u),
             support_v=np.flatnonzero(v),
             iterations=it,

@@ -49,6 +49,8 @@ class SubclusterPairRanking:
     skipped: tuple[tuple[int, int, str], ...] = ()
 
     def __post_init__(self):
+        if self.top_k_reported < 0:
+            raise ValueError(f"top must be >= 0, got {self.top_k_reported}")
         corrs = [c for _, _, c in self.pairs]
         if any(corrs[i] < corrs[i + 1] for i in range(len(corrs) - 1)):
             raise ValueError("pairs must be sorted by descending correlation")

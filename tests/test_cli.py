@@ -314,6 +314,17 @@ class TestScca:
             f"e.g. {first}")}
         assert not (tmp_path / "sc").exists()
 
+    def test_subcluster_rejects_negative_top(self, tmp_path, planted_pair, capsys):
+        x, y = planted_pair
+        fit_dir = tmp_path / "f"
+        assert run(["scca", "fit", "--x", x, "--y", y, "--c1", "1.8", "--c2", "1.8",
+                    "--out", fit_dir]) == 0
+        assert run(["subcluster", "--x", x, "--y", y, "--model", fit_dir / "model.json",
+                    "--k", 2, "--top", -1, "--out", tmp_path / "sc"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError", "message": "top must be >= 0, got -1"}
+        assert not (tmp_path / "sc").exists()
+
     def test_cv_default_grid(self, tmp_path, planted_pair):
         x, y = planted_pair
         out = tmp_path / "cvd"

@@ -158,9 +158,6 @@ class TestCvGridSearch:
         # the fit used against validation fold 0 is trained on the other
         # folds only: reconstructing it from those rows and projecting the
         # CORRUPTED fold reproduces the reported fold correlation exactly
-        from hdpaired.model_selection import _fit_transforms
-        from hdpaired.scca import SccaSolver, canonical_correlation, project
-
         x, y, _ = small_planted(seed=7)
         grid = [SccaParams(c1=2.0, c2=2.0, max_iters=60, tol=1e-5)]
         folds = kfold_partition(np.arange(x.shape[0]), 3, seed=4)
@@ -168,13 +165,8 @@ class TestCvGridSearch:
         x2[folds[0]] *= 1e3
         rep2 = cv_grid_search(x2, y, grid, k=3, seed=4)
         fit_rows = np.setdiff1d(np.arange(x.shape[0]), folds[0])
-        sx, sy, scale_x, scale_y = _fit_transforms(x2[fit_rows], y[fit_rows])
-        fit = SccaSolver(sx.apply(x2[fit_rows]) * scale_x,
-                         sy.apply(y[fit_rows]) * scale_y).fit(grid[0], seed=4)
-        expected = canonical_correlation(
-            project(sx.apply(x2[folds[0]]) * scale_x, fit.u),
-            project(sy.apply(y[folds[0]]) * scale_y, fit.v),
-        )
+        model = fit_model(x2[fit_rows], y[fit_rows], grid[0], seed=4)
+        expected = canonical_correlation(*model.scores(x2[folds[0]], y[folds[0]]))
         assert rep2.fold_correlations[0, 0] == expected
 
     def test_reproducible_across_threads(self):
@@ -202,6 +194,12 @@ class TestCvGridSearch:
         x, y, _ = small_planted()
         with pytest.raises(ValueError, match="empty"):
             cv_grid_search(x, y, [], k=3, seed=0)
+
+    def test_single_fold_rejected_by_name(self):
+        x, y, _ = small_planted()
+        grid = [SccaParams(c1=2.0, c2=2.0, max_iters=60, tol=1e-5)]
+        with pytest.raises(ValueError, match=r"^cross-validation needs k >= 2 folds, got 1$"):
+            cv_grid_search(x, y, grid, k=1, seed=0)
 
 
 class TestEvaluateTest:

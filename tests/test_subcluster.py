@@ -226,3 +226,12 @@ class TestSubclusterCca:
         ranking = subcluster_cca(x, y, cx, cy, top_k=3)
         assert len(ranking.top) == 3
         assert ranking.top == ranking.pairs[:3]
+
+    def test_negative_top_k_rejected(self):
+        # a negative count would slice pairs[:-1] and drop the last pair
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((50, 4))
+        y = rng.standard_normal((50, 4))
+        cx, cy = self.make_clusterings(4, 4, 2, 2)
+        with pytest.raises(ValueError, match=r"top must be >= 0, got -1"):
+            subcluster_cca(x, y, cx, cy, top_k=-1)
