@@ -22,6 +22,18 @@ from hdpaired.matrixio import FeatureMatrix, _as_readonly, load_matrix, save_mat
 
 METRICS = ("scaled_euclidean", "pearson_correlation_distance", "euclidean")
 
+# Side of the square tiles over which the symmetry check compares d with its
+# transpose: a tile pair fits in cache, and no n x n temporary is built.
+_SYMMETRY_TILE = 128
+
+
+def _is_symmetric(d: np.ndarray, tol: float) -> bool:
+    """max |d - d.T| <= tol, checked tile by tile: d[a:a+T, b:b+T] against
+    d[b:b+T, a:a+T].T for every b >= a."""
+    n, t = d.shape[0], _SYMMETRY_TILE
+    return all(np.max(np.abs(d[a:a + t, b:b + t] - d[b:b + t, a:a + t].T)) <= tol
+               for a in range(0, n, t) for b in range(a, n, t))
+
 
 @dataclass(frozen=True)
 class DistanceMatrix:
@@ -45,7 +57,7 @@ class DistanceMatrix:
             raise ValueError("distance matrix contains non-finite entries")
         if np.any(np.diag(data) != 0.0):
             raise ValueError("distance matrix diagonal must be exactly zero")
-        if n > 1 and np.max(np.abs(data - data.T)) > 1e-12:
+        if not _is_symmetric(data, 1e-12):
             raise ValueError("distance matrix is not symmetric within 1e-12")
         if np.any(data < 0.0):
             raise ValueError("negative distance entry")

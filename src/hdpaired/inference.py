@@ -14,13 +14,16 @@ and bootstrap procedures all take that pair, built once by
 
 Replicates are drawn in blocks from one generator keyed by (seed, stream);
 each block jumps straight to its first replicate's draws.  Replicate i is
-therefore a function of (seed, i, n) alone: the same across runs, thread
-counts and block sizes, and the first b replicates of a larger run.
+therefore a function of the data, seed, i and n alone: the same across runs,
+b, thread counts and block sizes, and the first b replicates of a larger
+run.  Permutation replicates and the observed value make no BLAS call, so
+they do not depend on the BLAS thread count either.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +43,12 @@ from hdpaired.matrixio import FeatureMatrix
 # replicates per block at n=150, 65 at n=2000.  Threads split the work
 # across blocks; no result depends on this value.
 _BLOCK_BYTES = 1 << 20
+
+# Byte budget of one row tile of the permutation kernel (rows x n doubles):
+# 16 rows at n=2000, one tile for every n <= 181.  The tile height fixes the
+# order of the kernel's additions, so changing it moves permutation values
+# and the observed value by a few ULPs.
+_TILE_BYTES = 1 << 18
 
 
 def _replicates(stat, n: int, b: int, seed: int, stream: int, threads: int = 1,
@@ -71,13 +80,6 @@ def _replicates(stat, n: int, b: int, seed: int, stream: int, threads: int = 1,
     return np.array([v for vals in parallel_map(block, range(0, b, rows), threads) for v in vals])
 
 
-def _pair_index(s: np.ndarray, n: int, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
-    """Flat indices into an n x n matrix of the pairs (s[iu], s[ju])."""
-    k = (s * n)[iu]
-    k += s[ju]
-    return k
-
-
 def _pair_pearson(dx: DistanceMatrix, dy: DistanceMatrix, m: int):
     """Statistic of a draw s: pearson_or_nan over the distance pairs of the
     subjects s[:m] in both matrices, gathered through one flat index."""
@@ -86,10 +88,45 @@ def _pair_pearson(dx: DistanceMatrix, dy: DistanceMatrix, m: int):
     fx, fy = dx.data.ravel(), dy.data.ravel()
 
     def stat(s: np.ndarray) -> float:
-        k = _pair_index(s[:m], n, im, jm)
+        k = (s[:m] * n)[im]
+        k += s[jm]
         return pearson_or_nan(fx.take(k), fy.take(k))
 
     return stat
+
+
+def _cross_product(dx: DistanceMatrix, cy: np.ndarray) -> Callable[[np.ndarray], float]:
+    """The Mantel/QAP cross-product G(s) = sum over i < j of
+    dx[s[i], s[j]] * cy[i, j] as a function of a permutation s, where cy is
+    a triangle in `upper_triangle` order.
+
+    The rows are cut into tiles of max(1, _TILE_BYTES // (8n)) rows.  The
+    tile of rows a..e-1 holds cy over the columns a..n-1, contiguously, with
+    zeros where j <= i; it is filled straight from the triangle.  G(s) adds,
+    in tile order, each tile's einsum against dx gathered at
+    (s[a:e], s[a:]).  No pair index is built and no BLAS call is made, so
+    G(s) depends on the data, s and n alone.
+    """
+    n = dx.n_subjects
+    rows = max(1, _TILE_BYTES // (8 * n))
+    tiles = []
+    start = 0  # offset of row i's pairs (i, i+1..n-1) in cy
+    for a in range(0, n - 1, rows):
+        e = min(a + rows, n)
+        tile = np.zeros((e - a, n - a))
+        for i in range(a, e):
+            tile[i - a, i + 1 - a:] = cy[start:start + n - 1 - i]
+            start += n - 1 - i
+        tiles.append((a, e, tile))
+    x = dx.data
+
+    def gamma(s: np.ndarray) -> float:
+        total = 0.0
+        for a, e, tile in tiles:
+            total += float(np.einsum("ij,ij->", x.take(s[a:e], 0).take(s[a:], 1), tile))
+        return total
+
+    return gamma
 
 
 def _check_same_subjects(dx: DistanceMatrix, dy: DistanceMatrix) -> int:
@@ -122,15 +159,19 @@ def distance_pair_correlation(dx: DistanceMatrix, dy: DistanceMatrix) -> float:
     return math.fsum(cx * cy) / math.sqrt(ssx * ssy)
 
 
-def _observed_statistic(dx: DistanceMatrix, dy: DistanceMatrix) -> tuple[float, np.ndarray, float]:
+def _observed_statistic(
+    dx: DistanceMatrix, dy: DistanceMatrix
+) -> tuple[float, Callable[[np.ndarray], float], float]:
     """Observed distance-pair correlation shared by the replicate procedures.
 
-    Uses the replicates' own arithmetic (centered dot products), so it can
-    differ in the last bits from the exactly rounded
-    `distance_pair_correlation`.  Also returns the centered y triangle and
-    the denominator sqrt(ssx * ssy), from which the permutation test forms
-    its replicates; at the identity permutation that replicate equals the
-    observed value bit for bit.
+    It is the permutation replicate at the identity: the cross-product
+    `_cross_product(dx, cy)` of dx with the centered y triangle cy, over
+    sqrt(ssx * ssy).  The mean of dx's triangle needs no subtracting,
+    because cy sums to zero up to rounding.  So it can differ in the last
+    bits from the exactly rounded `distance_pair_correlation`, and the
+    identity replicate equals it bit for bit.  Also returns the
+    cross-product and the denominator, from which the permutation test
+    forms its replicates.  No step calls BLAS.
     """
     n = _check_same_subjects(dx, dy)
     if n < 3:
@@ -139,12 +180,13 @@ def _observed_statistic(dx: DistanceMatrix, dy: DistanceMatrix) -> tuple[float, 
     cx -= cx.mean()
     cy = upper_triangle(dy)
     cy -= cy.mean()
-    ssx = float(cx @ cx)
-    ssy = float(cy @ cy)
+    ssx = float(np.einsum("i,i->", cx, cx))
+    ssy = float(np.einsum("i,i->", cy, cy))
     if ssx == 0.0 or ssy == 0.0:
         raise ValueError("constant distance triangle; correlation undefined")
     denom = math.sqrt(ssx * ssy)
-    return float(cx @ cy) / denom, cy, denom
+    gamma = _cross_product(dx, cy)
+    return gamma(np.arange(n)) / denom, gamma, denom
 
 
 @dataclass(frozen=True)
@@ -185,22 +227,16 @@ def permutation_test(
     Each replicate draws a uniform subject permutation and applies it to the
     rows/columns of dx only (the feature dimension is never permuted).
     Because a subject permutation leaves the multiset of upper-triangle
-    distances invariant, the centered sum of squares of dx is the same for
-    every replicate and is computed once.
+    distances invariant, the mean and the centered sum of squares of dx are
+    the same for every replicate: a replicate is the cross-product of the
+    permuted dx with the centered y triangle over one shared denominator.
     """
     n = _check_same_subjects(dx, dy)
     if b < 1:
         raise ValueError(f"need at least 1 permutation, got {b}")
-    observed, cy, denom = _observed_statistic(dx, dy)
-    iu, ju = np.triu_indices(n, 1)
-    flat = dx.data.ravel()
-
-    def stat(sigma: np.ndarray) -> float:
-        px = flat.take(_pair_index(sigma, n, iu, ju))
-        px -= px.mean()
-        return float(px @ cy) / denom
-
-    null = _replicates(stat, n, b, seed, STREAM_PERMUTATION, threads)
+    observed, gamma, denom = _observed_statistic(dx, dy)
+    null = _replicates(lambda sigma: gamma(sigma) / denom, n, b, seed, STREAM_PERMUTATION,
+                       threads)
     count = int(np.sum(null >= observed))
     return PermutationResult(
         observed=observed,

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -628,4 +629,27 @@ class TestDeterminism:
             # threads is part of the resolved config, so compare results only
             rep = read_json(out / "infer_perm.json")
             blobs.append(json.dumps(rep["results"], sort_keys=True))
+        assert blobs[0] == blobs[1]
+
+    def test_same_bytes_at_any_blas_thread_count(self, tmp_path):
+        # 200 subjects give 19,900 pairs, above the 10,000 entries beyond
+        # which OpenBLAS splits one dot product across its threads; the
+        # subsample size round(0.135 * 200) = 27 keeps its 351 pairs below.
+        # Every run writes to the same --out, because reports embed it.
+        synth = tmp_path / "synth"
+        assert run(["synth", "latent", "--n", 200, "--p", 20, "--q", 20, "--strength", "0.5",
+                    "--seed", 3, "--out", synth]) == 0
+        pair = ["--x", synth / "x.bin", "--y", synth / "y.bin", "--b", 100, "--seed", 1]
+        out = tmp_path / "out"
+        blobs = []
+        for blas in ("1", "2"):
+            env = dict(_child_env(), OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas)
+            if out.exists():
+                shutil.rmtree(out)
+            for args in (["infer", "perm", *pair, "--dump-replicates", "--out", out],
+                         ["report", *pair, "--ratio", "0.135", "--out", out]):
+                subprocess.run([sys.executable, "-m", "hdpaired.cli", *map(str, args)],
+                               env=env, capture_output=True, check=True)
+            blobs.append({name: (out / name).read_bytes() for name in
+                          ("replicates_perm.csv", "infer_perm.json", "inference_report.json")})
         assert blobs[0] == blobs[1]

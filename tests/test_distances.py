@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hdpaired.distances import (
+    _SYMMETRY_TILE,
     METRICS,
     DistanceMatrix,
     d_x,
@@ -128,6 +129,22 @@ class TestDistanceMatrix:
         bad = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
             DistanceMatrix(bad, "euclidean", ("a", "b"))
+
+    def test_asymmetry_inside_a_later_tile_rejected(self):
+        # One entry off by 2e-12 in the tile pair (row tile 1, column tile 2)
+        # and nowhere else.
+        t = _SYMMETRY_TILE
+        n = 2 * t + 7
+        d = distance_matrix(fm(np.random.default_rng(13).standard_normal((n, 3))), "euclidean")
+        DistanceMatrix(d.data, "euclidean", d.subject_ids)
+        bad = d.data.copy()
+        bad[t + 3, 2 * t + 5] += 2e-12
+        with pytest.raises(ValueError, match="not symmetric within 1e-12"):
+            DistanceMatrix(bad, "euclidean", d.subject_ids)
+        bad[t + 3, 2 * t + 5] = d.data[t + 3, 2 * t + 5]
+        bad[2 * t + 5, t + 3] += 2e-12
+        with pytest.raises(ValueError, match="not symmetric within 1e-12"):
+            DistanceMatrix(bad, "euclidean", d.subject_ids)
 
     def test_validation_rejects_nonzero_diag(self):
         bad = np.array([[1e-18, 1.0], [1.0, 0.0]])

@@ -309,6 +309,24 @@ class TestBootstrap:
         assert reps.mean() - ci.point_estimate <= 2 * se
 
 
+def tiled_cross_product(x, cy, s):
+    """The permutation kernel's arithmetic, written as a two-index gather:
+    rows cut into tiles of max(1, _TILE_BYTES // (8n)) rows, each tile's
+    einsum of x[s[i], s[j]] against cy (zero where j <= i) over columns
+    a..n-1, tile sums added in order."""
+    n = x.shape[0]
+    rows = max(1, inference._TILE_BYTES // (8 * n))
+    iu, ju = np.triu_indices(n, 1)
+    total = 0.0
+    for a in range(0, n - 1, rows):
+        e = min(a + rows, n)
+        tile = np.zeros((e - a, n - a))
+        in_tile = (iu >= a) & (iu < e)
+        tile[iu[in_tile] - a, ju[in_tile] - a] = cy[in_tile]
+        total += float(np.einsum("ij,ij->", x[s[a:e, None], s[None, a:]], tile))
+    return total
+
+
 def all_replicates(dx, dy, b, seed, threads=1, ratio=0.5):
     """Replicate values of the three procedures, as one bytes string each."""
     return (
@@ -332,7 +350,9 @@ class TestReplicateEngine:
         b = rows + extra
         m = 4 + round(m_frac * (n - 4))
         dx, dy = random_distance_pair(n, seed=data_seed)
-        _, cy, denom = _observed_statistic(dx, dy)
+        _, _, denom = _observed_statistic(dx, dy)
+        cy = upper_triangle(dy)
+        cy -= cy.mean()
         with mock.patch.object(inference, "_BLOCK_BYTES", 8 * n * rows):
             blocks = all_replicates(dx, dy, b, seed, ratio=m / n)
             perm_draws = replicate_draws(n, b, seed, STREAM_PERMUTATION)
@@ -349,12 +369,45 @@ class TestReplicateEngine:
             iu, ju = np.triu_indices(s.size, 1)
             return pearson_or_nan(dx.data[s[iu], s[ju]], dy.data[s[iu], s[ju]])
 
+        perm = np.array([tiled_cross_product(dx.data, cy, s) / denom for s in perm_draws])
         assert blocks == (
-            np.array([centered(s) for s in perm_draws]).tobytes(),
+            perm.tobytes(),
             np.array([pearson(s) for s in sub_draws]).tobytes(),
             np.array([pearson(s) for s in boot_draws]).tobytes(),
         )
+        # 1e-12 relative to the statistic's range [-1, 1]: a null value near 0
+        # carries the rounding of sums whose terms are far larger than it.
+        np.testing.assert_allclose(perm, [centered(s) for s in perm_draws], rtol=1e-12,
+                                   atol=1e-12)
         assert all(np.array_equal(np.sort(s), np.arange(n)) for s in perm_draws)
+
+    @pytest.mark.parametrize("n, tiles", [(3, 1), (4, 1), (5, 1), (7, 1), (40, 1),
+                                          (300, 2), (300, 3), (300, 4), (300, 5)])
+    def test_cross_product_matches_exact_sums(self, n, tiles):
+        # Rows per tile chosen so that the n - 1 rows with pairs make `tiles`
+        # tiles; the reference sums with math.fsum.
+        rows = math.ceil((n - 1) / tiles)
+        budget = 8 * n * rows if tiles > 1 else inference._TILE_BYTES
+        dx, dy = random_distance_pair(n, seed=40 + n + tiles)
+        cy = upper_triangle(dy)
+        cy -= cy.mean()
+        iu, ju = np.triu_indices(n, 1)
+        with mock.patch.object(inference, "_TILE_BYTES", budget):
+            assert len(range(0, n - 1, max(1, inference._TILE_BYTES // (8 * n)))) == tiles
+            observed, gamma, denom = _observed_statistic(dx, dy)
+            null = permutation_test(dx, dy, b=20, seed=n).null_samples
+            draws = replicate_draws(n, 20, n, STREAM_PERMUTATION)
+            tiled = [tiled_cross_product(dx.data, cy, s) / denom for s in draws]
+        assert gamma(np.arange(n)) / denom == observed
+        assert null.tolist() == tiled
+        for s, value in zip(draws, null):
+            terms = dx.data[s[iu], s[ju]] * cy
+            exact = math.fsum(terms)
+            assert abs(gamma(s) - exact) <= 1e-12 * math.fsum(np.abs(terms))
+            assert value == gamma(s) / denom
+            cx = dx.data[s[iu], s[ju]] - math.fsum(upper_triangle(dx)) / iu.size
+            ref = math.fsum(cx * cy) / math.sqrt(math.fsum(cx * cx) * math.fsum(cy * cy))
+            assert value == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
     def test_same_bytes_at_any_thread_count(self):
         dx, dy = random_distance_pair(150, seed=31)
