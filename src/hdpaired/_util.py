@@ -42,16 +42,21 @@ def parallel_map(fn, items, threads: int = 1) -> list:
 
 def pearson_or_nan(a: np.ndarray, b: np.ndarray) -> float:
     """Pearson correlation of two equal-length vectors by centered dot
-    products; NaN when they have fewer than 3 entries or either is constant."""
+    products; NaN when they have fewer than 3 entries or either is constant.
+
+    The three dot products come from one product c @ c.T of the stacked
+    centered pair, which BLAS runs as syrk without splitting the inner sums
+    across threads, so the result does not depend on the BLAS thread count
+    (a dot product of more than 10,000 entries does)."""
     if a.size < 3:
         return math.nan
-    ca = a - a.mean()
-    cb = b - b.mean()
-    ssa = float(ca @ ca)
-    ssb = float(cb @ cb)
+    c = np.empty((2, a.size))
+    np.subtract(a, a.mean(), out=c[0])
+    np.subtract(b, b.mean(), out=c[1])
+    (ssa, sab), (_, ssb) = (c @ c.T).tolist()
     if ssa == 0.0 or ssb == 0.0:
         return math.nan
-    return float(ca @ cb) / math.sqrt(ssa * ssb)
+    return sab / math.sqrt(ssa * ssb)
 
 
 def canonical_sign(w: np.ndarray) -> float:

@@ -36,6 +36,7 @@ the solver handles the general case.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -157,6 +158,20 @@ def _soft_threshold(a: np.ndarray, u: np.ndarray, c: float, d: float) -> np.ndar
     return np.maximum(r - (u[0] - a), 0.0)
 
 
+def _norm2(w: np.ndarray) -> float:
+    """||w||_2 as sqrt(w @ w).  Only where w @ w overflows or falls below the
+    normal floats is it taken as max|w| ||w / max|w|||_2 instead, so every
+    other input keeps the rounding of the plain form."""
+    ss = float(w @ w)
+    if sys.float_info.min <= ss < math.inf:
+        return math.sqrt(ss)
+    top = float(np.abs(w).max(initial=0.0))
+    if top == 0.0:
+        return 0.0
+    s = w / top
+    return top * math.sqrt(float(s @ s))
+
+
 def project_l1_ball(w: np.ndarray, c: float) -> np.ndarray:
     """Euclidean projection onto {w : ||w||_1 <= c} (sort-based)."""
     return project_l1_l2(w, c, math.inf)
@@ -179,7 +194,7 @@ def project_l1_l2(w: np.ndarray, c: float, d: float) -> np.ndarray:
     """
     a = np.abs(w)
     l1 = float(a.sum())
-    l2 = math.sqrt(float(w @ w))
+    l2 = _norm2(w)
     if l2 > d:
         if l1 * d <= c * l2:
             return w * (d / l2)
@@ -187,10 +202,10 @@ def project_l1_l2(w: np.ndarray, c: float, d: float) -> np.ndarray:
         return w.copy()
     u = np.sort(a)[::-1]
     s = _soft_threshold(a, u, c, math.inf)
-    if math.sqrt(float(s @ s)) <= d:
+    if _norm2(s) <= d:
         return np.sign(w) * s
     s = _soft_threshold(a, u, c, d)
-    return np.sign(w) * s * (d / math.sqrt(float(s @ s)))
+    return np.sign(w) * s * (d / _norm2(s))
 
 
 def _lmo_l1_l2(g: np.ndarray, c: float, d: float) -> np.ndarray:
@@ -203,7 +218,7 @@ def _lmo_l1_l2(g: np.ndarray, c: float, d: float) -> np.ndarray:
     top = float(a.max())
     if top == 0.0:
         return np.zeros_like(g)
-    l2 = math.sqrt(float(g @ g))
+    l2 = _norm2(g)
     if float(a.sum()) * d <= c * l2:
         return g * (d / l2)
     ties = a == top
@@ -211,7 +226,7 @@ def _lmo_l1_l2(g: np.ndarray, c: float, d: float) -> np.ndarray:
     if c <= d * math.sqrt(k):
         return np.where(ties, np.sign(g) * (c / k), 0.0)
     s = _soft_threshold(a, np.sort(a)[::-1], c, d)
-    return np.sign(g) * s * (d / math.sqrt(float(s @ s)))
+    return np.sign(g) * s * (d / _norm2(s))
 
 
 class _EllipsoidProjection:

@@ -618,6 +618,23 @@ def test_import_skips_slow_scipy_modules():
     assert proc.stdout.strip() == "[]"
 
 
+def test_dist_and_subcluster_load_no_scipy(tmp_path, planted_pair):
+    # The distance builds use only numpy, so dist and subcluster (with the
+    # scca fit it needs) run without importing scipy.
+    x, y = planted_pair
+    steps = [["dist", "--x", x, "--y", y, "--out", tmp_path / "d"],
+             ["scca", "fit", "--x", x, "--y", y, "--c1", "1.8", "--c2", "1.8",
+              "--out", tmp_path / "f"],
+             ["subcluster", "--x", x, "--y", y, "--model", tmp_path / "f" / "model.json",
+              "--k", 2, "--out", tmp_path / "s"]]
+    code = ("import sys; from hdpaired.cli import main; "
+            f"assert all(main(args) == 0 for args in {[[str(a) for a in s] for s in steps]!r}); "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(), check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
 class TestDeterminism:
     def test_infer_rerun_byte_identical_across_threads(self, tmp_path, latent_pair):
         x, y = latent_pair
@@ -632,24 +649,33 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
     def test_same_bytes_at_any_blas_thread_count(self, tmp_path):
-        # 200 subjects give 19,900 pairs, above the 10,000 entries beyond
-        # which OpenBLAS splits one dot product across its threads; the
-        # subsample size round(0.135 * 200) = 27 keeps its 351 pairs below.
-        # Every run writes to the same --out, because reports embed it.
+        # At 500 subjects and 1000 features OpenBLAS runs each Gram product
+        # of the distance builds on both threads (it takes clearly less wall
+        # time than on one), and every Pearson correlation over all subjects
+        # has 124,750 pairs, far above the 10,000 entries beyond which it
+        # splits one dot product across its threads.  The subsample size
+        # round(0.3 * 500) = 150 gives 11,175 pairs, also above.  Every run
+        # writes to the same --out, because reports embed it.
         synth = tmp_path / "synth"
-        assert run(["synth", "latent", "--n", 200, "--p", 20, "--q", 20, "--strength", "0.5",
+        assert run(["synth", "latent", "--n", 500, "--p", 1000, "--q", 1000, "--strength", "0.5",
                     "--seed", 3, "--out", synth]) == 0
-        pair = ["--x", synth / "x.bin", "--y", synth / "y.bin", "--b", 100, "--seed", 1]
+        pair = ["--x", synth / "x.bin", "--y", synth / "y.bin"]
+        draws = [*pair, "--b", 100, "--seed", 1]
         out = tmp_path / "out"
         blobs = []
         for blas in ("1", "2"):
             env = dict(_child_env(), OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas)
             if out.exists():
                 shutil.rmtree(out)
-            for args in (["infer", "perm", *pair, "--dump-replicates", "--out", out],
-                         ["report", *pair, "--ratio", "0.135", "--out", out]):
+            for args in (["dist", *pair, "--out", out],
+                         ["infer", "perm", *draws, "--dump-replicates", "--out", out],
+                         ["infer", "subsample", *draws, "--ratio", "0.3", "--out", out],
+                         ["infer", "bootstrap", *draws, "--dump-replicates", "--out", out],
+                         ["report", *draws, "--ratio", "0.3", "--out", out]):
                 subprocess.run([sys.executable, "-m", "hdpaired.cli", *map(str, args)],
                                env=env, capture_output=True, check=True)
             blobs.append({name: (out / name).read_bytes() for name in
-                          ("replicates_perm.csv", "infer_perm.json", "inference_report.json")})
+                          ("distances.csv", "replicates_perm.csv", "infer_perm.json",
+                           "infer_subsample.json", "replicates_bootstrap.csv",
+                           "infer_bootstrap.json", "inference_report.json")})
         assert blobs[0] == blobs[1]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdpaired.distances import (
     _SYMMETRY_TILE,
@@ -106,14 +108,20 @@ class TestDistanceMatrix:
             assert np.all(np.diag(d.data) == 0.0)
 
     def test_relabeling_permutation_equivariance(self):
+        # Sizes off a multiple of the BLAS kernel's tile width, and rows
+        # close enough to be recomputed from their differences.
         rng = np.random.default_rng(9)
-        data = rng.standard_normal((12, 6))
-        perm = rng.permutation(12)
-        m2 = FeatureMatrix(data[perm], tuple(f"s{i}" for i in perm), "")
-        for metric in METRICS:
-            base = distance_matrix(fm(data), metric)
-            permuted = distance_matrix(m2, metric)
-            np.testing.assert_array_equal(permuted.data, base.data[np.ix_(perm, perm)])
+        for n, p in ((12, 6), (37, 5), (150, 83)):
+            data = rng.standard_normal((n, p))
+            perm = rng.permutation(n)
+            if n > 12:
+                k = n // 3
+                data[:k] = data[k:2 * k] + 1e-6 * rng.standard_normal((k, p))
+            m2 = FeatureMatrix(data[perm], tuple(f"s{i}" for i in perm), "")
+            for metric in METRICS:
+                base = distance_matrix(fm(data), metric)
+                permuted = distance_matrix(m2, metric)
+                np.testing.assert_array_equal(permuted.data, base.data[np.ix_(perm, perm)])
 
     def test_zero_variance_row_named(self):
         data = np.random.default_rng(10).standard_normal((4, 6))
@@ -150,6 +158,25 @@ class TestDistanceMatrix:
         bad = np.array([[1e-18, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="diagonal"):
             DistanceMatrix(bad, "euclidean", ("a", "b"))
+
+
+class TestGramBuilder:
+    @given(st.integers(2, 9), st.integers(2, 40), st.floats(-9.0, -1.0),
+           st.sampled_from([0.0, 3.0, 1e6]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_near_duplicates_and_offsets_match_oracle(self, n, p, log_eps, offset, seed):
+        # n rows, n near-copies at distance ~10^log_eps, one exact copy of
+        # row 0, all shifted by a common offset
+        rng = np.random.default_rng(seed)
+        base = rng.standard_normal((n, p))
+        rows = np.vstack([base, base + 10.0 ** log_eps * rng.standard_normal((n, p)),
+                          base[:1]]) + offset
+        for metric in METRICS:
+            d = distance_matrix(fm(rows), metric).data
+            np.testing.assert_allclose(d, naive_distance_matrix(rows, metric),
+                                       rtol=1e-12, atol=1e-13)
+            if metric != "pearson_correlation_distance":
+                assert d[0, 2 * n] == 0.0
 
 
 class TestUpperTriangle:

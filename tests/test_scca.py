@@ -259,6 +259,15 @@ class TestProjectionsAtAnyScale:
     def test_tied_maxima_share_the_budget(self):
         np.testing.assert_array_equal(project_l1_ball(np.full(5, 1.6e17), 1.1), np.full(5, 1.1 / 5))
 
+    def test_norms_past_the_square_range(self):
+        # w @ w overflows above about 1e154 and underflows below about 1e-154
+        w = np.array([1e200, 1.0])
+        np.testing.assert_allclose(project_l1_l2(w, 1.0, 1.0), [1.0, 0.0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(project_l2_ball(w, 1.0), [1.0, 0.0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(scca._lmo_l1_l2(w, 2.0, 1.0), [1.0, 0.0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(scca._lmo_l1_l2(np.array([1e-200, 1e-201]), 2.0, 1.0),
+                                   np.array([1.0, 0.1]) / math.sqrt(1.01), rtol=1e-15)
+
 
 def support_function_l1_l2(g, c, d):
     """max of g @ w over {||w||_1 <= c, ||w||_2 <= d}, evaluated as its dual
