@@ -170,7 +170,7 @@ def _pairwise(rows: np.ndarray, metric_tag: str, labels: tuple[str, ...]) -> np.
     if metric_tag in ("scaled_euclidean", "euclidean"):
         d = _gram(rows - (rows.min(axis=0) + rows.max(axis=0)) / 2.0)
         sq = d.diagonal().copy()
-        top = sq.max(initial=0.0)
+        top = sq.max()
         total = np.empty((min(n, _GRAM_ROWS), n))
         for a in range(0, n, _GRAM_ROWS):
             blk = d[a:a + _GRAM_ROWS]
