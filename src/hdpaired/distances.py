@@ -23,7 +23,7 @@ their bits.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -62,13 +62,20 @@ def _is_symmetric(d: np.ndarray, tol: float) -> bool:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric n x n inter-subject distance matrix with zero diagonal."""
+    """Symmetric n x n inter-subject distance matrix with zero diagonal.
+
+    The data are copied and the copy is marked read-only.  With copy=False
+    a float array is kept as given and marked read-only: for a fresh array
+    that nothing else holds, such as a builder's output, whose copy would
+    cost a second n x n buffer.
+    """
 
     data: np.ndarray
     metric_tag: str
     subject_ids: tuple[str, ...]
+    copy: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, copy: bool):
         data = np.asarray(self.data, dtype=float)
         if data.ndim != 2 or data.shape[0] != data.shape[1]:
             raise ValueError(f"distance matrix must be square, got {data.shape}")
@@ -88,7 +95,11 @@ class DistanceMatrix:
             raise ValueError("negative distance entry")
         if self.metric_tag == "pearson_correlation_distance" and np.any(data > 2.0):
             raise ValueError("correlation distance entry above 2")
-        object.__setattr__(self, "data", _as_readonly(data))
+        if copy:
+            data = _as_readonly(data)
+        else:
+            data.flags.writeable = False
+        object.__setattr__(self, "data", data)
         object.__setattr__(self, "subject_ids", ids)
 
     @property
@@ -132,16 +143,20 @@ def d_y(y: np.ndarray, y2: np.ndarray) -> float:
     return float(min(max(1.0 - r, 0.0), 2.0))
 
 
-def _gram(z: np.ndarray) -> np.ndarray:
-    """z @ z.T, exactly symmetric: numpy hands a product with its own
-    transpose to BLAS syrk, which fills one triangle and mirrors it.  BLAS
-    threads split the output, never an inner sum, so the bits do not depend
-    on the thread count.  The product runs on z padded with zero rows to a
-    multiple of _GRAM_PAD; the n x n corner is returned as a view."""
-    n = z.shape[0]
-    padded = np.zeros((-(-n // _GRAM_PAD) * _GRAM_PAD, z.shape[1]))
-    padded[:n] = z
-    return (padded @ padded.T)[:n, :n]
+def _padded(n: int, p: int) -> np.ndarray:
+    """Zeros of shape (m, p), m = n rounded up to a multiple of _GRAM_PAD:
+    the caller writes its n rows into the top and passes it to _gram."""
+    return np.zeros((-(-n // _GRAM_PAD) * _GRAM_PAD, p))
+
+
+def _gram(z: np.ndarray, n: int) -> np.ndarray:
+    """The n x n corner of z @ z.T for z from _padded, exactly symmetric:
+    numpy hands a product with its own transpose to BLAS syrk, which fills
+    one triangle and mirrors it.  BLAS threads split the output, never an
+    inner sum, so the bits do not depend on the thread count.  Where z has
+    padding rows the corner is a view."""
+    g = z @ z.T
+    return g if g.shape[0] == n else g[:n, :n]
 
 
 def _pairwise(rows: np.ndarray, metric_tag: str, labels: tuple[str, ...]) -> np.ndarray:
@@ -163,12 +178,15 @@ def _pairwise(rows: np.ndarray, metric_tag: str, labels: tuple[str, ...]) -> np.
     Correlation distance: rows are centered and scaled to unit norm, and
     d = 1 - g is clipped to [0, 2].
 
-    The result is a view into the padded Gram buffer (see _gram).
+    The result is a new C-contiguous array: the Gram buffer itself, or its
+    n x n corner copied out where _gram padded the rows.
     """
     rows = np.asarray(rows, dtype=float)
     n, p = rows.shape
     if metric_tag in ("scaled_euclidean", "euclidean"):
-        d = _gram(rows - (rows.min(axis=0) + rows.max(axis=0)) / 2.0)
+        z = _padded(n, p)
+        np.subtract(rows, (rows.min(axis=0) + rows.max(axis=0)) / 2.0, out=z[:n])
+        d = _gram(z, n)
         sq = d.diagonal().copy()
         top = sq.max()
         total = np.empty((min(n, _GRAM_ROWS), n))
@@ -203,25 +221,29 @@ def _pairwise(rows: np.ndarray, metric_tag: str, labels: tuple[str, ...]) -> np.
             raise ValueError(
                 f"zero-variance vectors under correlation distance: {[labels[i] for i in bad[:5]]}"
             )
-        d = _gram(centered / np.sqrt(ss)[:, None])
+        z = _padded(n, p)
+        np.divide(centered, np.sqrt(ss)[:, None], out=z[:n])
+        d = _gram(z, n)
         np.subtract(1.0, d, out=d)
         np.clip(d, 0.0, 2.0, out=d)
         np.fill_diagonal(d, 0.0)
     else:
         raise ValueError(f"unknown metric_tag {metric_tag!r}; expected one of {METRICS}")
-    return d
+    return np.ascontiguousarray(d)
 
 
 def distance_matrix(m: FeatureMatrix, metric_tag: str) -> DistanceMatrix:
     """Pairwise distance matrix over subjects under the declared metric."""
-    return DistanceMatrix(_pairwise(m.data, metric_tag, m.subject_ids), metric_tag, m.subject_ids)
+    return DistanceMatrix(_pairwise(m.data, metric_tag, m.subject_ids), metric_tag, m.subject_ids,
+                          copy=False)
 
 
 def upper_triangle(d: DistanceMatrix | np.ndarray) -> np.ndarray:
     """Entries above the diagonal in lexicographic (i, j), i < j order."""
     a = d.data if isinstance(d, DistanceMatrix) else np.asarray(d, dtype=float)
-    iu, ju = np.triu_indices(a.shape[0], 1)
-    return a[iu, ju]
+    # A boolean mask is read in row-major order, which is this order; unlike
+    # triu_indices it builds no index arrays as large as the triangle.
+    return a[~np.tri(a.shape[0], dtype=bool)]
 
 
 def save_distance_matrix(d: DistanceMatrix, path: str) -> None:

@@ -278,7 +278,11 @@ def ucenter(d: DistanceMatrix | np.ndarray) -> np.ndarray:
     rows = a.sum(axis=1)
     cols = a.sum(axis=0)
     grand = a.sum()
-    u = a - rows[:, None] / (n - 2) - cols[None, :] / (n - 2) + grand / ((n - 1) * (n - 2))
+    # Updated in place, so that only one n x n array is made; the bits are
+    # those of the same expression written as one line.
+    u = a - rows[:, None] / (n - 2)
+    u -= cols[None, :] / (n - 2)
+    u += grand / ((n - 1) * (n - 2))
     np.fill_diagonal(u, 0.0)
     return u
 
@@ -318,9 +322,10 @@ def dcor_ttest(x: FeatureMatrix, y: FeatureMatrix) -> DcorResult:
     ux = ucenter(distance_matrix(x, "euclidean"))
     uy = ucenter(distance_matrix(y, "euclidean"))
     scale = n * (n - 3)
-    vxy = float((ux * uy).sum()) / scale
-    vx = float((ux * ux).sum()) / scale
-    vy = float((uy * uy).sum()) / scale
+    prod = np.empty_like(ux)  # one n x n buffer for the three products
+    vxy = float(np.multiply(ux, uy, out=prod).sum()) / scale
+    vx = float(np.multiply(ux, ux, out=prod).sum()) / scale
+    vy = float(np.multiply(uy, uy, out=prod).sum()) / scale
     if vx <= 0.0 or vy <= 0.0:
         raise ValueError("degenerate U-centered matrix (constant features)")
     r = vxy / math.sqrt(vx * vy)

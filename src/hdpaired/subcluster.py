@@ -75,7 +75,7 @@ def feature_distance_matrix(
         raise ValueError("need at least 2 selected features to cluster")
     labels = tuple(str(int(i)) for i in feature_indices)
     out = _pairwise(data[:, feature_indices].T, metric_tag, labels)
-    return DistanceMatrix(out, metric_tag, labels)
+    return DistanceMatrix(out, metric_tag, labels, copy=False)
 
 
 def complete_linkage_merges(d: np.ndarray) -> list[tuple[int, int, float]]:

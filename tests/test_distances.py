@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdpaired import distances
 from hdpaired.distances import (
     _SYMMETRY_TILE,
     METRICS,
@@ -154,6 +155,13 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError, match="not symmetric within 1e-12"):
             DistanceMatrix(bad, "euclidean", d.subject_ids)
 
+    def test_copy_false_keeps_the_array(self):
+        d = np.array([[0.0, 1.0], [1.0, 0.0]])
+        copied = DistanceMatrix(d, "euclidean", ("a", "b"))
+        assert not np.shares_memory(copied.data, d) and d.flags.writeable
+        kept = DistanceMatrix(d, "euclidean", ("a", "b"), copy=False)
+        assert kept.data is d and not d.flags.writeable
+
     def test_validation_rejects_nonzero_diag(self):
         bad = np.array([[1e-18, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="diagonal"):
@@ -178,6 +186,18 @@ class TestGramBuilder:
             if metric != "pearson_correlation_distance":
                 assert d[0, 2 * n] == 0.0
 
+    @pytest.mark.parametrize("n", [13, 16])  # with and without padding rows
+    def test_builder_output_is_kept_without_a_copy(self, n, monkeypatch):
+        built = []
+        pairwise = distances._pairwise
+        monkeypatch.setattr(distances, "_pairwise",
+                            lambda *args: built.append(pairwise(*args)) or built[-1])
+        rows = np.random.default_rng(n).standard_normal((n, 4))
+        for metric in METRICS:
+            d = distance_matrix(fm(rows), metric).data
+            assert d is built[-1]
+            assert d.base is None and d.flags.c_contiguous and not d.flags.writeable
+
 
 class TestUpperTriangle:
     def test_lexicographic_order(self):
@@ -187,6 +207,12 @@ class TestUpperTriangle:
         d[1, 2] = d[2, 1] = 3.0
         dm = DistanceMatrix(d, "euclidean", ("a", "b", "c"))
         np.testing.assert_array_equal(upper_triangle(dm), [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 17])
+    def test_matches_triu_indices(self, n):
+        a = np.random.default_rng(n).standard_normal((n, n))
+        iu, ju = np.triu_indices(n, 1)
+        np.testing.assert_array_equal(upper_triangle(a), a[iu, ju])
 
 
 class TestPersistence:
