@@ -8,6 +8,7 @@ pipelines can run in parallel.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +148,20 @@ def effective_impulse_length(b: np.ndarray, a: np.ndarray, decay: float = 1e-9) 
     return max(len(b), int(np.ceil(np.log(decay) / np.log(rmax))))
 
 
+@functools.lru_cache(maxsize=64)
+def _designed_bandpass(spec: BandpassSpec, fs: float) -> tuple[np.ndarray, np.ndarray]:
+    """design_bandpass(spec, fs), designed once per (spec, fs); read-only."""
+    b, a = design_bandpass(spec, fs)
+    b.flags.writeable = a.flags.writeable = False
+    return b, a
+
+
+@functools.lru_cache(maxsize=64)
+def _impulse_length(spec: BandpassSpec, fs: float) -> int:
+    """effective_impulse_length of the (spec, fs) filter, found once."""
+    return effective_impulse_length(*_designed_bandpass(spec, fs))
+
+
 def butterworth_bandpass(
     ts: RoiTimeSeries, spec: BandpassSpec | None = None, zero_phase: bool = True
 ) -> RoiTimeSeries:
@@ -160,9 +175,9 @@ def butterworth_bandpass(
     import scipy.signal
 
     spec = spec or BandpassSpec()
-    b, a = design_bandpass(spec, ts.fs)
+    b, a = _designed_bandpass(spec, ts.fs)
     if zero_phase:
-        padlen = min(3 * effective_impulse_length(b, a), ts.n_timepoints - 1)
+        padlen = min(3 * _impulse_length(spec, ts.fs), ts.n_timepoints - 1)
         out = scipy.signal.filtfilt(b, a, ts.data, axis=0, padtype="even", padlen=padlen)
     else:
         out = scipy.signal.lfilter(b, a, ts.data, axis=0)

@@ -16,8 +16,12 @@ Replicates are drawn in blocks from one generator keyed by (seed, stream);
 each block jumps straight to its first replicate's draws.  Replicate i is
 therefore a function of the data, seed, i and n alone: the same across runs,
 b, thread counts and block sizes, and the first b replicates of a larger
-run.  Permutation replicates and the observed value make no BLAS call, so
-they do not depend on the BLAS thread count either.
+run.  Each statistic takes a whole block of draws: the permutation
+statistic loops over it, the subsample and bootstrap statistic forms the
+sums of a chunk of draws in one batched product (one BLAS syrk per draw).
+Permutation replicates and the observed value make no BLAS call, and syrk
+does not split its sums across threads, so no replicate depends on the BLAS
+thread count either.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from hdpaired._util import (
     STREAM_PERMUTATION,
     STREAM_SUBSAMPLE,
     parallel_map,
-    pearson_or_nan,
     replicate_rng,
 )
 from hdpaired.distances import DistanceMatrix, distance_matrix, upper_triangle
@@ -44,6 +47,11 @@ from hdpaired.matrixio import FeatureMatrix
 # across blocks; no result depends on this value.
 _BLOCK_BYTES = 1 << 20
 
+# Byte budget of one chunk of the subsample and bootstrap statistic (rows x
+# the 2 x K doubles of a draw's stacked pair triangles): 23 draws per chunk
+# at K = 703 pairs, one at K = 36,315.  No result depends on this value.
+_CHUNK_BYTES = 1 << 18
+
 # Byte budget of one row tile of the permutation kernel (rows x n doubles):
 # 16 rows at n=2000, one tile for every n <= 181.  The tile height fixes the
 # order of the kernel's additions, so changing it moves permutation values
@@ -53,7 +61,7 @@ _TILE_BYTES = 1 << 18
 
 def _replicates(stat, n: int, b: int, seed: int, stream: int, threads: int = 1,
                 replace: bool = False) -> np.ndarray:
-    """stat(s) for b index draws s of length n, in replicate order.
+    """stat(draws) for b index draws of length n, in replicate order.
 
     Replicate i reads the raw 64-bit outputs i*n .. (i+1)*n - 1 of the
     generator keyed by (seed, stream).  Their stable argsort is a uniform
@@ -61,13 +69,13 @@ def _replicates(stat, n: int, b: int, seed: int, stream: int, threads: int = 1,
     with probability below n**2 / 2**65); with replace=True each output
     mod n is one draw with replacement (bias below n / 2**64).  Each block
     jumps to its first replicate with `advance`, so replicate i depends on
-    neither b, the block size nor the thread count.  Each replicate's
-    statistic is computed on its own: gathering a whole block's triangles
-    at once would take rows x n(n-1)/2 entries and was measured slower.
+    neither b, the block size nor the thread count.  `stat` is handed a
+    whole block, a (rows, n) array of draws, and returns one value per
+    draw; how it batches them must not change any value.
     """
     rows = max(1, _BLOCK_BYTES // (8 * n))
 
-    def block(start: int) -> list:
+    def block(start: int) -> np.ndarray:
         bits = replicate_rng(seed, stream).bit_generator
         bits.advance(start * n)
         raw = bits.random_raw((min(rows, b - start), n))
@@ -75,22 +83,47 @@ def _replicates(stat, n: int, b: int, seed: int, stream: int, threads: int = 1,
             draws = (raw % np.uint64(n)).astype(np.intp)
         else:
             draws = raw.argsort(axis=1, kind="stable")
-        return [stat(s) for s in draws]
+        return stat(draws)
 
-    return np.array([v for vals in parallel_map(block, range(0, b, rows), threads) for v in vals])
+    return np.concatenate(parallel_map(block, range(0, b, rows), threads))
 
 
 def _pair_pearson(dx: DistanceMatrix, dy: DistanceMatrix, m: int):
-    """Statistic of a draw s: pearson_or_nan over the distance pairs of the
-    subjects s[:m] in both matrices, gathered through one flat index."""
+    """Statistic of a block of draws: for each draw s, the Pearson
+    correlation over the K = m(m-1)/2 distance pairs of the subjects s[:m]
+    in both matrices, NaN where either side is constant (m >= 4, so K >= 6).
+
+    Draws go in chunks of max(1, _CHUNK_BYTES // (16K)) rows.  A chunk's
+    pairs are gathered through one flat index straight into a (rows, 2, K)
+    stack, centered row by row, and its sums come from one batched
+    c @ c.transpose(0, 2, 1).  numpy runs each stacked product as BLAS syrk,
+    which does not split the inner sums across threads, so every value is
+    the bits of pearson_or_nan on the two gathered vectors at any chunk
+    height and any BLAS thread count.
+    """
     n = dx.n_subjects
     im, jm = np.triu_indices(m, 1)
+    rows = max(1, _CHUNK_BYTES // (16 * im.size))
     fx, fy = dx.data.ravel(), dy.data.ravel()
 
-    def stat(s: np.ndarray) -> float:
-        k = (s[:m] * n)[im]
-        k += s[jm]
-        return pearson_or_nan(fx.take(k), fy.take(k))
+    def stat(draws: np.ndarray) -> np.ndarray:
+        out = np.empty(len(draws))
+        for a in range(0, len(draws), rows):
+            s = draws[a:a + rows]
+            k = (s[:, :m] * n).take(im, axis=1)  # [:, im] took twice as long at m=270
+            k += s.take(jm, axis=1)
+            c = np.empty((len(s), 2, im.size))
+            # mode="clip" (the indices are in range): under the default
+            # "raise", take buffers its output and copies it over.
+            fx.take(k, out=c[:, 0], mode="clip")
+            fy.take(k, out=c[:, 1], mode="clip")
+            c -= c.mean(axis=2, keepdims=True)
+            sums = c @ c.transpose(0, 2, 1)
+            ssx, sxy, ssy = sums[:, 0, 0], sums[:, 0, 1], sums[:, 1, 1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r = sxy / np.sqrt(ssx * ssy)
+            out[a:a + len(s)] = np.where((ssx == 0.0) | (ssy == 0.0), np.nan, r)
+        return out
 
     return stat
 
@@ -235,8 +268,8 @@ def permutation_test(
     if b < 1:
         raise ValueError(f"need at least 1 permutation, got {b}")
     observed, gamma, denom = _observed_statistic(dx, dy)
-    null = _replicates(lambda sigma: gamma(sigma) / denom, n, b, seed, STREAM_PERMUTATION,
-                       threads)
+    null = _replicates(lambda draws: np.array([gamma(s) for s in draws]) / denom, n, b, seed,
+                       STREAM_PERMUTATION, threads)
     count = int(np.sum(null >= observed))
     return PermutationResult(
         observed=observed,

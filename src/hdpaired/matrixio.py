@@ -9,6 +9,7 @@ arrive from separate files.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import struct
@@ -214,40 +215,82 @@ def read_csv(path: str, labels: bool) -> tuple[list[str], list[str] | None, np.n
     row labels (subject ids), else every column is numeric and labels is
     None.  Cells parse as float() parses them.  An error names the file and
     the line; a bad cell also its column and, in a labelled file, its subject.
+
+    A well-formed file is parsed once by numpy's C reader.  Any other file
+    is read again by csv and float(): that pass also accepts the tokens
+    float() accepts and the C reader rejects (`1_000`, non-ASCII digits),
+    and it names the first bad cell.
     """
+    start = 1 if labels else 0
     with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(filter(None, reader), None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        rows = []  # (line number, record)
-        for rec in filter(None, reader):
-            if len(rec) != len(header):
-                raise ValueError(
-                    f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(rec)}"
-                )
-            rows.append((reader.line_num, rec))
+        parsed = _read_csv_c(f, start)
+        if parsed is None:
+            f.seek(0)
+            parsed = _read_csv_float(path, f, start)
+    return parsed
+
+
+def _read_csv_c(f, start: int):
+    """(header, labels, data) of a well-formed file by np.loadtxt, or None
+    where the csv and float() pass must decide: a quoted header (it may
+    span lines), no data rows, a token the C reader rejects, a row of the
+    wrong width or a non-finite cell."""
+    line = f.readline()
+    while line and not line.strip("\r\n"):  # csv skips blank records
+        line = f.readline()
+    if not line or '"' in line:
+        return None
+    header = line.rstrip("\r\n").split(",")  # what csv makes of an unquoted line
+    body = f.read()
+    if len(header) <= start or not body.strip("\r\n"):
+        return None
+    try:
+        # comments=None: a cell that begins with "#" is a bad cell, not a comment.
+        data = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", comments=None,
+                          quotechar='"', ndmin=2,
+                          usecols=range(start, len(header)) if start else None)
+    except ValueError:
+        return None
+    if data.shape[1] != len(header) - start or not np.isfinite(data).all():
+        return None
+    if not start:
+        return header, None, data
+    # loadtxt skips the id column and ignores surplus fields; csv reads the
+    # ids and checks every row's width.
+    records = [rec for rec in csv.reader(io.StringIO(body, newline="")) if rec]
+    if len(records) != len(data) or any(len(rec) != len(header) for rec in records):
+        return None
+    return header, [rec[0] for rec in records], data
+
+
+def _read_csv_float(path: str, f, start: int):
+    """read_csv by csv and float(), cell by cell; raises at the first bad line or cell."""
+    reader = csv.reader(f)
+    header = next(filter(None, reader), None)
+    if header is None:
+        raise ValueError(f"{path}: empty file")
+    rows = []  # (line number, record)
+    for rec in filter(None, reader):
+        if len(rec) != len(header):
+            raise ValueError(
+                f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(rec)}"
+            )
+        rows.append((reader.line_num, rec))
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    start = 1 if labels else 0
-    try:
-        data = np.array([rec[start:] for _, rec in rows], dtype=float)
-    except ValueError:
-        data = np.full((len(rows), len(header) - start), np.nan)
-    if not np.isfinite(data).all():
-        # Parse cell by cell with float() to name the first bad cell.
-        for (line, rec), out in zip(rows, data):
-            for j, tok in enumerate(rec[start:]):
-                try:
-                    out[j] = float(tok)
-                    problem = None if math.isfinite(out[j]) else "non-finite"
-                except ValueError:
-                    problem = "cannot parse"
-                if problem:
-                    subject = f" for subject {rec[0]!r}" if labels else ""
-                    raise ValueError(f"{path}:{line}: {problem} value {tok!r} in column "
-                                     f"{header[start + j]!r}{subject}")
-    return header, [rec[0] for _, rec in rows] if labels else None, data
+    data = np.empty((len(rows), len(header) - start))
+    for (line, rec), out in zip(rows, data):
+        for j, tok in enumerate(rec[start:]):
+            try:
+                out[j] = float(tok)
+                problem = None if math.isfinite(out[j]) else "non-finite"
+            except ValueError:
+                problem = "cannot parse"
+            if problem:
+                subject = f" for subject {rec[0]!r}" if start else ""
+                raise ValueError(f"{path}:{line}: {problem} value {tok!r} in column "
+                                 f"{header[start + j]!r}{subject}")
+    return header, [rec[0] for _, rec in rows] if start else None, data
 
 
 def _load_csv(path: str, modality_tag: str) -> FeatureMatrix:

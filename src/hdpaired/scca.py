@@ -162,7 +162,8 @@ def _norm2(w: np.ndarray) -> float:
     """||w||_2 as sqrt(w @ w).  Only where w @ w overflows or falls below the
     normal floats is it taken as max|w| ||w / max|w|||_2 instead, so every
     other input keeps the rounding of the plain form."""
-    ss = float(w @ w)
+    with np.errstate(over="ignore"):  # an overflow is handled below
+        ss = float(w @ w)
     if sys.float_info.min <= ss < math.inf:
         return math.sqrt(ss)
     top = float(np.abs(w).max(initial=0.0))

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -31,6 +33,7 @@ from oracles import (
     brute_ucentered,
     naive_pearson,
 )
+from test_acceptance import _child_env
 
 
 def fm(data, tag=""):
@@ -417,6 +420,87 @@ class TestReplicateEngine:
             serial = all_replicates(dx, dy, b, seed=5, ratio=0.135)
             for threads in (2, 8):
                 assert all_replicates(dx, dy, b, seed=5, threads=threads, ratio=0.135) == serial
+
+    def test_same_bytes_at_any_chunk_height(self):
+        # Blocks of 4 draws, so b = 11 crosses two block boundaries; chunks
+        # of 1, 2 and 3 draws of each statistic against the default height
+        # and pearson_or_nan.  In dy the subjects 0..2 sit 2 apart and every
+        # other pair 1 apart, so a subsample holding fewer than two of them
+        # has a constant y triangle and the value NaN.
+        n, m, b, seed = 9, 4, 11, 7
+        dx, _ = random_distance_pair(n, seed=33)
+        far = np.zeros((n, n), dtype=bool)
+        far[:3, :3] = True
+        dy = DistanceMatrix(np.where(np.eye(n, dtype=bool), 0.0, np.where(far, 2.0, 1.0)),
+                            "euclidean", dx.subject_ids)
+
+        def values():
+            return (subsample_ci(dx, dy, ratio=m / n, b=b, seed=seed,
+                                 keep_replicates=True).replicates.tobytes(),
+                    bootstrap_distribution(dx, dy, b=b, seed=seed).replicates.tobytes())
+
+        def pearson(s):
+            iu, ju = np.triu_indices(s.size, 1)
+            return pearson_or_nan(dx.data[s[iu], s[ju]], dy.data[s[iu], s[ju]])
+
+        with mock.patch.object(inference, "_BLOCK_BYTES", 8 * n * 4):
+            expected = values()
+            sub_draws = replicate_draws(n, b, seed, STREAM_SUBSAMPLE)[:, :m]
+            boot_draws = replicate_draws(n, b, seed, STREAM_BOOTSTRAP, replace=True)
+            for pairs in (m * (m - 1) // 2, n * (n - 1) // 2):
+                for rows in (1, 2, 3):
+                    with mock.patch.object(inference, "_CHUNK_BYTES", 16 * pairs * rows):
+                        assert values() == expected
+        sub = np.array([pearson(s) for s in sub_draws])
+        assert 2 <= np.isnan(sub).sum() <= b - 2
+        assert expected == (sub.tobytes(),
+                            np.array([pearson(s) for s in boot_draws]).tobytes())
+
+    def test_wide_triangles_same_bytes_at_one_and_two_blas_threads(self):
+        # 150 of 160 subjects give 11,175 subsample pairs, and all 160 give
+        # 12,720 bootstrap pairs: above the 10,000 entries past which
+        # OpenBLAS splits one dot product across its threads.  Each child
+        # checks chunks of 1 draw (the default here) and of 3 draws against
+        # pearson_or_nan and prints the bytes.
+        code = """if True:
+            from unittest import mock
+            import numpy as np
+            from hdpaired import inference
+            from hdpaired._util import STREAM_BOOTSTRAP, STREAM_SUBSAMPLE, pearson_or_nan
+            from hdpaired.distances import distance_matrix
+            from hdpaired.matrixio import FeatureMatrix
+            n, b, seed = 160, 4, 9
+            rng = np.random.default_rng(34)
+            ids = tuple(f"s{i}" for i in range(n))
+            dx = distance_matrix(FeatureMatrix(rng.standard_normal((n, 8)), ids),
+                                 "scaled_euclidean")
+            dy = distance_matrix(FeatureMatrix(rng.standard_normal((n, 6)), ids),
+                                 "pearson_correlation_distance")
+            for stream, m, replace in ((STREAM_SUBSAMPLE, 150, False),
+                                       (STREAM_BOOTSTRAP, n, True)):
+                draws = inference._replicates(lambda s: s, n, b, seed, stream,
+                                              replace=replace)[:, :m]
+                iu, ju = np.triu_indices(m, 1)
+                ref = np.array([pearson_or_nan(dx.data[s[iu], s[ju]], dy.data[s[iu], s[ju]])
+                                for s in draws])
+                for rows in (1, 3):
+                    with mock.patch.object(inference, "_CHUNK_BYTES", 16 * iu.size * rows):
+                        if replace:
+                            got = inference.bootstrap_distribution(dx, dy, b=b, seed=seed)
+                        else:
+                            got = inference.subsample_ci(dx, dy, ratio=m / n, b=b, seed=seed,
+                                                         keep_replicates=True)
+                    assert got.replicates.tobytes() == ref.tobytes()
+                print(ref.tobytes().hex())
+        """
+        outputs = []
+        for blas in ("1", "2"):
+            env = dict(_child_env(), OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas)
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] and len(outputs[0].split()) == 2
 
     def test_replicates_are_a_prefix_of_a_longer_run(self):
         # At n=300 a block holds 436 replicates: b=300 is one short block,

@@ -1,8 +1,14 @@
+import contextlib
+import csv
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdpaired import matrixio
 from hdpaired.matrixio import (
     ColumnStandardizer,
     FeatureMatrix,
@@ -152,6 +158,64 @@ class TestCsvReaderWriter:
         data = read_csv(str(path), labels=False)[2]
         expected = np.array([[float(t) for t in r] for r in tokens])
         assert data.tobytes() == expected.tobytes()
+
+
+def float_reference(text, labels):
+    """read_csv's contract written with csv and float(): (header, labels, data)."""
+    records = [rec for rec in csv.reader(io.StringIO(text, newline="")) if rec]
+    start = 1 if labels else 0
+    data = np.array([[float(tok) for tok in rec[start:]] for rec in records[1:]])
+    return records[0], [rec[0] for rec in records[1:]] if labels else None, data
+
+
+class TestCsvCParse:
+    # (body, labels, parsed by the C reader): tokens that reader rejects go
+    # to the csv and float() pass, which must accept what float() accepts.
+    CASES = [
+        ("a,b\n1_000,2\n3,4\n", False, False),
+        ("a,b\n1,\u0661\u0662\n", False, False),
+        ("a,b\n 7 ,+3\n.5,5.\n", False, True),
+        ("a,b\r\n1.25,-2\r\n\r\n3,4e-3\r\n", False, True),
+        ('a,b\n"1.5",2\n3,"-4e-3"\n', False, True),
+        ('id,f1,f2\n"sub,01",1,2\nplain,3,4\n', True, True),
+        ('id,f1\r\n"a,b",1_0\r\nc,2\r\n', True, False),
+        ("a,b,c\n1,2,3\n", False, True),
+        ("a\n1\n2\n", False, True),
+        ("id,f\nx,0.1\n", True, True),
+        ('"a,b",c\n1,2\n', False, False),
+    ]
+
+    @pytest.mark.parametrize("body, labels, c_parse", CASES)
+    def test_agrees_with_float_bit_for_bit(self, tmp_path, body, labels, c_parse):
+        path = tmp_path / "t.csv"
+        path.write_bytes(body.encode("utf-8"))
+        expected = float_reference(body, labels)
+        fallback = mock.patch.object(matrixio, "_read_csv_float",
+                                     side_effect=AssertionError("not the C parse"))
+        with fallback if c_parse else contextlib.nullcontext():
+            header, ids, data = read_csv(str(path), labels=labels)
+        assert (header, ids) == expected[:2]
+        assert data.shape == expected[2].shape and data.tobytes() == expected[2].tobytes()
+
+    @pytest.mark.parametrize("body, message", [
+        ("a,b\n1,2\n#1,3\n", r"t\.csv:3: cannot parse value '#1' in column 'a'$"),
+        ("a\n#1\n", r"t\.csv:2: cannot parse value '#1' in column 'a'$"),
+        ("a,b\n1,2\n3,4,5\n", r"t\.csv:3: expected 2 fields, got 3"),
+        ("a,b,c\n1,2\n", r"t\.csv:2: expected 3 fields, got 2"),
+        ("a\n1\n \n", r"t\.csv:3: cannot parse value ' ' in column 'a'$"),
+    ])
+    def test_rejected_by_both_passes(self, tmp_path, body, message):
+        # A cell beginning with "#" is a bad cell, not a comment.
+        path = tmp_path / "t.csv"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=message):
+            read_csv(str(path), labels=False)
+
+    def test_labelled_row_with_surplus_field_named(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("id,f1\na,1\nb,2,3\n")
+        with pytest.raises(ValueError, match=r"t\.csv:3: expected 2 fields, got 3"):
+            read_csv(str(path), labels=True)
 
 
 class TestBinaryIo:

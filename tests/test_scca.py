@@ -259,6 +259,7 @@ class TestProjectionsAtAnyScale:
     def test_tied_maxima_share_the_budget(self):
         np.testing.assert_array_equal(project_l1_ball(np.full(5, 1.6e17), 1.1), np.full(5, 1.1 / 5))
 
+    @pytest.mark.filterwarnings("error")
     def test_norms_past_the_square_range(self):
         # w @ w overflows above about 1e154 and underflows below about 1e-154
         w = np.array([1e200, 1.0])
