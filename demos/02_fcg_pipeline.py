@@ -45,7 +45,7 @@ for subj in range(n_subjects):
     print(f"subject {subj}: FCG vector of length {vec.size} "
           f"(mean within-group corr {vec[:3].mean():.3f})")
 
-fcg = FeatureMatrix(np.vstack(rows), tuple(f"s{i}" for i in range(n_subjects)), "FCG")
+fcg = FeatureMatrix(np.vstack(rows), tuple(f"s{i}" for i in range(n_subjects)))
 d = distance_matrix(fcg, "pearson_correlation_distance")
 tri = upper_triangle(d)
 print(f"\ninter-subject FCG correlation distances: "

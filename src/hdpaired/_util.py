@@ -10,7 +10,7 @@ import numpy as np
 
 # Stream tags keep RNG draws from colliding when the same user seed is reused
 # across different operations.  A generator is a pure function of
-# (seed, stream, index).  The replicate procedures read one generator keyed
+# (seed, stream).  The replicate procedures read one generator keyed
 # by (seed, stream) and start each block of replicates at its own offset in
 # that stream, so their results do not depend on execution order, worker
 # count or block size.
@@ -26,9 +26,9 @@ STREAM_SYNTH_PLANTED = 9
 STREAM_POPULATION_MC = 10
 
 
-def replicate_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
-    """Generator keyed by (seed, stream, index)."""
-    return np.random.default_rng((int(seed), int(stream), int(index)))
+def replicate_rng(seed: int, stream: int) -> np.random.Generator:
+    """Generator keyed by (seed, stream); its entropy is (seed, stream, 0)."""
+    return np.random.default_rng((int(seed), int(stream), 0))
 
 
 def parallel_map(fn, items, threads: int = 1) -> list:

@@ -205,12 +205,14 @@ def _resolve(args: argparse.Namespace, command: _Command) -> dict:
     missing = [k for k in command.required if resolved[k] is None]
     if missing:
         raise CliError(f"missing required options for {args.command_path}: {sorted(missing)}")
+    if resolved.get("threads", 1) < 1:
+        raise CliError(f"threads must be >= 1, got {resolved['threads']}")
     return resolved
 
 
 def _load_pair(cfg: dict) -> tuple[FeatureMatrix, FeatureMatrix]:
-    x = load_matrix_auto(cfg["x"], "X")
-    y = load_matrix_auto(cfg["y"], "Y")
+    x = load_matrix_auto(cfg["x"])
+    y = load_matrix_auto(cfg["y"])
     ds = pair(x, y)
     return ds.x, ds.y
 
@@ -267,23 +269,29 @@ def _cmd_fcg(cfg: dict) -> None:
     width = None
     for sid in subjects:
         ts_path = os.path.join(cfg["input"], sid + ".csv")
-        ts = RoiTimeSeries(_read_plain_csv(ts_path), cfg["fs"])
+        series = _read_plain_csv(ts_path)
         inputs[sid + ".csv"] = ts_path
         if cfg["no_nuisance"]:
-            nuis = None
+            regressors = None
         else:
             nu_path = os.path.join(cfg["input"], sid + suffix)
             if not os.path.exists(nu_path):
                 raise CliError(f"missing nuisance file for subject {sid!r}: {nu_path}")
             inputs[sid + suffix] = nu_path
-            nuis = NuisanceMatrix(_read_plain_csv(nu_path))
-        vec = fcg_from_timeseries(ts, nuis, spec, zero_phase=not cfg["no_zero_phase"])
+            regressors = _read_plain_csv(nu_path)
+        # A read error names its own file; any later failure is this subject's.
+        try:
+            ts = RoiTimeSeries(series, cfg["fs"])
+            nuis = None if regressors is None else NuisanceMatrix(regressors)
+            vec = fcg_from_timeseries(ts, nuis, spec, zero_phase=not cfg["no_zero_phase"])
+        except ValueError as exc:
+            raise CliError(f"{ts_path}: {exc}") from None
         if width is None:
             width = vec.size
         elif vec.size != width:
             raise CliError(f"subject {sid!r} yields {vec.size} features, expected {width}")
         rows.append(vec)
-    fm = FeatureMatrix(np.vstack(rows), tuple(subjects), "FCG")
+    fm = FeatureMatrix(np.vstack(rows), tuple(subjects))
     os.makedirs(cfg["out"], exist_ok=True)
     out_path = os.path.join(cfg["out"], "fcg." + cfg["out_format"])
     save_matrix(fm, out_path, cfg["out_format"])

@@ -248,7 +248,7 @@ def upper_triangle(d: DistanceMatrix | np.ndarray) -> np.ndarray:
 
 def save_distance_matrix(d: DistanceMatrix, path: str) -> None:
     """Persist as the binary matrix format plus a JSON sidecar {metric_tag, n}."""
-    save_matrix(FeatureMatrix(d.data, d.subject_ids, d.metric_tag), path, "bin")
+    save_matrix(FeatureMatrix(d.data, d.subject_ids), path, "bin")
     with open(str(path) + ".json", "w", encoding="utf-8") as f:
         json.dump({"metric_tag": d.metric_tag, "n": d.n_subjects}, f, sort_keys=True)
         f.write("\n")

@@ -136,30 +136,20 @@ def design_bandpass(spec: BandpassSpec, fs: float) -> tuple[np.ndarray, np.ndarr
     return b, a
 
 
-def effective_impulse_length(b: np.ndarray, a: np.ndarray, decay: float = 1e-9) -> int:
-    """Samples until the filter's impulse-response envelope decays below
-    `decay`, from the largest pole radius."""
-    poles = np.roots(a)
-    rmax = float(np.max(np.abs(poles))) if poles.size else 0.0
-    if rmax <= 0.0:
-        return len(b)
-    if rmax >= 1.0:
-        raise ValueError(f"unstable filter (pole radius {rmax})")
-    return max(len(b), int(np.ceil(np.log(decay) / np.log(rmax))))
-
-
 @functools.lru_cache(maxsize=64)
-def _designed_bandpass(spec: BandpassSpec, fs: float) -> tuple[np.ndarray, np.ndarray]:
-    """design_bandpass(spec, fs), designed once per (spec, fs); read-only."""
+def _designed_filter(spec: BandpassSpec, fs: float) -> tuple[tuple[np.ndarray, np.ndarray], int]:
+    """design_bandpass(spec, fs) as read-only (b, a), designed once per
+    (spec, fs), and its zero-phase pad length: three times the samples
+    until the impulse-response envelope decays below 1e-9, from the
+    largest pole radius."""
     b, a = design_bandpass(spec, fs)
     b.flags.writeable = a.flags.writeable = False
-    return b, a
-
-
-@functools.lru_cache(maxsize=64)
-def _impulse_length(spec: BandpassSpec, fs: float) -> int:
-    """effective_impulse_length of the (spec, fs) filter, found once."""
-    return effective_impulse_length(*_designed_bandpass(spec, fs))
+    poles = np.roots(a)
+    rmax = float(np.max(np.abs(poles))) if poles.size else 0.0
+    if rmax >= 1.0:
+        raise ValueError(f"unstable filter (pole radius {rmax})")
+    length = len(b) if rmax <= 0.0 else max(len(b), int(np.ceil(np.log(1e-9) / np.log(rmax))))
+    return (b, a), 3 * length
 
 
 def butterworth_bandpass(
@@ -175,9 +165,9 @@ def butterworth_bandpass(
     import scipy.signal
 
     spec = spec or BandpassSpec()
-    b, a = _designed_bandpass(spec, ts.fs)
+    (b, a), padlen = _designed_filter(spec, ts.fs)
     if zero_phase:
-        padlen = min(3 * _impulse_length(spec, ts.fs), ts.n_timepoints - 1)
+        padlen = min(padlen, ts.n_timepoints - 1)
         out = scipy.signal.filtfilt(b, a, ts.data, axis=0, padtype="even", padlen=padlen)
     else:
         out = scipy.signal.lfilter(b, a, ts.data, axis=0)
@@ -226,7 +216,15 @@ def fcg_from_timeseries(
     spec: BandpassSpec | None = None,
     zero_phase: bool = True,
 ) -> np.ndarray:
-    """Full per-subject pipeline: residualize, bandpass, pairwise Pearson."""
+    """Full per-subject pipeline: residualize, bandpass, pairwise Pearson.
+
+    Raises for an ROI column that is constant in `ts`, naming its index:
+    filtering would leave rounding residue in it, which correlates like
+    noise.
+    """
+    constant = np.flatnonzero(np.all(ts.data == ts.data[0], axis=0))
+    if constant.size:
+        raise ValueError(f"zero-variance ROI columns: indices {constant[:10].tolist()}")
     nuis = nuisance if nuisance is not None else NuisanceMatrix.empty(ts.n_timepoints)
     cleaned = ols_residualize(ts, nuis)
     filtered = butterworth_bandpass(cleaned, spec, zero_phase=zero_phase)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -236,7 +236,6 @@ class PermutationResult:
     null_samples: np.ndarray
     p_value: float
     p_value_smoothed: float
-    seed: int
 
     def __post_init__(self):
         if not -1.0 - 1e-12 <= self.observed <= 1.0 + 1e-12:
@@ -277,7 +276,6 @@ def permutation_test(
         null_samples=null,
         p_value=count / b,
         p_value_smoothed=(1 + count) / (1 + b),
-        seed=seed,
     )
 
 
@@ -383,8 +381,8 @@ def _check_interval(level: float, method: str) -> None:
 class ConfidenceInterval:
     """Subsampling confidence interval for the distance-pair correlation.
 
-    `replicates` holds the per-subsample statistics when the interval was
-    built with keep_replicates=True (NaN for degenerate draws).
+    `replicates` holds the per-subsample statistics in replicate order
+    (NaN for degenerate draws).
     """
 
     point_estimate: float
@@ -394,8 +392,8 @@ class ConfidenceInterval:
     subsample_ratio: float
     n_subsamples: int
     method: str
-    n_degenerate: int = 0
-    replicates: np.ndarray | None = None
+    n_degenerate: int
+    replicates: np.ndarray
 
     def __post_init__(self):
         _check_interval(self.level, self.method)
@@ -412,7 +410,6 @@ def subsample_ci(
     seed: int = 0,
     method: str = "root",
     threads: int = 1,
-    keep_replicates: bool = False,
 ) -> ConfidenceInterval:
     """Confidence interval from b subsamples of size round(ratio * n).
 
@@ -457,7 +454,7 @@ def subsample_ci(
         n_subsamples=b,
         method=method,
         n_degenerate=n_degenerate,
-        replicates=stats if keep_replicates else None,
+        replicates=stats,
     )
 
 
@@ -467,7 +464,6 @@ class BootstrapResult:
 
     replicates: np.ndarray
     observed: float
-    seed: int
 
     @property
     def n_degenerate(self) -> int:
@@ -501,4 +497,4 @@ def bootstrap_distribution(
     observed = _observed_statistic(dx, dy)[0]
     reps = _replicates(_pair_pearson(dx, dy, n), n, b, seed, STREAM_BOOTSTRAP, threads,
                        replace=True)
-    return BootstrapResult(replicates=reps, observed=observed, seed=seed)
+    return BootstrapResult(replicates=reps, observed=observed)

@@ -14,7 +14,7 @@ import math
 import os
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class FeatureMatrix:
 
     data: np.ndarray
     subject_ids: tuple[str, ...]
-    modality_tag: str = ""
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
@@ -101,7 +100,7 @@ def pair(x: FeatureMatrix, y: FeatureMatrix) -> PairedDataset:
         return PairedDataset(x, y)
     pos = {s: i for i, s in enumerate(y.subject_ids)}
     order = [pos[s] for s in x.subject_ids]
-    y_aligned = FeatureMatrix(y.data[order], x.subject_ids, y.modality_tag)
+    y_aligned = FeatureMatrix(y.data[order], x.subject_ids)
     return PairedDataset(x, y_aligned)
 
 
@@ -129,7 +128,7 @@ def scale_rows_to_unit_variance(m: FeatureMatrix) -> FeatureMatrix:
             f"zero-variance rows cannot be scaled: subjects "
             f"{[m.subject_ids[i] for i in bad[:5]]}"
         )
-    return FeatureMatrix(m.data / sds[:, None], m.subject_ids, m.modality_tag)
+    return FeatureMatrix(m.data / sds[:, None], m.subject_ids)
 
 
 @dataclass(frozen=True)
@@ -184,7 +183,7 @@ def standardize_columns(m: FeatureMatrix) -> tuple[FeatureMatrix, ColumnStandard
     columns.
     """
     std = ColumnStandardizer.fit(m.data)
-    return FeatureMatrix(std.apply(m.data), m.subject_ids, m.modality_tag), std
+    return FeatureMatrix(std.apply(m.data), m.subject_ids), std
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +292,17 @@ def _read_csv_float(path: str, f, start: int):
     return header, [rec[0] for _, rec in rows] if start else None, data
 
 
-def _load_csv(path: str, modality_tag: str) -> FeatureMatrix:
+def _load_csv(path: str) -> FeatureMatrix:
     header, ids, data = read_csv(path, labels=True)
     if header[0] != "id":
         raise ValueError(f"{path}: first header column must be 'id', got {header[:1]}")
     try:
-        return FeatureMatrix(data, tuple(ids), modality_tag)
+        return FeatureMatrix(data, tuple(ids))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _load_bin(path: str, modality_tag: str) -> FeatureMatrix:
+def _load_bin(path: str) -> FeatureMatrix:
     with open(path, "rb") as f:
         blob = f.read()
     if blob[: len(BIN_MAGIC)] != BIN_MAGIC:
@@ -325,19 +324,19 @@ def _load_bin(path: str, modality_tag: str) -> FeatureMatrix:
     ids = tuple(blob[off : off + id_len].decode("utf-8").split("\n"))
     if len(ids) != n:
         raise ValueError(f"{path}: {len(ids)} subject ids for {n} rows")
-    return FeatureMatrix(data, ids, modality_tag)
+    return FeatureMatrix(data, ids)
 
 
-def load_matrix(path: str, format: str = "csv", modality_tag: str = "") -> FeatureMatrix:
+def load_matrix(path: str, format: str = "csv") -> FeatureMatrix:
     """Load a FeatureMatrix from `csv` or `bin` format.
 
     CSV: header row required, first column named "id", remaining columns
     numeric (UTF-8, '.' decimal separator).  Binary: see save_matrix.
     """
     if format == "csv":
-        return _load_csv(path, modality_tag)
+        return _load_csv(path)
     if format == "bin":
-        return _load_bin(path, modality_tag)
+        return _load_bin(path)
     raise ValueError(f"unknown format {format!r}; expected 'csv' or 'bin'")
 
 
@@ -366,7 +365,7 @@ def save_matrix(m: FeatureMatrix, path: str, format: str = "bin") -> None:
     raise ValueError(f"unknown format {format!r}; expected 'csv' or 'bin'")
 
 
-def load_matrix_auto(path: str, modality_tag: str = "") -> FeatureMatrix:
+def load_matrix_auto(path: str) -> FeatureMatrix:
     """Dispatch on file extension: .csv -> csv, anything else -> bin."""
     fmt = "csv" if str(path).endswith(".csv") else "bin"
-    return load_matrix(path, fmt, modality_tag)
+    return load_matrix(path, fmt)

@@ -181,7 +181,6 @@ class CvReport:
     selected_index: int
     train_correlation: float
     test_correlation: float | None
-    seed: int
     model: FittedSccaModel
 
 
@@ -242,6 +241,8 @@ def cv_grid_search(
         raise ValueError("empty parameter grid")
     if k < 2:
         raise ValueError(f"cross-validation needs k >= 2 folds, got {k}")
+    if x_test is not None and len(x_test) < 3:
+        raise ValueError(f"held-out test set has {len(x_test)} rows; at least 3 are needed")
     n = x.shape[0]
     folds = kfold_partition(np.arange(n), k, seed)
     fold_correlations = np.full((len(grid), k), math.nan)
@@ -294,7 +295,6 @@ def cv_grid_search(
         selected_index=selected_index,
         train_correlation=train_correlation,
         test_correlation=test_correlation,
-        seed=seed,
         model=model,
     )
 

@@ -444,7 +444,7 @@ class SccaSolver:
         if init == "svd":
             u0, v0 = self._cached("power_init", self._power_init)
         else:
-            rng = replicate_rng(seed, STREAM_SCCA_INIT, 0)
+            rng = replicate_rng(seed, STREAM_SCCA_INIT)
             u0 = rng.standard_normal(self.x.shape[1])
             v0 = rng.standard_normal(self.y.shape[1])
         (u, cap_u), (v, cap_v) = step_u(u0), step_v(v0)

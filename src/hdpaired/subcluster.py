@@ -26,7 +26,6 @@ class FeatureClustering:
     feature_indices: np.ndarray
     labels: np.ndarray
     k: int
-    metric_tag: str
 
     def __post_init__(self):
         if len(self.feature_indices) != len(self.labels):
@@ -123,19 +122,18 @@ def complete_linkage(d: DistanceMatrix, k: int) -> FeatureClustering:
         feature_indices=np.array([int(s) for s in d.subject_ids]),
         labels=np.unique(root, return_inverse=True)[1] + 1,
         k=k,
-        metric_tag=d.metric_tag,
     )
 
 
-def _orthonormal_basis(block: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
+def _orthonormal_basis(block: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the centered column space, truncating singular
-    values below rel_tol * max (rank-deficient blocks are common when
+    values below 1e-10 * max (rank-deficient blocks are common when
     cluster sizes exceed the number of rows)."""
     centered = block - block.mean(axis=0)
     u, s, _ = np.linalg.svd(centered, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.empty((block.shape[0], 0))
-    keep = s > rel_tol * s[0]
+    keep = s > 1e-10 * s[0]
     return u[:, keep]
 
 

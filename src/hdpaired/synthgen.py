@@ -43,7 +43,6 @@ class PlantedTruth:
 
     kind: str
     latent_correlation: float
-    seed: int
     u_star: np.ndarray | None = None
     v_star: np.ndarray | None = None
 
@@ -73,7 +72,7 @@ def _ids(n: int) -> tuple[str, ...]:
 
 def _paired(x: np.ndarray, y: np.ndarray, n: int) -> PairedDataset:
     ids = _ids(n)
-    return pair(FeatureMatrix(x, ids, "X"), FeatureMatrix(y, ids, "Y"))
+    return pair(FeatureMatrix(x, ids), FeatureMatrix(y, ids))
 
 
 def gen_null(n: int, p: int, q: int, seed: int = 0) -> PairedDataset:
@@ -131,7 +130,7 @@ def gen_shared_latent(
     a, b = canonical_sign(a) * a, canonical_sign(b) * b
     x = strength * np.outer(g, a) + noise_sd * ex
     y = strength * np.outer(g, b) + noise_sd * ey
-    truth = PlantedTruth(kind="shared-latent", latent_correlation=strength, seed=seed)
+    truth = PlantedTruth(kind="shared-latent", latent_correlation=strength)
     return _paired(x, y, n), truth
 
 
@@ -143,7 +142,6 @@ def gen_sparse_canonical_pair(
     s_v: int,
     rho: float,
     seed: int = 0,
-    support_noise: float = 0.3,
 ) -> tuple[PairedDataset, PlantedTruth]:
     """Planted sparse canonical pair with latent correlation rho.
 
@@ -152,9 +150,9 @@ def gen_sparse_canonical_pair(
     X = z_x u*^T + E, Y = z_y v*^T + F.
 
     Noise is drawn i.i.d. standard normal, orthogonalized against the
-    planted direction, and attenuated by `support_noise` on the planted
-    columns (off-support columns keep unit noise).  The orthogonalization
-    makes the oracle projections exact (X u* = z_x, Y v* = z_y), so their
+    planted direction, and scaled by 0.3 on the planted columns
+    (off-support columns keep unit noise).  The orthogonalization makes the
+    oracle projections exact (X u* = z_x, Y v* = z_y), so their
     sample correlation converges to rho; the support attenuation keeps the
     planted block identifiable at bench sizes, where equal-scale noise
     drowns the rank-one cross-covariance signal in spurious sparse
@@ -166,8 +164,6 @@ def gen_sparse_canonical_pair(
         raise ValueError(f"supports (s_u={s_u}, s_v={s_v}) out of range for (p={p}, q={q})")
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must be in [0, 1), got {rho}")
-    if not 0.0 <= support_noise <= 1.0:
-        raise ValueError(f"support_noise must be in [0, 1], got {support_noise}")
     rng = replicate_rng(seed, STREAM_SYNTH_PLANTED)
     z_x = rng.standard_normal(n)
     z_y = rho * z_x + math.sqrt(1.0 - rho * rho) * rng.standard_normal(n)
@@ -187,12 +183,11 @@ def gen_sparse_canonical_pair(
     ey = ey - np.outer(ey @ v_star, v_star)
     # Constant attenuation on the support keeps the orthogonality exact:
     # E_orth @ (scale * u*) = scale * (E_orth @ u*) = 0.
-    x = np.outer(z_x, u_star) + ex * np.where(u_star != 0.0, support_noise, 1.0)
-    y = np.outer(z_y, v_star) + ey * np.where(v_star != 0.0, support_noise, 1.0)
+    x = np.outer(z_x, u_star) + ex * np.where(u_star != 0.0, 0.3, 1.0)
+    y = np.outer(z_y, v_star) + ey * np.where(v_star != 0.0, 0.3, 1.0)
     truth = PlantedTruth(
         kind="sparse-canonical-pair",
         latent_correlation=rho,
-        seed=seed,
         u_star=u_star,
         v_star=v_star,
     )
@@ -205,7 +200,6 @@ def shared_latent_population_r(
     strength: float,
     n_pairs: int = 100_000,
     seed: int = 0,
-    chunk: int = 20_000,
 ) -> float:
     """Monte-Carlo estimate of the population distance-pair correlation
     under the shared-latent generator: the Pearson correlation between
@@ -220,7 +214,7 @@ def shared_latent_population_r(
     dys = []
     done = 0
     while done < n_pairs:
-        m = min(chunk, n_pairs - done)
+        m = min(20_000, n_pairs - done)  # the chunk fixes the draw order
         g = rng.standard_normal((2, m))
         noise_sd = math.sqrt(1.0 - strength * strength)
         a = rng.standard_normal((m, p))

@@ -131,7 +131,7 @@ def test_criterion_05_bootstrap_upward_bias():
     bvals = boot.valid
     se_boot = bvals.std(ddof=1) / math.sqrt(bvals.size)
     z_boot = (bvals.mean() - boot.observed) / se_boot
-    ci = subsample_ci(dx, dy, ratio=0.5, b=500, seed=5, keep_replicates=True)
+    ci = subsample_ci(dx, dy, ratio=0.5, b=500, seed=5)
     svals = ci.replicates[~np.isnan(ci.replicates)]
     se_sub = svals.std(ddof=1) / math.sqrt(svals.size)
     z_sub = (svals.mean() - ci.point_estimate) / se_sub

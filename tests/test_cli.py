@@ -12,6 +12,7 @@ import pytest
 from hdpaired.cli import _COMMANDS, _read_plain_csv, _resolve, build_parser, main
 from hdpaired.distances import distance_matrix
 from hdpaired.matrixio import FeatureMatrix, load_matrix, save_matrix
+from hdpaired.scca import SccaSolver
 
 from test_acceptance import _child_env
 
@@ -335,6 +336,26 @@ class TestScca:
         assert len(rep["grid"]) == 4
 
 
+def test_cv_checks_held_out_rows_before_any_fit(tmp_path, capsys, monkeypatch):
+    # 17 subjects leave 2 held-out rows, 18 leave 3.
+    fit = SccaSolver.fit
+    calls = []
+    monkeypatch.setattr(SccaSolver, "fit",
+                        lambda self, *a, **kw: calls.append(1) or fit(self, *a, **kw))
+    for n in (17, 18):
+        data = tmp_path / f"d{n}"
+        assert run(["synth", "planted", "--n", n, "--p", 12, "--q", 12, "--su", 3, "--sv", 3,
+                    "--seed", 1, "--out", data]) == 0
+        rc = run(["scca", "cv", "--x", data / "x.bin", "--y", data / "y.bin", "--cells", 2,
+                  "--k", 3, "--out", tmp_path / f"cv{n}"])
+        if n == 17:
+            assert rc == 1 and calls == []
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err["message"] == "held-out test set has 2 rows; at least 3 are needed"
+        else:
+            assert rc == 0 and calls
+
+
 class TestFcg:
     def write_subject(self, d, name, t=120, m=3, seed=0, nuisance=True):
         rng = np.random.default_rng(seed)
@@ -387,6 +408,32 @@ class TestFcg:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["message"].startswith(f"{path}:6: ")
 
+    def test_constant_roi_names_subject_file_and_index(self, tmp_path, capsys):
+        src = tmp_path / "ts"
+        src.mkdir()
+        self.write_subject(src, "alpha", t=60, m=4, seed=1, nuisance=False)
+        data = np.random.default_rng(2).standard_normal((60, 4))
+        data[:, 2] = 0.25
+        path = src / "beta.csv"
+        path.write_text("r0,r1,r2,r3\n"
+                        + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in data))
+        rc = run(["fcg", "--input", src, "--no-nuisance", "--out", tmp_path / "o"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == f"{path}: zero-variance ROI columns: indices [2]"
+
+    def test_nuisance_row_mismatch_names_subject_file(self, tmp_path, capsys):
+        src = tmp_path / "ts"
+        src.mkdir()
+        self.write_subject(src, "alpha", t=60, seed=1)
+        self.write_subject(src, "beta", t=60, seed=2)
+        nuisance = src / "beta.nuisance.csv"
+        nuisance.write_text("\n".join(nuisance.read_text().splitlines()[:-1]) + "\n")
+        rc = run(["fcg", "--input", src, "--out", tmp_path / "o"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == f"{src / 'beta.csv'}: nuisance rows (59) != time points (60)"
+
     def test_one_row_table_is_not_transposed(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,b\n1.0,2.0\n")
@@ -406,6 +453,21 @@ class TestFcg:
 
 
 class TestConfigPrecedence:
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_threads_below_one_rejected(self, tmp_path, latent_pair, capsys, source):
+        x, y = latent_pair
+        args = ["infer", "perm", "--x", x, "--y", y, "--b", 5, "--out", tmp_path / "o"]
+        if source == "flag":
+            args += ["--threads", -3]
+        else:
+            (tmp_path / "c.yaml").write_text("threads: 0\n")
+            args += ["--config", tmp_path / "c.yaml"]
+        assert run(args) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        value = -3 if source == "flag" else 0
+        assert err == {"error": "CliError", "message": f"threads must be >= 1, got {value}"}
+        assert not (tmp_path / "o").exists()
+
     def test_flag_beats_config_beats_default(self, tmp_path, latent_pair):
         x, y = latent_pair
         cfg = tmp_path / "conf.yaml"

@@ -23,9 +23,9 @@ from hdpaired.matrixio import FeatureMatrix
 from oracles import naive_distance_matrix, naive_scaled_euclidean
 
 
-def fm(data, tag=""):
+def fm(data):
     data = np.asarray(data, dtype=float)
-    return FeatureMatrix(data, tuple(f"s{i}" for i in range(data.shape[0])), tag)
+    return FeatureMatrix(data, tuple(f"s{i}" for i in range(data.shape[0])))
 
 
 class TestScaledEuclidean:
@@ -118,7 +118,7 @@ class TestDistanceMatrix:
             if n > 12:
                 k = n // 3
                 data[:k] = data[k:2 * k] + 1e-6 * rng.standard_normal((k, p))
-            m2 = FeatureMatrix(data[perm], tuple(f"s{i}" for i in perm), "")
+            m2 = FeatureMatrix(data[perm], tuple(f"s{i}" for i in perm))
             for metric in METRICS:
                 base = distance_matrix(fm(data), metric)
                 permuted = distance_matrix(m2, metric)
@@ -166,6 +166,20 @@ class TestDistanceMatrix:
         bad = np.array([[1e-18, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="diagonal"):
             DistanceMatrix(bad, "euclidean", ("a", "b"))
+
+    @pytest.mark.parametrize("data, metric, ids, message", [
+        (np.zeros((2, 3)), "euclidean", ("a", "b"), r"must be square, got \(2, 3\)"),
+        (np.zeros((2, 2)), "cosine", ("a", "b"), "unknown metric_tag 'cosine'"),
+        (np.zeros((2, 2)), "euclidean", ("a",), "1 subject ids for 2 rows"),
+        ([[0.0, math.nan], [math.nan, 0.0]], "euclidean", ("a", "b"), "non-finite entries"),
+        ([[0.0, -1.0], [-1.0, 0.0]], "euclidean", ("a", "b"), "negative distance entry"),
+        ([[0.0, 2.5], [2.5, 0.0]], "pearson_correlation_distance", ("a", "b"),
+         "correlation distance entry above 2"),
+    ], ids=["non-square", "unknown-metric", "id-count", "non-finite", "negative",
+            "correlation-above-2"])
+    def test_validation_rejection_message(self, data, metric, ids, message):
+        with pytest.raises(ValueError, match=message):
+            DistanceMatrix(np.asarray(data, dtype=float), metric, ids)
 
 
 class TestGramBuilder:

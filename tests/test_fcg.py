@@ -181,6 +181,14 @@ class TestPipeline:
         assert np.array_equal(a, b)
         assert a.size == 15
 
+    def test_constant_input_roi_named(self):
+        # Filtering leaves rounding residue in a constant column, so
+        # pearson_fcg alone would not see it.
+        data = np.random.default_rng(14).standard_normal((60, 4))
+        data[:, 2] = 0.3
+        with pytest.raises(ValueError, match=r"zero-variance ROI columns: indices \[2\]"):
+            fcg_from_timeseries(ts(data))
+
     def test_pca_regressors_shape_and_unit_norm(self):
         rng = np.random.default_rng(13)
         vox = rng.standard_normal((200, 40))

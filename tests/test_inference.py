@@ -36,9 +36,9 @@ from oracles import (
 from test_acceptance import _child_env
 
 
-def fm(data, tag=""):
+def fm(data):
     data = np.asarray(data, dtype=float)
-    return FeatureMatrix(data, tuple(f"s{i}" for i in range(data.shape[0])), tag)
+    return FeatureMatrix(data, tuple(f"s{i}" for i in range(data.shape[0])))
 
 
 def random_distance_pair(n, p=8, q=6, seed=0):
@@ -105,6 +105,18 @@ class TestDistancePairCorrelation:
 
 
 class TestPermutationTest:
+    def test_subject_mismatch_rejected(self):
+        dx, dy = random_distance_pair(5, seed=6)
+        swapped = DistanceMatrix(dy.data, dy.metric_tag, dy.subject_ids[::-1])
+        with pytest.raises(ValueError, match="must share the same subjects in the same order"):
+            permutation_test(dx, swapped, b=5)
+
+    def test_constant_triangle_rejected(self):
+        _, dy = random_distance_pair(4, seed=7)
+        const = DistanceMatrix(np.ones((4, 4)) - np.eye(4), "euclidean", dy.subject_ids)
+        with pytest.raises(ValueError, match="constant distance triangle; correlation undefined"):
+            permutation_test(const, dy, b=5)
+
     def test_identity_replicate_equals_observed(self):
         # Find a replicate whose permutation is the identity on a tiny n
         # and check exact equality.
@@ -252,6 +264,11 @@ class TestDcorTtest:
         with pytest.raises(ValueError, match="n >= 4"):
             dcor_ttest(x, x)
 
+    def test_constant_features_degenerate(self):
+        y = fm(np.random.default_rng(19).standard_normal((6, 2)))
+        with pytest.raises(ValueError, match=r"degenerate U-centered matrix \(constant features\)"):
+            dcor_ttest(fm(np.ones((6, 3))), y)
+
 
 class TestSubsampleCi:
     def test_ratio_one_degenerate_interval(self):
@@ -277,6 +294,17 @@ class TestSubsampleCi:
         ds, _ = gen_shared_latent(20, 5, 5, 0.5, seed=23)
         with pytest.raises(ValueError, match="< 4"):
             subsample_ci(*both_distances(ds), ratio=0.1, b=10, seed=0)
+
+    def test_all_degenerate_rejected(self):
+        # Every x distance is 1 but the one between s0 and s1, so a draw of
+        # 4 of 40 subjects has a constant x triangle unless it holds both
+        # (probability 1/130).
+        dx, dy = random_distance_pair(40, seed=8)
+        ones = np.ones((40, 40)) - np.eye(40)
+        ones[0, 1] = ones[1, 0] = 2.0
+        const = DistanceMatrix(ones, "euclidean", dx.subject_ids)
+        with pytest.raises(ValueError, match="all subsample replicates degenerate"):
+            subsample_ci(const, dy, ratio=0.1, b=2, seed=0)
 
     def test_percentile_method(self):
         ds, _ = gen_shared_latent(40, 6, 6, 0.8, seed=24)
@@ -306,7 +334,7 @@ class TestBootstrap:
     def test_subsampling_not_systematically_above(self):
         ds, _ = gen_shared_latent(100, 12, 12, 0.8, seed=26)
         dmx, dmy = both_distances(ds)
-        ci = subsample_ci(dmx, dmy, ratio=0.5, b=300, seed=3, keep_replicates=True)
+        ci = subsample_ci(dmx, dmy, ratio=0.5, b=300, seed=3)
         reps = ci.replicates
         se = reps.std(ddof=1) / math.sqrt(reps.size)
         assert reps.mean() - ci.point_estimate <= 2 * se
@@ -334,8 +362,7 @@ def all_replicates(dx, dy, b, seed, threads=1, ratio=0.5):
     """Replicate values of the three procedures, as one bytes string each."""
     return (
         permutation_test(dx, dy, b=b, seed=seed, threads=threads).null_samples.tobytes(),
-        subsample_ci(dx, dy, ratio=ratio, b=b, seed=seed, threads=threads,
-                     keep_replicates=True).replicates.tobytes(),
+        subsample_ci(dx, dy, ratio=ratio, b=b, seed=seed, threads=threads).replicates.tobytes(),
         bootstrap_distribution(dx, dy, b=b, seed=seed, threads=threads).replicates.tobytes(),
     )
 
@@ -435,8 +462,7 @@ class TestReplicateEngine:
                             "euclidean", dx.subject_ids)
 
         def values():
-            return (subsample_ci(dx, dy, ratio=m / n, b=b, seed=seed,
-                                 keep_replicates=True).replicates.tobytes(),
+            return (subsample_ci(dx, dy, ratio=m / n, b=b, seed=seed).replicates.tobytes(),
                     bootstrap_distribution(dx, dy, b=b, seed=seed).replicates.tobytes())
 
         def pearson(s):
@@ -488,8 +514,7 @@ class TestReplicateEngine:
                         if replace:
                             got = inference.bootstrap_distribution(dx, dy, b=b, seed=seed)
                         else:
-                            got = inference.subsample_ci(dx, dy, ratio=m / n, b=b, seed=seed,
-                                                         keep_replicates=True)
+                            got = inference.subsample_ci(dx, dy, ratio=m / n, b=b, seed=seed)
                     assert got.replicates.tobytes() == ref.tobytes()
                 print(ref.tobytes().hex())
         """

@@ -24,11 +24,11 @@ from hdpaired.matrixio import (
 )
 
 
-def fm(data, ids=None, tag=""):
+def fm(data, ids=None):
     data = np.asarray(data, dtype=float)
     if ids is None:
         ids = tuple(f"s{i}" for i in range(data.shape[0]))
-    return FeatureMatrix(data, ids, tag)
+    return FeatureMatrix(data, ids)
 
 
 class TestFeatureMatrix:

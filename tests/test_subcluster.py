@@ -147,10 +147,8 @@ class TestCompleteLinkage:
 
 class TestSubclusterCca:
     def make_clusterings(self, px, py, kx, ky):
-        cx = FeatureClustering(np.arange(px), np.repeat(np.arange(1, kx + 1), px // kx),
-                               kx, "scaled_euclidean")
-        cy = FeatureClustering(np.arange(py), np.repeat(np.arange(1, ky + 1), py // ky),
-                               ky, "pearson_correlation_distance")
+        cx = FeatureClustering(np.arange(px), np.repeat(np.arange(1, kx + 1), px // kx), kx)
+        cy = FeatureClustering(np.arange(py), np.repeat(np.arange(1, ky + 1), py // ky), ky)
         return cx, cy
 
     def test_duplicated_cluster_ranks_first_with_unit_correlation(self):

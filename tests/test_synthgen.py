@@ -129,7 +129,7 @@ class TestGenSparseCanonicalPair:
 class TestPlantedTruth:
     def test_kind_validation(self):
         with pytest.raises(ValueError, match="kind"):
-            PlantedTruth(kind="bogus", latent_correlation=0.5, seed=0)
+            PlantedTruth(kind="bogus", latent_correlation=0.5)
 
     def test_supports_unavailable_for_latent(self):
         _, truth = gen_shared_latent(10, 4, 4, 0.5, seed=11)
