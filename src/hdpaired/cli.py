@@ -39,6 +39,7 @@ from hdpaired.inference import (
     permutation_test,
     rank_correlations,
     subsample_ci,
+    subsample_size,
 )
 from hdpaired.matrixio import (
     FeatureMatrix,
@@ -397,14 +398,16 @@ def _cmd_infer(cfg: dict, mode: str) -> None:
 
 def _cmd_report(cfg: dict) -> None:
     x, y = _load_pair(cfg)
+    # The interval arguments are checked before any work.  The dCor t-test
+    # runs next, so that its two n x n buffers are freed before the distance
+    # pair is built; each procedure reads its own stream.
+    subsample_size(x.n_subjects, cfg["ratio"], cfg["b"], cfg["level"], cfg["method"])
+    dcor = dcor_ttest(x, y)
     dx = distance_matrix(x, cfg["metric_x"])
     dy = distance_matrix(y, cfg["metric_y"])
-    # The interval comes first so that its argument checks run before any
-    # permutation is drawn; each procedure reads its own stream.
     ci = subsample_ci(dx, dy, cfg["ratio"], cfg["b"], cfg["level"], cfg["seed"],
                       cfg["method"], cfg["threads"])
     perm = permutation_test(dx, dy, cfg["b"], cfg["seed"], threads=cfg["threads"])
-    dcor = dcor_ttest(x, y)
     rows = [
         {
             "method": "permutation",

@@ -153,10 +153,21 @@ def _gram(z: np.ndarray, n: int) -> np.ndarray:
     """The n x n corner of z @ z.T for z from _padded, exactly symmetric:
     numpy hands a product with its own transpose to BLAS syrk, which fills
     one triangle and mirrors it.  BLAS threads split the output, never an
-    inner sum, so the bits do not depend on the thread count.  Where z has
-    padding rows the corner is a view."""
+    inner sum, so the bits do not depend on the thread count.
+
+    The result is a new C-contiguous array that owns its data.  Where z has
+    padding rows, the corner's rows are moved to the front of the product's
+    own buffer, which is then shrunk in place, so no second buffer is made."""
     g = z @ z.T
-    return g if g.shape[0] == n else g[:n, :n]
+    if g.shape[0] != n:
+        flat = g.reshape(-1)
+        # Row i moves from offset i*m to i*n <= i*m, past every row already
+        # moved and before any row still to move.
+        for i in range(1, n):
+            flat[i * n:(i + 1) * n] = g[i, :n]
+        del flat
+        g.resize((n, n), refcheck=False)  # no view of g is left
+    return g
 
 
 def _pairwise(rows: np.ndarray, metric_tag: str, labels: tuple[str, ...]) -> np.ndarray:
@@ -178,8 +189,7 @@ def _pairwise(rows: np.ndarray, metric_tag: str, labels: tuple[str, ...]) -> np.
     Correlation distance: rows are centered and scaled to unit norm, and
     d = 1 - g is clipped to [0, 2].
 
-    The result is a new C-contiguous array: the Gram buffer itself, or its
-    n x n corner copied out where _gram padded the rows.
+    The result is the Gram buffer from `_gram`, a new C-contiguous array.
     """
     rows = np.asarray(rows, dtype=float)
     n, p = rows.shape
@@ -229,7 +239,7 @@ def _pairwise(rows: np.ndarray, metric_tag: str, labels: tuple[str, ...]) -> np.
         np.fill_diagonal(d, 0.0)
     else:
         raise ValueError(f"unknown metric_tag {metric_tag!r}; expected one of {METRICS}")
-    return np.ascontiguousarray(d)
+    return d
 
 
 def distance_matrix(m: FeatureMatrix, metric_tag: str) -> DistanceMatrix:
@@ -242,8 +252,10 @@ def upper_triangle(d: DistanceMatrix | np.ndarray) -> np.ndarray:
     """Entries above the diagonal in lexicographic (i, j), i < j order."""
     a = d.data if isinstance(d, DistanceMatrix) else np.asarray(d, dtype=float)
     # A boolean mask is read in row-major order, which is this order; unlike
-    # triu_indices it builds no index arrays as large as the triangle.
-    return a[~np.tri(a.shape[0], dtype=bool)]
+    # triu_indices it builds no index arrays as large as the triangle, and
+    # the one comparison makes it without a second n x n temporary.
+    i = np.arange(a.shape[0])
+    return a[i[:, None] < i]
 
 
 def save_distance_matrix(d: DistanceMatrix, path: str) -> None:

@@ -64,10 +64,11 @@ def _replicates(stat, n: int, b: int, seed: int, stream: int, threads: int = 1,
     """stat(draws) for b index draws of length n, in replicate order.
 
     Replicate i reads the raw 64-bit outputs i*n .. (i+1)*n - 1 of the
-    generator keyed by (seed, stream).  Their stable argsort is a uniform
-    permutation of 0..n-1 (two equal words, the only source of bias, come
-    with probability below n**2 / 2**65); with replace=True each output
-    mod n is one draw with replacement (bias below n / 2**64).  Each block
+    generator keyed by (seed, stream).  Their stable argsort, formed by
+    `_permutations`, is a uniform permutation of 0..n-1 (two equal words,
+    the only source of bias, come with probability below n**2 / 2**65); with
+    replace=True each output mod n is one draw with replacement (bias below
+    n / 2**64).  Each block
     jumps to its first replicate with `advance`, so replicate i depends on
     neither b, the block size nor the thread count.  `stat` is handed a
     whole block, a (rows, n) array of draws, and returns one value per
@@ -82,10 +83,30 @@ def _replicates(stat, n: int, b: int, seed: int, stream: int, threads: int = 1,
         if replace:
             draws = (raw % np.uint64(n)).astype(np.intp)
         else:
-            draws = raw.argsort(axis=1, kind="stable")
+            draws = _permutations(raw)
         return stat(draws)
 
     return np.concatenate(parallel_map(block, range(0, b, rows), threads))
+
+
+def _permutations(raw: np.ndarray) -> np.ndarray:
+    """raw.argsort(axis=1, kind="stable") for a (rows, n) array, bit for bit.
+
+    Rows are sorted by the default sort, which is faster.  Where a row's
+    words are distinct its sort order is unique, so both sorts agree; the
+    rows where two sorted neighbours are equal, read through one flat take,
+    are sorted again with the stable sort.
+    """
+    order = raw.argsort(axis=1)
+    rows, n = raw.shape
+    offsets = np.arange(0, rows * n, n)[:, None]
+    order += offsets  # flat indices, in place: no third block-sized array
+    words = raw.reshape(-1).take(order)
+    order -= offsets
+    tied = np.flatnonzero((words[:, 1:] == words[:, :-1]).any(axis=1))
+    if tied.size:
+        order[tied] = raw[tied].argsort(axis=1, kind="stable")
+    return order
 
 
 def _pair_pearson(dx: DistanceMatrix, dy: DistanceMatrix, m: int):
@@ -128,14 +149,17 @@ def _pair_pearson(dx: DistanceMatrix, dy: DistanceMatrix, m: int):
     return stat
 
 
-def _cross_product(dx: DistanceMatrix, cy: np.ndarray) -> Callable[[np.ndarray], float]:
+def _cross_product(dx: DistanceMatrix, dy: DistanceMatrix,
+                   mean_y: float) -> Callable[[np.ndarray], float]:
     """The Mantel/QAP cross-product G(s) = sum over i < j of
-    dx[s[i], s[j]] * cy[i, j] as a function of a permutation s, where cy is
-    a triangle in `upper_triangle` order.
+    dx[s[i], s[j]] * cy[i, j] as a function of a permutation s, where
+    cy[i, j] = dy[i, j] - mean_y is dy's centered triangle.
 
     The rows are cut into tiles of max(1, _TILE_BYTES // (8n)) rows.  The
     tile of rows a..e-1 holds cy over the columns a..n-1, contiguously, with
-    zeros where j <= i; it is filled straight from the triangle.  G(s) adds,
+    zeros where j <= i.  It is filled straight from the rows of dy, so no
+    triangle is held beside the tiles; each entry is the same subtraction
+    as in the centered triangle, so it has the same bits.  G(s) adds,
     in tile order, each tile's einsum against dx gathered at
     (s[a:e], s[a:]).  No pair index is built and no BLAS call is made, so
     G(s) depends on the data, s and n alone.
@@ -143,15 +167,13 @@ def _cross_product(dx: DistanceMatrix, cy: np.ndarray) -> Callable[[np.ndarray],
     n = dx.n_subjects
     rows = max(1, _TILE_BYTES // (8 * n))
     tiles = []
-    start = 0  # offset of row i's pairs (i, i+1..n-1) in cy
+    x, y = dx.data, dy.data
     for a in range(0, n - 1, rows):
         e = min(a + rows, n)
         tile = np.zeros((e - a, n - a))
         for i in range(a, e):
-            tile[i - a, i + 1 - a:] = cy[start:start + n - 1 - i]
-            start += n - 1 - i
+            np.subtract(y[i, i + 1:], mean_y, out=tile[i - a, i + 1 - a:])
         tiles.append((a, e, tile))
-    x = dx.data
 
     def gamma(s: np.ndarray) -> float:
         total = 0.0
@@ -198,27 +220,33 @@ def _observed_statistic(
     """Observed distance-pair correlation shared by the replicate procedures.
 
     It is the permutation replicate at the identity: the cross-product
-    `_cross_product(dx, cy)` of dx with the centered y triangle cy, over
-    sqrt(ssx * ssy).  The mean of dx's triangle needs no subtracting,
+    `_cross_product(dx, dy, mean_y)` of dx with the centered y triangle cy,
+    over sqrt(ssx * ssy).  The mean of dx's triangle needs no subtracting,
     because cy sums to zero up to rounding.  So it can differ in the last
     bits from the exactly rounded `distance_pair_correlation`, and the
     identity replicate equals it bit for bit.  Also returns the
     cross-product and the denominator, from which the permutation test
     forms its replicates.  No step calls BLAS.
+
+    One triangle is held at a time: x's is freed once ssx is taken, and y's
+    once ssy and its mean are taken, before the tiles are built.
     """
     n = _check_same_subjects(dx, dy)
     if n < 3:
         raise ValueError(f"need at least 3 subjects, got {n}")
     cx = upper_triangle(dx)
     cx -= cx.mean()
-    cy = upper_triangle(dy)
-    cy -= cy.mean()
     ssx = float(np.einsum("i,i->", cx, cx))
+    del cx
+    cy = upper_triangle(dy)
+    mean_y = cy.mean()
+    cy -= mean_y
     ssy = float(np.einsum("i,i->", cy, cy))
+    del cy
     if ssx == 0.0 or ssy == 0.0:
         raise ValueError("constant distance triangle; correlation undefined")
     denom = math.sqrt(ssx * ssy)
-    gamma = _cross_product(dx, cy)
+    gamma = _cross_product(dx, dy, mean_y)
     return gamma(np.arange(n)) / denom, gamma, denom
 
 
@@ -298,9 +326,17 @@ def ucenter(d: DistanceMatrix | np.ndarray) -> np.ndarray:
 
     For i != j:
         u_ij = d_ij - row_i/(n-2) - col_j/(n-2) + grand/((n-1)(n-2))
-    and u_ii = 0.  Off-diagonal row sums of the result are zero.
+    and u_ii = 0.  Off-diagonal row sums of the result are zero.  Returns a
+    new array: a copy of d, centered by `_ucenter_in_place`.
     """
-    a = d.data if isinstance(d, DistanceMatrix) else np.asarray(d, dtype=float)
+    a = d.data if isinstance(d, DistanceMatrix) else d
+    return _ucenter_in_place(np.array(a, dtype=float))
+
+
+def _ucenter_in_place(a: np.ndarray) -> np.ndarray:
+    """U-center the float array a in place and return it.  Each step is an
+    in-place update with the bits of the same expression written as one
+    line, so no second n x n array is made."""
     n = a.shape[0]
     if a.ndim != 2 or a.shape[1] != n:
         raise ValueError(f"square matrix required, got {a.shape}")
@@ -309,13 +345,22 @@ def ucenter(d: DistanceMatrix | np.ndarray) -> np.ndarray:
     rows = a.sum(axis=1)
     cols = a.sum(axis=0)
     grand = a.sum()
-    # Updated in place, so that only one n x n array is made; the bits are
-    # those of the same expression written as one line.
-    u = a - rows[:, None] / (n - 2)
-    u -= cols[None, :] / (n - 2)
-    u += grand / ((n - 1) * (n - 2))
-    np.fill_diagonal(u, 0.0)
-    return u
+    a -= rows[:, None] / (n - 2)
+    a -= cols[None, :] / (n - 2)
+    a += grand / ((n - 1) * (n - 2))
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+def _ucentered_euclidean(m: FeatureMatrix) -> np.ndarray:
+    """U-centered Euclidean distances between the subjects of m, in one n x n
+    buffer: the array of `distance_matrix(m, "euclidean")`, which has passed
+    every `DistanceMatrix` check, centered in place.  That array is the
+    builder's own buffer, kept without a copy, and the DistanceMatrix is
+    dropped here, so nothing else reads it once it is made writeable."""
+    d = distance_matrix(m, "euclidean").data
+    d.flags.writeable = True
+    return _ucenter_in_place(d)
 
 
 @dataclass(frozen=True)
@@ -339,9 +384,16 @@ def dcor_ttest(x: FeatureMatrix, y: FeatureMatrix) -> DcorResult:
 
     Builds Euclidean distance matrices for both modalities, U-centers them,
     and forms r = <Ux, Uy> / sqrt(<Ux,Ux><Uy,Uy>) with
-    <A,B> = sum_{i!=j} A_ij B_ij / (n(n-3)).  Under independence
-    t = sqrt(v-1) r / sqrt(1-r^2), v = n(n-3)/2, follows a Student-t with
-    v-1 degrees of freedom; the p-value is the upper tail.
+    <A,B> = sum_{i!=j} A_ij B_ij / (n(n-3)) (Szekely & Rizzo 2014).  Under
+    independence t = sqrt(v-1) r / sqrt(1-r^2), v = n(n-3)/2, follows a
+    Student-t with v-1 degrees of freedom; the p-value is the upper tail.
+
+    At most two n x n arrays are held.  Each matrix is built, with every
+    `DistanceMatrix` check, and U-centered in one buffer
+    (`_ucentered_euclidean`); <Ux,Ux> is taken before Uy is built, then Ux*Uy is formed in
+    Ux's buffer and Uy*Uy in Uy's.  Each sum is numpy's sum of the same
+    products in the same C-contiguous layout as
+    `np.multiply(ucenter(dx), ucenter(dy)).sum()`, so r, t and p have its bits.
     """
     from scipy.special import stdtr  # imported here: it is slow to load, and only this test needs it
 
@@ -350,13 +402,12 @@ def dcor_ttest(x: FeatureMatrix, y: FeatureMatrix) -> DcorResult:
     n = x.n_subjects
     if n < 4:
         raise ValueError(f"dCor t-test requires n >= 4, got {n}")
-    ux = ucenter(distance_matrix(x, "euclidean"))
-    uy = ucenter(distance_matrix(y, "euclidean"))
     scale = n * (n - 3)
-    prod = np.empty_like(ux)  # one n x n buffer for the three products
-    vxy = float(np.multiply(ux, uy, out=prod).sum()) / scale
-    vx = float(np.multiply(ux, ux, out=prod).sum()) / scale
-    vy = float(np.multiply(uy, uy, out=prod).sum()) / scale
+    ux = _ucentered_euclidean(x)
+    vx = float(np.multiply(ux, ux).sum()) / scale
+    uy = _ucentered_euclidean(y)
+    vxy = float(np.multiply(ux, uy, out=ux).sum()) / scale
+    vy = float(np.multiply(uy, uy, out=uy).sum()) / scale
     if vx <= 0.0 or vy <= 0.0:
         raise ValueError("degenerate U-centered matrix (constant features)")
     r = vxy / math.sqrt(vx * vy)
@@ -401,6 +452,20 @@ class ConfidenceInterval:
             raise ValueError("lower bound above upper bound")
 
 
+def subsample_size(n: int, ratio: float, b: int, level: float, method: str) -> int:
+    """The subsample size round(ratio * n) of `subsample_ci`, after checking
+    its arguments; raises the ValueError that `subsample_ci` would."""
+    m = round(ratio * n)
+    if m < 4:
+        raise ValueError(f"subsample size round({ratio} * {n}) = {m} < 4")
+    if m > n:
+        raise ValueError(f"subsample size {m} exceeds n = {n}")
+    if b < 2:
+        raise ValueError(f"need at least 2 subsamples, got {b}")
+    _check_interval(level, method)
+    return m
+
+
 def subsample_ci(
     dx: DistanceMatrix,
     dy: DistanceMatrix,
@@ -423,14 +488,7 @@ def subsample_ci(
     method="percentile" returns raw (alpha/2, 1-alpha/2) replicate quantiles.
     """
     n = _check_same_subjects(dx, dy)
-    m = round(ratio * n)
-    if m < 4:
-        raise ValueError(f"subsample size round({ratio} * {n}) = {m} < 4")
-    if m > n:
-        raise ValueError(f"subsample size {m} exceeds n = {n}")
-    if b < 2:
-        raise ValueError(f"need at least 2 subsamples, got {b}")
-    _check_interval(level, method)
+    m = subsample_size(n, ratio, b, level, method)
     observed = _observed_statistic(dx, dy)[0]
     stats = _replicates(_pair_pearson(dx, dy, m), n, b, seed, STREAM_SUBSAMPLE, threads)
     valid = stats[~np.isnan(stats)]

@@ -183,17 +183,43 @@ class TestReport:
     ])
     def test_interval_arguments_checked_before_any_draw(self, tmp_path, latent_pair, capsys,
                                                         monkeypatch, command, flags, message):
-        import hdpaired.inference as inference
-
-        def no_draws(*args, **kwargs):
-            raise AssertionError("replicates drawn before the interval arguments were checked")
-
-        monkeypatch.setattr(inference, "_replicates", no_draws)
         x, y = latent_pair
+        self._forbid_work_before_checks(monkeypatch, command)
         rc = run([*command, "--x", x, "--y", y, "--b", 200000, *flags, "--out", tmp_path / "o"])
         assert rc == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"error": "ValueError", "message": message}
+
+    def test_report_on_three_subjects_fails_on_the_interval_first(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # The dCor t-test would fail too (it needs n >= 4); the interval
+        # message comes first.
+        rng = np.random.default_rng(3)
+        paths = []
+        for name in ("x", "y"):
+            paths.append(str(tmp_path / f"{name}.bin"))
+            save_matrix(FeatureMatrix(rng.standard_normal((3, 4)), ("a", "b", "c")),
+                        paths[-1], "bin")
+        self._forbid_work_before_checks(monkeypatch, ["report"])
+        assert run(["report", "--x", paths[0], "--y", paths[1], "--out", tmp_path / "o"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError",
+                       "message": "subsample size round(0.135 * 3) = 0 < 4"}
+
+    @staticmethod
+    def _forbid_work_before_checks(monkeypatch, command):
+        """Make every replicate draw fail the test, and for `report` also the
+        dCor t-test and every distance build."""
+        import hdpaired.cli as cli
+        import hdpaired.inference as inference
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work done before the interval arguments were checked")
+
+        monkeypatch.setattr(inference, "_replicates", forbidden)
+        if command == ["report"]:
+            monkeypatch.setattr(cli, "dcor_ttest", forbidden)
+            monkeypatch.setattr(cli, "distance_matrix", forbidden)
 
 
 @pytest.fixture()

@@ -1,19 +1,28 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdpaired import inference
-from hdpaired._util import STREAM_BOOTSTRAP, STREAM_PERMUTATION, STREAM_SUBSAMPLE, pearson_or_nan
+from hdpaired._util import (
+    STREAM_BOOTSTRAP,
+    STREAM_PERMUTATION,
+    STREAM_SUBSAMPLE,
+    pearson_or_nan,
+    replicate_rng,
+)
 from hdpaired.distances import DistanceMatrix, distance_matrix, upper_triangle
 from hdpaired.inference import (
     _observed_statistic,
+    _permutations,
     _replicates,
     bootstrap_distribution,
     dcor_ttest,
@@ -224,6 +233,40 @@ class TestUcenter:
         with pytest.raises(ValueError, match="n >= 4"):
             ucenter(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("n", [4, 13, 16])
+    def test_same_bits_as_the_one_line_expression(self, n):
+        dx, _ = random_distance_pair(n, seed=n)
+        u = ucenter(dx)
+        assert u.tobytes() == one_line_ucenter(dx.data).tobytes()
+        assert not dx.data.flags.writeable and u.flags.writeable
+
+
+def one_line_ucenter(a):
+    """U-centering as one out-of-place expression, the reference for the
+    in-place steps."""
+    n = a.shape[0]
+    u = (a - a.sum(axis=1)[:, None] / (n - 2) - a.sum(axis=0)[None, :] / (n - 2)
+         + a.sum() / ((n - 1) * (n - 2)))
+    np.fill_diagonal(u, 0.0)
+    return u
+
+
+def dcor_reference(x, y):
+    """(r, t, p) of the dCor t-test from the two U-centered distance matrices
+    written out in full and one product buffer per sum."""
+    n = x.n_subjects
+    ux = one_line_ucenter(distance_matrix(x, "euclidean").data)
+    uy = one_line_ucenter(distance_matrix(y, "euclidean").data)
+    scale = n * (n - 3)
+    vxy = float(np.multiply(ux, uy).sum()) / scale
+    vx = float(np.multiply(ux, ux).sum()) / scale
+    vy = float(np.multiply(uy, uy).sum()) / scale
+    r = vxy / math.sqrt(vx * vy)
+    v = n * (n - 3) // 2
+    rc = min(max(r, -1.0), 1.0)
+    t = math.sqrt(v - 1) * rc / math.sqrt(1.0 - rc * rc)
+    return r, t, float(scipy.special.stdtr(v - 1, -t))
+
 
 class TestDcorTtest:
     def test_self_dependence(self):
@@ -268,6 +311,31 @@ class TestDcorTtest:
         y = fm(np.random.default_rng(19).standard_normal((6, 2)))
         with pytest.raises(ValueError, match=r"degenerate U-centered matrix \(constant features\)"):
             dcor_ttest(fm(np.ones((6, 3))), y)
+
+    @pytest.mark.parametrize("n", [4, 5, 13, 16, 37, 256])
+    def test_same_bits_as_the_written_out_formula(self, n):
+        # 4, 5, 13 and 37 rows are padded for the Gram product; 16 and 256 are not.
+        rng = np.random.default_rng(60 + n)
+        x = rng.standard_normal((n, 6))
+        y = fm(x[:, :3] + rng.standard_normal((n, 3)))
+        res = dcor_ttest(fm(x), y)
+        assert (res.bias_corrected_r, res.t_statistic, res.p_value) == dcor_reference(fm(x), y)
+
+    def test_every_distance_matrix_check_runs(self, monkeypatch):
+        built = []
+        build = inference.distance_matrix
+        monkeypatch.setattr(inference, "distance_matrix",
+                            lambda m, metric: built.append(build(m, metric)) or built[-1])
+        x = fm(np.random.default_rng(21).standard_normal((7, 3)))
+        dcor_ttest(x, x)
+        assert [(type(d), d.metric_tag, d.n_subjects) for d in built] == [
+            (DistanceMatrix, "euclidean", 7)] * 2
+        # Rows scaled by 1e200 overflow the Gram product, on purpose.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for pair in ((fm(1e200 * x.data), x), (x, fm(1e200 * x.data))):
+                with pytest.raises(ValueError,
+                                   match="distance matrix contains non-finite entries"):
+                    dcor_ttest(*pair)
 
 
 class TestSubsampleCi:
@@ -527,6 +595,26 @@ class TestReplicateEngine:
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1] and len(outputs[0].split()) == 2
 
+    def test_permutations_match_the_stable_sort_on_tied_words(self):
+        rng = np.random.default_rng(35)
+        raw = rng.integers(0, 2**64, size=(6, 40), dtype=np.uint64)
+        raw[1, 7] = raw[1, 30]  # one repeated word
+        raw[2] = rng.integers(0, 3, size=40)  # many repeats
+        raw[3] = 12345  # all equal
+        raw[4, ::2] = raw[4, 1::2]  # every word twice
+        got = _permutations(raw)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, raw.argsort(axis=1, kind="stable"))
+        assert np.array_equal(got[3], np.arange(40))
+
+    @pytest.mark.parametrize("n", [4, 150, 2000])
+    def test_draws_are_stable_argsorts_of_the_raw_words(self, n):
+        # b crosses a block boundary at n=2000 (65 draws per block).
+        b = 70
+        raw = replicate_rng(8, STREAM_PERMUTATION).bit_generator.random_raw((b, n))
+        assert np.array_equal(replicate_draws(n, b, 8, STREAM_PERMUTATION),
+                              raw.argsort(axis=1, kind="stable"))
+
     def test_replicates_are_a_prefix_of_a_longer_run(self):
         # At n=300 a block holds 436 replicates: b=300 is one short block,
         # b=1000 two full blocks and a short one.
@@ -538,3 +626,37 @@ class TestReplicateEngine:
         for stream, replace in ((STREAM_PERMUTATION, False), (STREAM_BOOTSTRAP, True)):
             head = replicate_draws(300, 300, 6, stream, replace)
             assert np.array_equal(head, replicate_draws(300, 1000, 6, stream, replace)[:300])
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes numpy and Python allocate during fn(), after one warm-up
+    call (numpy reports its buffers to tracemalloc)."""
+    fn()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """Peak allocations in units of one n x n float array, at n=256 and at
+    n=250, where the Gram product is padded to 256 rows."""
+
+    @pytest.mark.parametrize("n", [256, 250])
+    def test_dcor_holds_two_matrices(self, n):
+        rng = np.random.default_rng(n)
+        x, y = fm(rng.standard_normal((n, 8))), fm(rng.standard_normal((n, 6)))
+        assert traced_peak(lambda: dcor_ttest(x, y)) <= 2.75 * 8 * n * n
+
+    @pytest.mark.parametrize("n", [256, 250])
+    def test_replicate_setup_holds_one_triangle(self, n):
+        dx, dy = random_distance_pair(n, seed=n)
+        assert traced_peak(lambda: permutation_test(dx, dy, b=1)) <= 2.0 * 8 * n * n
+        assert traced_peak(lambda: subsample_ci(dx, dy, b=2)) <= 2.0 * 8 * n * n
