@@ -1,8 +1,8 @@
 """Functional-connectivity features from raw ROI time series.
 
 Builds a synthetic multi-subject resting-state-like dataset (shared slow
-oscillations + nuisance drift + noise), then runs the per-subject pipeline:
-OLS nuisance residualization, first-order Butterworth bandpass
+oscillations + nuisance drift + noise), then runs the pipeline on every
+subject: OLS nuisance residualization, first-order Butterworth bandpass
 (0.08-0.15 Hz, zero-phase), and pairwise Pearson correlation over ROI
 pairs.
 """
@@ -13,7 +13,7 @@ from hdpaired.fcg import (
     BandpassSpec,
     NuisanceMatrix,
     RoiTimeSeries,
-    fcg_from_timeseries,
+    fcg_from_many,
     pca_regressors,
 )
 from hdpaired.matrixio import FeatureMatrix
@@ -24,7 +24,7 @@ T, m, n_subjects = 840, 8, 6
 fs = 1.0
 t = np.arange(T) / fs
 
-rows = []
+subjects, rows = [], []
 for subj in range(n_subjects):
     # two in-band oscillations shared by ROI groups, per-subject phase
     osc_a = np.sin(2 * np.pi * 0.10 * t + rng.uniform(0, 2 * np.pi))
@@ -40,7 +40,10 @@ for subj in range(n_subjects):
     wm_voxels = drift[:, None] + 0.3 * rng.standard_normal((T, 50))
     nuisance = NuisanceMatrix(np.column_stack([drift, pca_regressors(wm_voxels, 3)]))
 
-    vec = fcg_from_timeseries(ts, nuisance, BandpassSpec(0.08, 0.15, 1))
+    subjects.append((ts, nuisance))
+
+# Filtering runs on all subjects' ROI columns as one block.
+for subj, vec in enumerate(fcg_from_many(subjects, BandpassSpec(0.08, 0.15, 1))):
     rows.append(vec)
     print(f"subject {subj}: FCG vector of length {vec.size} "
           f"(mean within-group corr {vec[:3].mean():.3f})")

@@ -32,6 +32,7 @@ from hdpaired.fcg import (
     NuisanceMatrix,
     RoiTimeSeries,
     butterworth_bandpass,
+    fcg_from_many,
     fcg_from_timeseries,
     ols_residualize,
     pca_regressors,

@@ -32,7 +32,7 @@ import yaml
 
 import hdpaired
 from hdpaired.distances import METRICS, distance_matrix, upper_triangle
-from hdpaired.fcg import BandpassSpec, NuisanceMatrix, RoiTimeSeries, fcg_from_timeseries
+from hdpaired.fcg import BandpassSpec, NuisanceMatrix, RoiTimeSeries, fcg_from_many
 from hdpaired.inference import (
     bootstrap_distribution,
     dcor_ttest,
@@ -256,6 +256,25 @@ def _cmd_synth(cfg: dict) -> None:
     )
 
 
+def _fcg_inputs(cfg: dict, subjects: list[str], inputs: dict[str, str]):
+    """Each subject's (series, nuisance regressors or None), read in order;
+    the files read are recorded in `inputs`."""
+    for sid in subjects:
+        ts_path = os.path.join(cfg["input"], sid + ".csv")
+        series = _read_plain_csv(ts_path)
+        inputs[sid + ".csv"] = ts_path
+        if cfg["no_nuisance"]:
+            regressors = None
+        else:
+            nu_path = os.path.join(cfg["input"], sid + cfg["nuisance_suffix"])
+            if not os.path.exists(nu_path):
+                raise CliError(f"missing nuisance file for subject {sid!r}: {nu_path}")
+            inputs[sid + cfg["nuisance_suffix"]] = nu_path
+            regressors = _read_plain_csv(nu_path)
+        yield (RoiTimeSeries(series, cfg["fs"]),
+               None if regressors is None else NuisanceMatrix(regressors))
+
+
 def _cmd_fcg(cfg: dict) -> None:
     spec = BandpassSpec(cfg["low"], cfg["high"], cfg["order"])
     suffix = cfg["nuisance_suffix"]
@@ -268,25 +287,17 @@ def _cmd_fcg(cfg: dict) -> None:
     inputs: dict[str, str] = {}
     rows = []
     width = None
+    # The k-th vector, or the k-th failure, is subject k's (see fcg_from_many).
+    vectors = fcg_from_many(_fcg_inputs(cfg, subjects, inputs), spec,
+                            zero_phase=not cfg["no_zero_phase"])
     for sid in subjects:
-        ts_path = os.path.join(cfg["input"], sid + ".csv")
-        series = _read_plain_csv(ts_path)
-        inputs[sid + ".csv"] = ts_path
-        if cfg["no_nuisance"]:
-            regressors = None
-        else:
-            nu_path = os.path.join(cfg["input"], sid + suffix)
-            if not os.path.exists(nu_path):
-                raise CliError(f"missing nuisance file for subject {sid!r}: {nu_path}")
-            inputs[sid + suffix] = nu_path
-            regressors = _read_plain_csv(nu_path)
-        # A read error names its own file; any later failure is this subject's.
+        # A read error names its own file; any other failure is this subject's.
         try:
-            ts = RoiTimeSeries(series, cfg["fs"])
-            nuis = None if regressors is None else NuisanceMatrix(regressors)
-            vec = fcg_from_timeseries(ts, nuis, spec, zero_phase=not cfg["no_zero_phase"])
+            vec = next(vectors)
+        except CliError:
+            raise
         except ValueError as exc:
-            raise CliError(f"{ts_path}: {exc}") from None
+            raise CliError(f"{os.path.join(cfg['input'], sid + '.csv')}: {exc}") from None
         if width is None:
             width = vec.size
         elif vec.size != width:
@@ -304,8 +315,12 @@ def _cmd_fcg(cfg: dict) -> None:
 
 
 def _read_plain_csv(path: str) -> np.ndarray:
-    """Numeric CSV with one header row (column labels are ignored)."""
-    return read_csv(path, labels=False)[2]
+    """Numeric CSV with one header row (column labels are ignored).  A
+    parse error is a CliError that names the file."""
+    try:
+        return read_csv(path, labels=False)[2]
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _cmd_dist(cfg: dict) -> None:

@@ -11,6 +11,7 @@ import pytest
 
 from hdpaired.cli import _COMMANDS, _read_plain_csv, _resolve, build_parser, main
 from hdpaired.distances import distance_matrix
+from hdpaired.fcg import NuisanceMatrix, RoiTimeSeries, fcg_from_timeseries
 from hdpaired.matrixio import FeatureMatrix, load_matrix, save_matrix
 from hdpaired.scca import SccaSolver
 
@@ -478,6 +479,78 @@ class TestFcg:
         assert outs[0] == outs[1]
 
 
+class TestFcgBlocks:
+    """`fcg` filters consecutive subjects with the same T as one block of at
+    most fcg._BLOCK_BYTES; no output bit and no error depends on that."""
+
+    # Two runs of T = 60 around one of T = 80, so blocks also split on T.
+    LENGTHS = (60, 60, 60, 80, 80, 60)
+    BUDGETS = pytest.mark.parametrize("budget", [1, 1 << 40],
+                                      ids=["one-subject-blocks", "one-block"])
+
+    def write_dir(self, tmp_path):
+        src = tmp_path / "ts"
+        src.mkdir()
+        for i, t in enumerate(self.LENGTHS):
+            TestFcg().write_subject(src, f"s{i}", t=t, m=4, seed=20 + i)
+        return src
+
+    @BUDGETS
+    def test_output_bytes_do_not_depend_on_blocks(self, tmp_path, monkeypatch, budget):
+        src = self.write_dir(tmp_path)
+        out = tmp_path / "o"
+        assert run(["fcg", "--input", src, "--out", out]) == 0
+        want = [(out / name).read_bytes() for name in ("fcg.bin", "fcg_report.json")]
+        monkeypatch.setattr("hdpaired.fcg._BLOCK_BYTES", budget)
+        assert run(["fcg", "--input", src, "--out", out]) == 0
+        assert [(out / name).read_bytes() for name in ("fcg.bin", "fcg_report.json")] == want
+        # ... and the rows are those of the per-subject pipeline.
+        rows = load_matrix(str(out / "fcg.bin"), "bin").data
+        for i in range(len(self.LENGTHS)):
+            series = RoiTimeSeries(_read_plain_csv(str(src / f"s{i}.csv")), 1.0)
+            nuis = NuisanceMatrix(_read_plain_csv(str(src / f"s{i}.nuisance.csv")))
+            assert rows[i].tobytes() == fcg_from_timeseries(series, nuis).tobytes()
+
+    @BUDGETS
+    @pytest.mark.parametrize("scale, message", [
+        (1e-200, "zero-variance ROI columns: indices [1]"),
+        (5e307, "time series contains non-finite entries"),
+    ], ids=["underflow", "overflow"])
+    @pytest.mark.parametrize("later", ["unparseable", "directory"])
+    def test_mid_block_failure_comes_before_a_later_one(self, tmp_path, monkeypatch, capsys,
+                                                        budget, scale, message, later):
+        # ROI 1 of s1 is not constant and its residual is finite.  At a
+        # scale of 1e-200 its squares underflow, so it has zero variance
+        # once filtered; at 5e307 the order-3 filter overflows.  s1 sits
+        # mid-block (T = 60 for s0..s2) and s3 cannot be read: s1 fails
+        # first, under its own name, whatever the blocks.
+        src = self.write_dir(tmp_path)
+        path = src / "s1.csv"
+        data = _read_plain_csv(str(path))
+        data[:, 1] *= scale
+        path.write_text("r0,r1,r2,r3\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in data))
+        if later == "unparseable":
+            (src / "s3.csv").write_text("r0,r1,r2,r3\n1.0,2.0\n")
+        else:
+            (src / "s3.csv").unlink()
+            (src / "s3.csv").mkdir()
+        monkeypatch.setattr("hdpaired.fcg._BLOCK_BYTES", budget)
+        assert run(["fcg", "--input", src, "--order", 3, "--out", tmp_path / "o"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == f"{path}: {message}"
+
+    @BUDGETS
+    def test_filter_design_error_names_the_first_subject(self, tmp_path, monkeypatch, capsys,
+                                                         budget):
+        src = self.write_dir(tmp_path)
+        (src / "s1.csv").write_text("r0,r1,r2,r3\n1.0,2.0\n")
+        monkeypatch.setattr("hdpaired.fcg._BLOCK_BYTES", budget)
+        assert run(["fcg", "--input", src, "--high", 0.6, "--out", tmp_path / "o"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == f"{src / 's0.csv'}: band edge 0.6 Hz at or beyond Nyquist (0.5 Hz)"
+
+
 class TestConfigPrecedence:
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_threads_below_one_rejected(self, tmp_path, latent_pair, capsys, source):
@@ -718,6 +791,32 @@ def test_dist_and_subcluster_load_no_scipy(tmp_path, planted_pair):
     code = ("import sys; from hdpaired.cli import main; "
             f"assert all(main(args) == 0 for args in {[[str(a) for a in s] for s in steps]!r}); "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(), check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_fcg_loads_no_scipy_signal(tmp_path):
+    # The bandpass design and filter are numpy: fcg loads scipy.linalg for
+    # the pivoted QR of its residualization, but no scipy.signal module,
+    # and designing and applying the filter alone loads no scipy at all.
+    src = tmp_path / "ts"
+    src.mkdir()
+    for i in range(3):
+        TestFcg().write_subject(src, f"s{i}", seed=i)
+    args = [str(a) for a in ("fcg", "--input", src, "--out", tmp_path / "o")]
+    scipy_modules = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+    code = ("import sys; from hdpaired.cli import main; "
+            f"assert main({args!r}) == 0; mods = {scipy_modules}; "
+            "print('scipy.linalg' in mods, [m for m in mods if m.startswith('scipy.signal')])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(), check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "True []"
+    code = ("import sys; import numpy as np; "
+            "from hdpaired.fcg import BandpassSpec, RoiTimeSeries, butterworth_bandpass, "
+            "design_bandpass; design_bandpass(BandpassSpec(order=3), 1.0); "
+            "butterworth_bandpass(RoiTimeSeries(np.arange(40.0).reshape(20, 2) % 7, 1.0)); "
+            f"print({scipy_modules})")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_child_env(), check=True)
     assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -5,8 +5,10 @@ from hdpaired.fcg import (
     BandpassSpec,
     NuisanceMatrix,
     RoiTimeSeries,
+    _designed_filter,
     butterworth_bandpass,
     design_bandpass,
+    fcg_from_many,
     fcg_from_timeseries,
     ols_residualize,
     pca_regressors,
@@ -133,6 +135,72 @@ class TestButterworthBandpass:
             )
 
 
+def _same_bits(got, want):
+    want = np.ascontiguousarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestScipyOracle:
+    """The numpy design and filter against scipy.signal, bit for bit.
+    scipy.signal is imported here only."""
+
+    @pytest.mark.parametrize("fs", [0.5, 1.0, 1 / 0.72])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_design_matches_butter(self, order, fs):
+        import scipy.signal
+
+        for low, high in ((0.01, 0.08), (0.08, 0.15), (0.009, 0.1), (0.001, 0.2), (0.05, 0.24)):
+            b, a = design_bandpass(BandpassSpec(low, high, order), fs)
+            want_b, want_a = scipy.signal.butter(order, [low, high], btype="bandpass", fs=fs)
+            assert _same_bits(b, want_b) and _same_bits(a, want_a), (low, high)
+            (_, _, zi), _ = _designed_filter(BandpassSpec(low, high, order), fs)
+            assert _same_bits(zi, scipy.signal.lfilter_zi(b, a))
+
+    @pytest.mark.parametrize("t", [3, 4, 120, 240, 6000])
+    @pytest.mark.parametrize("order, fs", [(1, 1.0), (2, 1 / 0.72), (3, 0.5)])
+    def test_filter_matches_filtfilt_and_lfilter(self, t, order, fs):
+        import scipy.signal
+
+        spec = BandpassSpec(0.01, 0.2, order)
+        b, a = design_bandpass(spec, fs)
+        padlen = min(_designed_filter(spec, fs)[1], t - 1)
+        assert (padlen == t - 1) == (t <= 240)  # the pad is clamped to T - 1 up to T = 240
+        rng = np.random.default_rng(t + order)
+        for c in (1, 37):
+            x = 3.0 * rng.standard_normal((t, c)) + 1.0
+            got = butterworth_bandpass(ts(x, fs), spec).data
+            want = scipy.signal.filtfilt(b, a, x, axis=0, padtype="even", padlen=padlen)
+            assert _same_bits(got, want), ("zero-phase", c)
+            got = butterworth_bandpass(ts(x, fs), spec, zero_phase=False).data
+            assert _same_bits(got, scipy.signal.lfilter(b, a, x, axis=0)), ("causal", c)
+
+    def test_signed_zeros_match(self):
+        # Exact zeros of both signs take the same path through every update.
+        import scipy.signal
+
+        spec = BandpassSpec()
+        b, a = design_bandpass(spec, 1.0)
+        x = np.random.default_rng(15).standard_normal((200, 5))
+        x[:, 0] = 0.0
+        x[:, 1] = -0.0
+        x[50:120, 2] = 0.0
+        x[::3, 3] = -0.0
+        x[:, 4] = np.where(np.arange(200) % 2, 0.0, -0.0)
+        padlen = min(_designed_filter(spec, 1.0)[1], 199)
+        got = butterworth_bandpass(RoiTimeSeries(x, 1.0), spec).data
+        assert _same_bits(got, scipy.signal.filtfilt(b, a, x, axis=0, padtype="even",
+                                                     padlen=padlen))
+        got = butterworth_bandpass(RoiTimeSeries(x, 1.0), spec, zero_phase=False).data
+        assert _same_bits(got, scipy.signal.lfilter(b, a, x, axis=0))
+
+    def test_columns_filter_alike_alone_and_stacked(self):
+        rng = np.random.default_rng(16)
+        parts = [rng.standard_normal((240, m)) for m in (3, 1, 8)]
+        stacked = butterworth_bandpass(ts(np.hstack(parts))).data
+        alone = np.hstack([butterworth_bandpass(ts(part)).data for part in parts])
+        assert _same_bits(stacked, alone)
+
+
 class TestPearsonFcg:
     def test_identical_pair(self):
         col = np.random.default_rng(7).standard_normal(50)
@@ -188,6 +256,53 @@ class TestPipeline:
         data[:, 2] = 0.3
         with pytest.raises(ValueError, match=r"zero-variance ROI columns: indices \[2\]"):
             fcg_from_timeseries(ts(data))
+
+    @staticmethod
+    def subjects():
+        # Runs of equal T and fs, split by a change of T and one of fs;
+        # the second subject has no nuisance regressors and other widths.
+        rng = np.random.default_rng(17)
+        shapes = [(60, 4, 1.0), (60, 3, 1.0), (60, 4, 1.0), (80, 4, 1.0), (80, 4, 0.5),
+                  (80, 4, 0.5)]
+        return [(ts(rng.standard_normal((t, m)), fs),
+                 None if i == 1 else NuisanceMatrix(rng.standard_normal((t, 2))))
+                for i, (t, m, fs) in enumerate(shapes)]
+
+    @pytest.mark.parametrize("budget", [1, 4000, 1 << 40])
+    @pytest.mark.parametrize("zero_phase", [True, False])
+    def test_many_equals_one_at_a_time(self, monkeypatch, budget, zero_phase):
+        monkeypatch.setattr("hdpaired.fcg._BLOCK_BYTES", budget)
+        spec = BandpassSpec(0.05, 0.2, 2)
+        got = list(fcg_from_many(self.subjects(), spec, zero_phase))
+        want = [fcg_from_timeseries(t, n, spec, zero_phase) for t, n in self.subjects()]
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+    @pytest.mark.parametrize("budget", [1, 1 << 40])
+    @pytest.mark.parametrize("first, error, match", [
+        (1, ValueError, r"zero-variance ROI columns: indices \[0\]"),
+        (2, ValueError, "rank-deficient design"),
+        (4, OSError, "unreadable"),
+    ])
+    def test_first_failure_in_subject_order(self, monkeypatch, budget, first, error, match):
+        # Subject 1 fails only once filtered (its ROI 0 underflows to zero
+        # variance), subject 2 in residualization, and the input itself at
+        # subject 4.  The first of these to fail is raised by its own
+        # subject's next(), after every earlier subject's vector.
+        monkeypatch.setattr("hdpaired.fcg._BLOCK_BYTES", budget)
+        pairs = self.subjects()
+        if first <= 1:
+            pairs[1] = (ts(pairs[1][0].data * [1e-200, 1, 1]), None)
+        if first <= 2:
+            pairs[2] = (pairs[2][0], NuisanceMatrix(np.ones((60, 1))))
+
+        def source():
+            yield from pairs[:4]
+            raise OSError("unreadable")
+
+        vectors = fcg_from_many(source())
+        assert [next(vectors).size for _ in range(first)] == [6, 3, 6, 6][:first]
+        with pytest.raises(error, match=match):
+            next(vectors)
 
     def test_pca_regressors_shape_and_unit_norm(self):
         rng = np.random.default_rng(13)
