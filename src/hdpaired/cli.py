@@ -218,9 +218,17 @@ def _load_pair(cfg: dict) -> tuple[FeatureMatrix, FeatureMatrix]:
     return ds.x, ds.y
 
 
-def _load_model(path: str) -> tuple[FittedSccaModel, SccaParams, list[str]]:
+def _load_model(path: str, x: FeatureMatrix,
+                y: FeatureMatrix) -> tuple[FittedSccaModel, list[str]]:
+    """The model at path and its training ids, once its column counts are
+    checked against the input matrices."""
     with open(path, "r", encoding="utf-8") as f:
-        return FittedSccaModel.from_json(json.load(f))
+        model, _, train_ids = FittedSccaModel.from_json(json.load(f))
+    fit_widths = (model.x_standardizer.n_columns, model.y_standardizer.n_columns)
+    if fit_widths != (x.n_features, y.n_features):
+        raise CliError(f"model {path} was fit on {fit_widths[0]} x and {fit_widths[1]} y "
+                       f"columns, but the inputs have {x.n_features} and {y.n_features}")
+    return model, train_ids
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +558,7 @@ def _cmd_scca_cv(cfg: dict) -> None:
 
 def _cmd_scca_eval(cfg: dict) -> None:
     x, y = _load_pair(cfg)
-    model, _, _ = _load_model(cfg["model"])
+    model, _ = _load_model(cfg["model"], x, y)
     corr = evaluate_test(model, x.data, y.data)
     _write_json(
         os.path.join(cfg["out"], "scca_eval.json"),
@@ -562,7 +570,7 @@ def _cmd_scca_eval(cfg: dict) -> None:
 
 def _cmd_subcluster(cfg: dict) -> None:
     x, y = _load_pair(cfg)
-    model, _, train_ids = _load_model(cfg["model"])
+    model, train_ids = _load_model(cfg["model"], x, y)
     train = set(train_ids)
     rows = [i for i, sid in enumerate(x.subject_ids) if sid in train]
     if len(rows) < len(train):

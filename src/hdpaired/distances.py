@@ -109,12 +109,7 @@ class DistanceMatrix:
 
 def d_x(x: np.ndarray, x2: np.ndarray) -> float:
     """Euclidean distance scaled by the number of features, ||x - x'||_2 / p."""
-    x = np.asarray(x, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if x.shape != x2.shape or x.ndim != 1 or x.size < 1:
-        raise ValueError(f"length mismatch: {x.shape} vs {x2.shape}")
-    diff = x - x2
-    return float(np.sqrt(np.dot(diff, diff)) / x.size)
+    return euclidean(x, x2) / np.size(x)
 
 
 def euclidean(x: np.ndarray, x2: np.ndarray) -> float:

@@ -45,6 +45,8 @@ class RoiTimeSeries:
             raise ValueError("time series contains non-finite entries")
         if not self.fs > 0:
             raise ValueError(f"sampling frequency must be positive, got {self.fs}")
+        if self.fs == np.inf:
+            raise ValueError(f"sampling frequency must be finite, got {self.fs}")
         object.__setattr__(self, "data", _as_readonly(data))
         object.__setattr__(self, "fs", float(self.fs))
 

@@ -13,12 +13,12 @@ and bootstrap procedures all take that pair, built once by
   subjects zero out distance entries).
 
 Replicates are drawn in blocks from one generator keyed by (seed, stream);
-each block jumps straight to its first replicate's draws.  Replicate i is
-therefore a function of the data, seed, i and n alone: the same across runs,
-b, thread counts and block sizes, and the first b replicates of a larger
-run.  Each statistic takes a whole block of draws: the permutation
-statistic loops over it, the subsample and bootstrap statistic forms the
-sums of a chunk of draws in one batched product (one BLAS syrk per draw).
+each thread's run of blocks jumps straight to its first replicate's draws.
+Replicate i is therefore a function of the data, seed, i and n alone: the
+same across runs, b, thread counts and block sizes, and the first b
+replicates of a larger run.  Only the engine sizes a block, and each statistic takes it whole: the
+permutation statistic loops over it, the subsample and bootstrap statistic
+forms its sums in one batched product (one BLAS syrk per draw).
 Permutation replicates and the observed value make no BLAS call, and syrk
 does not split its sums across threads, so no replicate depends on the BLAS
 thread count either.
@@ -42,15 +42,10 @@ from hdpaired._util import (
 from hdpaired.distances import DistanceMatrix, distance_matrix, upper_triangle
 from hdpaired.matrixio import FeatureMatrix
 
-# Byte budget of one block's raw draws (rows x n 64-bit words): 873
-# replicates per block at n=150, 65 at n=2000.  Threads split the work
-# across blocks; no result depends on this value.
-_BLOCK_BYTES = 1 << 20
-
-# Byte budget of one chunk of the subsample and bootstrap statistic (rows x
-# the 2 x K doubles of a draw's stacked pair triangles): 23 draws per chunk
-# at K = 703 pairs, one at K = 36,315.  No result depends on this value.
-_CHUNK_BYTES = 1 << 18
+# Byte budget of one block of draws (`_replicates`): 218 permutation draws at
+# n=150, 16 at n=2000; 23 subsample draws at K = 703 pairs, one at K = 36,315.
+# No result depends on this value.
+_BLOCK_BYTES = 1 << 18
 
 # Byte budget of one row tile of the permutation kernel (rows x n doubles):
 # 16 rows at n=2000, one tile for every n <= 181.  The tile height fixes the
@@ -60,7 +55,7 @@ _TILE_BYTES = 1 << 18
 
 
 def _replicates(stat, n: int, b: int, seed: int, stream: int, threads: int = 1,
-                replace: bool = False) -> np.ndarray:
+                replace: bool = False, draw_bytes: int = 0) -> np.ndarray:
     """stat(draws) for b index draws of length n, in replicate order.
 
     Replicate i reads the raw 64-bit outputs i*n .. (i+1)*n - 1 of the
@@ -68,25 +63,30 @@ def _replicates(stat, n: int, b: int, seed: int, stream: int, threads: int = 1,
     `_permutations`, is a uniform permutation of 0..n-1 (two equal words,
     the only source of bias, come with probability below n**2 / 2**65); with
     replace=True each output mod n is one draw with replacement (bias below
-    n / 2**64).  Each block
-    jumps to its first replicate with `advance`, so replicate i depends on
-    neither b, the block size nor the thread count.  `stat` is handed a
-    whole block, a (rows, n) array of draws, and returns one value per
-    draw; how it batches them must not change any value.
+    n / 2**64).  A block holds max(1, _BLOCK_BYTES // max(8n, draw_bytes))
+    draws, where draw_bytes is what `stat` holds per draw.  The blocks go in
+    at most `threads` runs of consecutive blocks; a run jumps to its first
+    replicate with `advance` and reads on, so one generator is keyed per
+    run and replicate i depends on neither b, the block size nor the thread
+    count.  `stat` maps a block's (rows, n) draws to one value each; no
+    value may depend on the block height.
     """
-    rows = max(1, _BLOCK_BYTES // (8 * n))
+    rows = max(1, _BLOCK_BYTES // max(8 * n, draw_bytes))
+    starts = range(0, b, rows)
+    per_run = -(-len(starts) // max(1, threads))
 
-    def block(start: int) -> np.ndarray:
+    def run(part: range) -> np.ndarray:
         bits = replicate_rng(seed, stream).bit_generator
-        bits.advance(start * n)
-        raw = bits.random_raw((min(rows, b - start), n))
-        if replace:
-            draws = (raw % np.uint64(n)).astype(np.intp)
-        else:
-            draws = _permutations(raw)
-        return stat(draws)
+        bits.advance(part[0] * n)
+        values = []
+        for start in part:
+            raw = bits.random_raw((min(rows, b - start), n))
+            draws = (raw % np.uint64(n)).astype(np.intp) if replace else _permutations(raw)
+            values.append(stat(draws))
+        return np.concatenate(values)
 
-    return np.concatenate(parallel_map(block, range(0, b, rows), threads))
+    parts = [starts[i:i + per_run] for i in range(0, len(starts), per_run)]
+    return np.concatenate(parallel_map(run, parts, threads))
 
 
 def _permutations(raw: np.ndarray) -> np.ndarray:
@@ -110,43 +110,38 @@ def _permutations(raw: np.ndarray) -> np.ndarray:
 
 
 def _pair_pearson(dx: DistanceMatrix, dy: DistanceMatrix, m: int):
-    """Statistic of a block of draws: for each draw s, the Pearson
-    correlation over the K = m(m-1)/2 distance pairs of the subjects s[:m]
-    in both matrices, NaN where either side is constant (m >= 4, so K >= 6).
+    """Statistic of a block of draws and its bytes per draw: for each draw
+    s, the Pearson correlation over the K = m(m-1)/2 distance pairs of the
+    subjects s[:m] in both matrices, NaN where either side is constant
+    (m >= 4, so K >= 6).  A draw holds 16K bytes: its 2 x K pair values.
 
-    Draws go in chunks of max(1, _CHUNK_BYTES // (16K)) rows.  A chunk's
-    pairs are gathered through one flat index straight into a (rows, 2, K)
-    stack, centered row by row, and its sums come from one batched
-    c @ c.transpose(0, 2, 1).  numpy runs each stacked product as BLAS syrk,
-    which does not split the inner sums across threads, so every value is
-    the bits of pearson_or_nan on the two gathered vectors at any chunk
-    height and any BLAS thread count.
+    A block's pairs are gathered through one flat index straight into a
+    (rows, 2, K) stack, centered row by row, and its sums come from one
+    batched c @ c.transpose(0, 2, 1).  numpy runs each stacked product as
+    BLAS syrk, which does not split the inner sums across threads, so every
+    value is the bits of pearson_or_nan on the two gathered vectors at any
+    block height and any BLAS thread count.
     """
     n = dx.n_subjects
     im, jm = np.triu_indices(m, 1)
-    rows = max(1, _CHUNK_BYTES // (16 * im.size))
     fx, fy = dx.data.ravel(), dy.data.ravel()
 
     def stat(draws: np.ndarray) -> np.ndarray:
-        out = np.empty(len(draws))
-        for a in range(0, len(draws), rows):
-            s = draws[a:a + rows]
-            k = (s[:, :m] * n).take(im, axis=1)  # [:, im] took twice as long at m=270
-            k += s.take(jm, axis=1)
-            c = np.empty((len(s), 2, im.size))
-            # mode="clip" (the indices are in range): under the default
-            # "raise", take buffers its output and copies it over.
-            fx.take(k, out=c[:, 0], mode="clip")
-            fy.take(k, out=c[:, 1], mode="clip")
-            c -= c.mean(axis=2, keepdims=True)
-            sums = c @ c.transpose(0, 2, 1)
-            ssx, sxy, ssy = sums[:, 0, 0], sums[:, 0, 1], sums[:, 1, 1]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = sxy / np.sqrt(ssx * ssy)
-            out[a:a + len(s)] = np.where((ssx == 0.0) | (ssy == 0.0), np.nan, r)
-        return out
+        k = (draws[:, :m] * n).take(im, axis=1)  # [:, im] took twice as long at m=270
+        k += draws.take(jm, axis=1)
+        c = np.empty((len(draws), 2, im.size))
+        # mode="clip" (the indices are in range): under the default
+        # "raise", take buffers its output and copies it over.
+        fx.take(k, out=c[:, 0], mode="clip")
+        fy.take(k, out=c[:, 1], mode="clip")
+        c -= c.mean(axis=2, keepdims=True)
+        sums = c @ c.transpose(0, 2, 1)
+        ssx, sxy, ssy = sums[:, 0, 0], sums[:, 0, 1], sums[:, 1, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = sxy / np.sqrt(ssx * ssy)
+        return np.where((ssx == 0.0) | (ssy == 0.0), np.nan, r)
 
-    return stat
+    return stat, 16 * im.size
 
 
 def _cross_product(dx: DistanceMatrix, dy: DistanceMatrix,
@@ -455,6 +450,8 @@ class ConfidenceInterval:
 def subsample_size(n: int, ratio: float, b: int, level: float, method: str) -> int:
     """The subsample size round(ratio * n) of `subsample_ci`, after checking
     its arguments; raises the ValueError that `subsample_ci` would."""
+    if not math.isfinite(ratio):
+        raise ValueError(f"subsample ratio must be finite, got {ratio}")
     m = round(ratio * n)
     if m < 4:
         raise ValueError(f"subsample size round({ratio} * {n}) = {m} < 4")
@@ -490,7 +487,8 @@ def subsample_ci(
     n = _check_same_subjects(dx, dy)
     m = subsample_size(n, ratio, b, level, method)
     observed = _observed_statistic(dx, dy)[0]
-    stats = _replicates(_pair_pearson(dx, dy, m), n, b, seed, STREAM_SUBSAMPLE, threads)
+    stat, draw_bytes = _pair_pearson(dx, dy, m)
+    stats = _replicates(stat, n, b, seed, STREAM_SUBSAMPLE, threads, draw_bytes=draw_bytes)
     valid = stats[~np.isnan(stats)]
     n_degenerate = int(b - valid.size)
     if valid.size < 2:
@@ -553,6 +551,7 @@ def bootstrap_distribution(
     if b < 1:
         raise ValueError(f"need at least 1 resample, got {b}")
     observed = _observed_statistic(dx, dy)[0]
-    reps = _replicates(_pair_pearson(dx, dy, n), n, b, seed, STREAM_BOOTSTRAP, threads,
-                       replace=True)
+    stat, draw_bytes = _pair_pearson(dx, dy, n)
+    reps = _replicates(stat, n, b, seed, STREAM_BOOTSTRAP, threads, replace=True,
+                       draw_bytes=draw_bytes)
     return BootstrapResult(replicates=reps, observed=observed)

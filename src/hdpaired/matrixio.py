@@ -82,10 +82,6 @@ class PairedDataset:
         if self.x.subject_ids != self.y.subject_ids:
             raise ValueError("paired matrices must have identical subject id order")
 
-    @property
-    def n_subjects(self) -> int:
-        return self.x.n_subjects
-
 
 def pair(x: FeatureMatrix, y: FeatureMatrix) -> PairedDataset:
     """Align y's rows to x's subject-id order and return the paired dataset.
@@ -215,8 +211,9 @@ def read_csv(path: str, labels: bool) -> tuple[list[str], list[str] | None, np.n
     None.  Cells parse as float() parses them.  An error names the file and
     the line; a bad cell also its column and, in a labelled file, its subject.
 
-    A well-formed file is parsed once by numpy's C reader.  Any other file
-    is read again by csv and float(): that pass also accepts the tokens
+    In a well-formed file numpy's C reader parses the values; in a labelled
+    one csv reads the ids and checks each row's width.  Any other file is
+    read again by csv and float(): that pass also accepts the tokens
     float() accepts and the C reader rejects (`1_000`, non-ASCII digits),
     and it names the first bad cell.
     """

@@ -52,6 +52,8 @@ def default_grid(
     [1, sqrt(dim)] is the feasible l1 range for a unit-l2-norm vector, which
     is the operative scale once columns have unit norm.
     """
+    if cells < 1:
+        raise ValueError(f"cells must be >= 1, got {cells}")
     c1s = np.logspace(0.0, 0.5 * math.log10(p), cells)
     c2s = np.logspace(0.0, 0.5 * math.log10(q), cells)
     return [

@@ -9,8 +9,7 @@ All generators are pure functions of their arguments (normal variates come
 from numpy's ziggurat via Generator.standard_normal, keyed by the seed), so
 repeated calls agree bit-exactly.  Planted directions are sign-canonicalized
 (largest-magnitude entry positive): a direction's sign is statistically
-unidentifiable, and canonicalizing makes generation invariant to mirrored
-direction inputs.
+unidentifiable.
 """
 
 from __future__ import annotations
@@ -91,7 +90,6 @@ def gen_shared_latent(
     q: int,
     strength: float,
     seed: int = 0,
-    directions: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[PairedDataset, PlantedTruth]:
     """Positive distance correlation through a shared per-subject scalar.
 
@@ -103,10 +101,6 @@ def gen_shared_latent(
     gen_null's distribution) and a pure rank-one latent (strength=1); with
     unscaled unit noise the induced distance correlation is too weak to be
     detectable at bench sizes.
-
-    `directions` overrides the drawn (a, b); the latent and noise draws are
-    unaffected, and mirrored directions (-a, -b) yield the identical dataset
-    because directions are sign-canonicalized.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
@@ -117,14 +111,8 @@ def gen_shared_latent(
     noise_sd = math.sqrt(1.0 - strength * strength)
     ex = rng.standard_normal((n, p))
     ey = rng.standard_normal((n, q))
-    if directions is None:
-        a = rng.standard_normal(p)
-        b = rng.standard_normal(q)
-    else:
-        a = np.asarray(directions[0], dtype=float)
-        b = np.asarray(directions[1], dtype=float)
-        if a.shape != (p,) or b.shape != (q,):
-            raise ValueError(f"direction shapes {a.shape}, {b.shape} do not match (p, q)")
+    a = rng.standard_normal(p)
+    b = rng.standard_normal(q)
     a = a / math.sqrt(float(a @ a))
     b = b / math.sqrt(float(b @ b))
     a, b = canonical_sign(a) * a, canonical_sign(b) * b

@@ -181,6 +181,8 @@ class TestReport:
     @pytest.mark.parametrize("flags, message", [
         (["--ratio", "2"], "subsample size 60 exceeds n = 30"),
         (["--ratio", "0.5", "--level", "1.5"], "level must be in (0, 1), got 1.5"),
+        (["--ratio", "nan"], "subsample ratio must be finite, got nan"),
+        (["--ratio", "inf"], "subsample ratio must be finite, got inf"),
     ])
     def test_interval_arguments_checked_before_any_draw(self, tmp_path, latent_pair, capsys,
                                                         monkeypatch, command, flags, message):
@@ -342,6 +344,26 @@ class TestScca:
             "7 of the model's 60 training subjects missing from the input matrices, "
             f"e.g. {first}")}
         assert not (tmp_path / "sc").exists()
+
+    @pytest.mark.parametrize("command", [["scca", "eval"], ["subcluster"]])
+    def test_model_of_another_width_rejected(self, tmp_path, planted_pair, capsys, command):
+        x, y = planted_pair
+        fit_dir = tmp_path / "f"
+        assert run(["scca", "fit", "--x", x, "--y", y, "--c1", "1.8", "--c2", "1.8",
+                    "--out", fit_dir]) == 0
+        narrow = tmp_path / "narrow"
+        narrow.mkdir()
+        for tag, path, width in (("x", x, 10), ("y", y, 12)):
+            m = load_matrix(path, "bin")
+            save_matrix(FeatureMatrix(m.data[:, :width], m.subject_ids),
+                        str(narrow / f"{tag}.bin"))
+        model = fit_dir / "model.json"
+        assert run([*command, "--x", narrow / "x.bin", "--y", narrow / "y.bin",
+                    "--model", model, "--out", tmp_path / "o"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "CliError", "message": (
+            f"model {model} was fit on 30 x and 30 y columns, but the inputs have 10 and 12")}
+        assert not (tmp_path / "o").exists()
 
     def test_subcluster_rejects_negative_top(self, tmp_path, planted_pair, capsys):
         x, y = planted_pair

@@ -28,6 +28,10 @@ class TestTypes:
             ts(np.ones((2, 3)))
         with pytest.raises(ValueError, match="positive"):
             RoiTimeSeries(np.ones((5, 2)), 0.0)
+        with pytest.raises(ValueError, match="sampling frequency must be positive, got nan"):
+            RoiTimeSeries(np.ones((5, 2)), float("nan"))
+        with pytest.raises(ValueError, match="sampling frequency must be finite, got inf"):
+            RoiTimeSeries(np.ones((5, 2)), float("inf"))
 
     def test_bandpass_spec_validation(self):
         with pytest.raises(ValueError, match="f_low < f_high"):

@@ -508,17 +508,21 @@ class TestReplicateEngine:
             assert value == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
     def test_same_bytes_at_any_thread_count(self):
+        # Permutation blocks of 218 draws (n = 150 raw words each) and
+        # subsample blocks of 86 (K = 190 pairs of m = 20 subjects); b runs
+        # across the boundaries of both.
         dx, dy = random_distance_pair(150, seed=31)
         rows = inference._BLOCK_BYTES // (8 * 150)
-        assert rows == 873
-        for b in (rows - 1, rows, rows + 1, 2 * rows + 3):
+        pair_rows = inference._BLOCK_BYTES // (16 * 190)
+        assert (rows, pair_rows) == (218, 86)
+        for b in (pair_rows + 1, rows - 1, rows, rows + 1, 2 * rows + 3):
             serial = all_replicates(dx, dy, b, seed=5, ratio=0.135)
             for threads in (2, 8):
                 assert all_replicates(dx, dy, b, seed=5, threads=threads, ratio=0.135) == serial
 
     def test_same_bytes_at_any_chunk_height(self):
-        # Blocks of 4 draws, so b = 11 crosses two block boundaries; chunks
-        # of 1, 2 and 3 draws of each statistic against the default height
+        # Blocks of 1, 2 and 3 draws of each statistic, so b = 11 crosses
+        # several block boundaries, against the default height (one block)
         # and pearson_or_nan.  In dy the subjects 0..2 sit 2 apart and every
         # other pair 1 apart, so a subsample holding fewer than two of them
         # has a constant y triangle and the value NaN.
@@ -537,14 +541,13 @@ class TestReplicateEngine:
             iu, ju = np.triu_indices(s.size, 1)
             return pearson_or_nan(dx.data[s[iu], s[ju]], dy.data[s[iu], s[ju]])
 
-        with mock.patch.object(inference, "_BLOCK_BYTES", 8 * n * 4):
-            expected = values()
-            sub_draws = replicate_draws(n, b, seed, STREAM_SUBSAMPLE)[:, :m]
-            boot_draws = replicate_draws(n, b, seed, STREAM_BOOTSTRAP, replace=True)
-            for pairs in (m * (m - 1) // 2, n * (n - 1) // 2):
-                for rows in (1, 2, 3):
-                    with mock.patch.object(inference, "_CHUNK_BYTES", 16 * pairs * rows):
-                        assert values() == expected
+        expected = values()
+        sub_draws = replicate_draws(n, b, seed, STREAM_SUBSAMPLE)[:, :m]
+        boot_draws = replicate_draws(n, b, seed, STREAM_BOOTSTRAP, replace=True)
+        for pairs in (m * (m - 1) // 2, n * (n - 1) // 2):
+            for rows in (1, 2, 3):
+                with mock.patch.object(inference, "_BLOCK_BYTES", 16 * pairs * rows):
+                    assert values() == expected
         sub = np.array([pearson(s) for s in sub_draws])
         assert 2 <= np.isnan(sub).sum() <= b - 2
         assert expected == (sub.tobytes(),
@@ -554,7 +557,7 @@ class TestReplicateEngine:
         # 150 of 160 subjects give 11,175 subsample pairs, and all 160 give
         # 12,720 bootstrap pairs: above the 10,000 entries past which
         # OpenBLAS splits one dot product across its threads.  Each child
-        # checks chunks of 1 draw (the default here) and of 3 draws against
+        # checks blocks of 1 draw (the default here), 2 and 3 draws against
         # pearson_or_nan and prints the bytes.
         code = """if True:
             from unittest import mock
@@ -577,8 +580,8 @@ class TestReplicateEngine:
                 iu, ju = np.triu_indices(m, 1)
                 ref = np.array([pearson_or_nan(dx.data[s[iu], s[ju]], dy.data[s[iu], s[ju]])
                                 for s in draws])
-                for rows in (1, 3):
-                    with mock.patch.object(inference, "_CHUNK_BYTES", 16 * iu.size * rows):
+                for rows in (1, 2, 3):
+                    with mock.patch.object(inference, "_BLOCK_BYTES", 16 * iu.size * rows):
                         if replace:
                             got = inference.bootstrap_distribution(dx, dy, b=b, seed=seed)
                         else:
@@ -660,3 +663,14 @@ class TestWorkingSet:
         dx, dy = random_distance_pair(n, seed=n)
         assert traced_peak(lambda: permutation_test(dx, dy, b=1)) <= 2.0 * 8 * n * n
         assert traced_peak(lambda: subsample_ci(dx, dy, b=2)) <= 2.0 * 8 * n * n
+
+    @pytest.mark.parametrize("n", [256, 250])
+    def test_pair_statistic_blocks_sized_by_its_bytes(self, n):
+        # A draw of all n subjects stacks 16 * n(n-1)/2 bytes, above the
+        # block budget, so each block holds one draw (a peak of about 2.5
+        # arrays); blocks sized by the raw words alone would take all 8
+        # draws at once (about 17).
+        dx, dy = random_distance_pair(n, seed=n)
+        for run in (lambda: bootstrap_distribution(dx, dy, b=8),
+                    lambda: subsample_ci(dx, dy, ratio=1.0, b=8)):
+            assert traced_peak(run) <= 3.0 * 8 * n * n

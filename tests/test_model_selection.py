@@ -77,6 +77,11 @@ class TestDefaultGrid:
         c2s = sorted({g.c2 for g in grid})
         assert c2s[-1] == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("cells", [0, -1])
+    def test_cells_below_one_rejected(self, cells):
+        with pytest.raises(ValueError, match=f"^cells must be >= 1, got {cells}$"):
+            default_grid(100, 25, cells=cells)
+
 
 def small_planted(seed=3):
     ds, truth = gen_sparse_canonical_pair(60, 30, 25, 4, 4, 0.9, seed=seed)

@@ -42,19 +42,6 @@ class TestGenSharedLatent:
         # same marginal scale as the null generator
         assert abs(ds.x.data.std() - 1.0) < 0.1
 
-    def test_mirrored_directions_identical_distances(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal(6)
-        b = rng.standard_normal(8)
-        d1, _ = gen_shared_latent(10, 6, 8, 0.7, seed=6, directions=(a, b))
-        d2, _ = gen_shared_latent(10, 6, 8, 0.7, seed=6, directions=(-a, -b))
-        dx1 = distance_matrix(d1.x, "scaled_euclidean")
-        dx2 = distance_matrix(d2.x, "scaled_euclidean")
-        assert np.array_equal(dx1.data, dx2.data)
-        dy1 = distance_matrix(d1.y, "pearson_correlation_distance")
-        dy2 = distance_matrix(d2.y, "pearson_correlation_distance")
-        assert np.array_equal(dy1.data, dy2.data)
-
     def test_rejection_power(self):
         rejections = 0
         for seed in range(25):
