@@ -4,16 +4,22 @@ Subcommands: synth, fcg, dist, infer {perm,dcor,subsample,bootstrap},
 scca {fit,cv,eval}, subcluster, report.
 
 Each option is declared once, in _FLAGS (its argparse keywords), and each
-command once, in _COMMANDS (handler, help, required keys and defaults).
-The parser and the config resolution are both built from these two tables,
-so a command accepts exactly the keys it reads, as flags and as config-file
-keys alike, and a config-file value is checked against its flag's type and
-choices.
+command once, in _COMMANDS (handler, report file name, help, required keys
+and defaults).  The parser and the config resolution are both built from
+these two tables, so a command accepts exactly the keys it reads, as flags
+and as config-file keys alike, and a config-file value is checked against
+its flag's type and choices.
 
-Every emitted report embeds the tool version, the fully resolved
+A handler is `handler(cfg, inputs) -> results`: it writes its own data
+files under --out and returns the results of its report; a handler that
+reads files other than the file options adds them to `inputs`.  `main`
+resolves the config, seeds `inputs` with the file options that are set,
+and writes the report, which embeds the tool version, the fully resolved
 configuration (CLI flags > config file > defaults), the seed and sha256
-digests of the input files, and contains no timestamps, so re-running with
-the same configuration reproduces outputs byte-for-byte.
+digests of the input files.  It contains no timestamps, so re-running with
+the same configuration reproduces outputs byte-for-byte.  Nothing creates
+--out but the writing of a file, so a run that fails before it writes
+anything leaves no --out directory.
 """
 
 from __future__ import annotations
@@ -154,8 +160,15 @@ _FLAGS = {
 }
 
 
+# The smallest accepted value of each integer option that has one.
+_FLOORS = {"seed": 0, "threads": 1, "bins": 1, "b": 1}
+# The file options; the report digests each one that is set.
+_INPUT_FILES = ("x", "y", "model", "grid_file")
+
+
 class _Command(NamedTuple):
-    handler: Callable[[dict], None]
+    handler: Callable[[dict, dict[str, str]], dict]
+    report: str  # file name of the command's report under --out
     help: str
     required: tuple[str, ...]
     # Every key the command reads, in the order its flags are listed.
@@ -206,8 +219,9 @@ def _resolve(args: argparse.Namespace, command: _Command) -> dict:
     missing = [k for k in command.required if resolved[k] is None]
     if missing:
         raise CliError(f"missing required options for {args.command_path}: {sorted(missing)}")
-    if resolved.get("threads", 1) < 1:
-        raise CliError(f"threads must be >= 1, got {resolved['threads']}")
+    for key, floor in _FLOORS.items():
+        if key in resolved and resolved[key] < floor:
+            raise CliError(f"{key} must be >= {floor}, got {resolved[key]}")
     return resolved
 
 
@@ -236,9 +250,8 @@ def _load_model(path: str, x: FeatureMatrix,
 # ---------------------------------------------------------------------------
 
 
-def _cmd_synth(cfg: dict) -> None:
+def _cmd_synth(cfg: dict, inputs: dict[str, str]) -> dict:
     kind = cfg["kind"]
-    os.makedirs(cfg["out"], exist_ok=True)
     truth_payload: dict = {"kind": kind, "seed": cfg["seed"]}
     if kind == "null":
         ds = gen_null(cfg["n"], cfg["p"], cfg["q"], cfg["seed"])
@@ -258,10 +271,7 @@ def _cmd_synth(cfg: dict) -> None:
         )
     for tag, matrix in (("x", ds.x), ("y", ds.y)):
         save_matrix(matrix, os.path.join(cfg["out"], f"{tag}.bin"), "bin")
-    _write_json(
-        os.path.join(cfg["out"], "truth.json"),
-        _report("synth", cfg, {}, truth_payload),
-    )
+    return truth_payload
 
 
 def _fcg_inputs(cfg: dict, subjects: list[str], inputs: dict[str, str]):
@@ -283,7 +293,7 @@ def _fcg_inputs(cfg: dict, subjects: list[str], inputs: dict[str, str]):
                None if regressors is None else NuisanceMatrix(regressors))
 
 
-def _cmd_fcg(cfg: dict) -> None:
+def _cmd_fcg(cfg: dict, inputs: dict[str, str]) -> dict:
     spec = BandpassSpec(cfg["low"], cfg["high"], cfg["order"])
     suffix = cfg["nuisance_suffix"]
     entries = sorted(os.listdir(cfg["input"]))
@@ -292,7 +302,6 @@ def _cmd_fcg(cfg: dict) -> None:
     ]
     if not subjects:
         raise CliError(f"no time-series CSVs found in {cfg['input']}")
-    inputs: dict[str, str] = {}
     rows = []
     width = None
     # The k-th vector, or the k-th failure, is subject k's (see fcg_from_many).
@@ -312,14 +321,10 @@ def _cmd_fcg(cfg: dict) -> None:
             raise CliError(f"subject {sid!r} yields {vec.size} features, expected {width}")
         rows.append(vec)
     fm = FeatureMatrix(np.vstack(rows), tuple(subjects))
-    os.makedirs(cfg["out"], exist_ok=True)
     out_path = os.path.join(cfg["out"], "fcg." + cfg["out_format"])
     save_matrix(fm, out_path, cfg["out_format"])
-    _write_json(
-        os.path.join(cfg["out"], "fcg_report.json"),
-        _report("fcg", cfg, inputs, {"n_subjects": fm.n_subjects, "n_features": fm.n_features,
-                                     "subjects": list(subjects), "output": out_path}),
-    )
+    return {"n_subjects": fm.n_subjects, "n_features": fm.n_features,
+            "subjects": list(subjects), "output": out_path}
 
 
 def _read_plain_csv(path: str) -> np.ndarray:
@@ -331,7 +336,7 @@ def _read_plain_csv(path: str) -> np.ndarray:
         raise CliError(str(exc)) from None
 
 
-def _cmd_dist(cfg: dict) -> None:
+def _cmd_dist(cfg: dict, inputs: dict[str, str]) -> dict:
     x, y = _load_pair(cfg)
     dx = distance_matrix(x, cfg["metric_x"])
     dy = distance_matrix(y, cfg["metric_y"])
@@ -359,16 +364,11 @@ def _cmd_dist(cfg: dict) -> None:
               ["modality", "id_i", "id_j", "distance"], dist_rows)
     write_csv(os.path.join(cfg["out"], "histogram.csv"),
               ["modality", "bin_index", "bin_left", "bin_right", "count"], hist_rows)
-    _write_json(os.path.join(cfg["out"], "dist_report.json"),
-                _report("dist", cfg, {"x": cfg["x"], "y": cfg["y"]}, summary))
+    return summary
 
 
-def _cmd_infer(cfg: dict, mode: str) -> None:
-    if "b" in cfg and cfg["b"] < 1:
-        raise CliError(f"--b must be >= 1, got {cfg['b']}")
+def _cmd_infer(cfg: dict, inputs: dict[str, str], mode: str) -> dict:
     x, y = _load_pair(cfg)
-    inputs = {"x": cfg["x"], "y": cfg["y"]}
-    os.makedirs(cfg["out"], exist_ok=True)
     if mode != "dcor":
         dx = distance_matrix(x, cfg["metric_x"])
         dy = distance_matrix(y, cfg["metric_y"])
@@ -412,14 +412,13 @@ def _cmd_infer(cfg: dict, mode: str) -> None:
             "replicate_summary": _summary(boot.replicates),
         }
         reps = boot.replicates
-    _write_json(os.path.join(cfg["out"], f"infer_{mode}.json"),
-                _report(f"infer {mode}", cfg, inputs, results))
     if cfg.get("dump_replicates"):
         write_csv(os.path.join(cfg["out"], f"replicates_{mode}.csv"),
                   ["replicate", "value"], list(enumerate(reps)))
+    return results
 
 
-def _cmd_report(cfg: dict) -> None:
+def _cmd_report(cfg: dict, inputs: dict[str, str]) -> dict:
     x, y = _load_pair(cfg)
     # The interval arguments are checked before any work.  The dCor t-test
     # runs next, so that its two n x n buffers are freed before the distance
@@ -452,8 +451,7 @@ def _cmd_report(cfg: dict) -> None:
             "result": [ci.lower, ci.upper],
         },
     ]
-    _write_json(os.path.join(cfg["out"], "inference_report.json"),
-                _report("report", cfg, {"x": cfg["x"], "y": cfg["y"]}, {"rows": rows}))
+    return {"rows": rows}
 
 
 def _grid_from_cfg(cfg: dict, p: int, q: int) -> list[SccaParams]:
@@ -481,33 +479,26 @@ def _grid_from_cfg(cfg: dict, p: int, q: int) -> list[SccaParams]:
     return cells
 
 
-def _cmd_scca_fit(cfg: dict) -> None:
+def _cmd_scca_fit(cfg: dict, inputs: dict[str, str]) -> dict:
     x, y = _load_pair(cfg)
     params = SccaParams(cfg["c1"], cfg["c2"], cfg["d1"], cfg["d2"],
                         cfg["max_iters"], cfg["tol"])
     model = fit_model(x.data, y.data, params, init=cfg["init"], seed=cfg["seed"])
     fit = model.fit
-    os.makedirs(cfg["out"], exist_ok=True)
     _write_json(os.path.join(cfg["out"], "model.json"),
                 model.to_json(params, list(x.subject_ids)))
-    _write_json(
-        os.path.join(cfg["out"], "scca_fit.json"),
-        _report("scca fit", cfg, {"x": cfg["x"], "y": cfg["y"]}, {
-            "objective": fit.objective,
-            "converged": fit.converged,
-            "iterations": fit.iterations,
-            "split_cap_hits": fit.split_cap_hits,
-            "support_u_size": int(fit.support_u.size),
-            "support_v_size": int(fit.support_v.size),
-        }),
-    )
+    return {
+        "objective": fit.objective,
+        "converged": fit.converged,
+        "iterations": fit.iterations,
+        "split_cap_hits": fit.split_cap_hits,
+        "support_u_size": int(fit.support_u.size),
+        "support_v_size": int(fit.support_v.size),
+    }
 
 
-def _cmd_scca_cv(cfg: dict) -> None:
+def _cmd_scca_cv(cfg: dict, inputs: dict[str, str]) -> dict:
     x, y = _load_pair(cfg)
-    inputs = {"x": cfg["x"], "y": cfg["y"]}
-    if cfg["grid_file"]:
-        inputs["grid_file"] = cfg["grid_file"]
     train_idx, test_idx = train_test_split(x.n_subjects, cfg["seed"])
     grid = _grid_from_cfg(cfg, x.n_features, y.n_features)
     report = cv_grid_search(
@@ -515,7 +506,6 @@ def _cmd_scca_cv(cfg: dict) -> None:
         x_test=x.data[test_idx], y_test=y.data[test_idx],
         init=cfg["init"], threads=cfg["threads"],
     )
-    os.makedirs(cfg["out"], exist_ok=True)
     train_ids = [x.subject_ids[i] for i in train_idx]
     test_ids = [x.subject_ids[i] for i in test_idx]
     _write_json(os.path.join(cfg["out"], "model.json"),
@@ -533,42 +523,34 @@ def _cmd_scca_cv(cfg: dict) -> None:
         [("train", sid, a, b) for sid, a, b in zip(train_ids, su, sv)]
         + [("test", sid, a, b) for sid, a, b in zip(test_ids, tu, tv)],
     )
-    _write_json(
-        os.path.join(cfg["out"], "cv_report.json"),
-        _report("scca cv", cfg, inputs, {
-            "selected": {"c1": report.selected[0], "c2": report.selected[1]},
-            "train_correlation": report.train_correlation,
-            "test_correlation": report.test_correlation,
-            "mean_validation": report.mean_validation,
-            "fold_correlations": report.fold_correlations,
-            "fold_iterations": report.fold_iterations,
-            "fold_converged": report.fold_converged,
-            "refit_iterations": report.model.fit.iterations,
-            "refit_converged": report.model.fit.converged,
-            "grid": [list(cell) for cell in report.grid],
-            "n_train": int(train_idx.size),
-            "n_test": int(test_idx.size),
-            "train_ids": train_ids,
-            "test_ids": test_ids,
-            "support_u_size": int(report.model.fit.support_u.size),
-            "support_v_size": int(report.model.fit.support_v.size),
-        }),
-    )
+    return {
+        "selected": {"c1": report.selected[0], "c2": report.selected[1]},
+        "train_correlation": report.train_correlation,
+        "test_correlation": report.test_correlation,
+        "mean_validation": report.mean_validation,
+        "fold_correlations": report.fold_correlations,
+        "fold_iterations": report.fold_iterations,
+        "fold_converged": report.fold_converged,
+        "refit_iterations": report.model.fit.iterations,
+        "refit_converged": report.model.fit.converged,
+        "grid": [list(cell) for cell in report.grid],
+        "n_train": int(train_idx.size),
+        "n_test": int(test_idx.size),
+        "train_ids": train_ids,
+        "test_ids": test_ids,
+        "support_u_size": int(report.model.fit.support_u.size),
+        "support_v_size": int(report.model.fit.support_v.size),
+    }
 
 
-def _cmd_scca_eval(cfg: dict) -> None:
+def _cmd_scca_eval(cfg: dict, inputs: dict[str, str]) -> dict:
     x, y = _load_pair(cfg)
     model, _ = _load_model(cfg["model"], x, y)
     corr = evaluate_test(model, x.data, y.data)
-    _write_json(
-        os.path.join(cfg["out"], "scca_eval.json"),
-        _report("scca eval", cfg,
-                {"x": cfg["x"], "y": cfg["y"], "model": cfg["model"]},
-                {"test_correlation": corr, "n_subjects": x.n_subjects}),
-    )
+    return {"test_correlation": corr, "n_subjects": x.n_subjects}
 
 
-def _cmd_subcluster(cfg: dict) -> None:
+def _cmd_subcluster(cfg: dict, inputs: dict[str, str]) -> dict:
     x, y = _load_pair(cfg)
     model, train_ids = _load_model(cfg["model"], x, y)
     train = set(train_ids)
@@ -594,23 +576,18 @@ def _cmd_subcluster(cfg: dict) -> None:
         return [{"x_cluster": a, "y_cluster": b, "canonical_correlation": c}
                 for a, b, c in triples]
 
-    os.makedirs(cfg["out"], exist_ok=True)
     for tag, clustering in (("x", cx), ("y", cy)):
         write_csv(
             os.path.join(cfg["out"], f"clusters_{tag}.csv"),
             ["cluster", "feature_index"],
             [(int(l), int(fi)) for l, fi in zip(clustering.labels, clustering.feature_indices)],
         )
-    _write_json(
-        os.path.join(cfg["out"], "subcluster_report.json"),
-        _report("subcluster", cfg,
-                {"x": cfg["x"], "y": cfg["y"], "model": cfg["model"]}, {
-                    "k": k,
-                    "pairs": pair_rows(ranking.pairs),
-                    "top": pair_rows(ranking.top),
-                    "skipped": [list(s) for s in ranking.skipped],
-                }),
-    )
+    return {
+        "k": k,
+        "pairs": pair_rows(ranking.pairs),
+        "top": pair_rows(ranking.top),
+        "skipped": [list(s) for s in ranking.skipped],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -627,22 +604,25 @@ _INTERVAL = {**_DRAWS, "ratio": 0.135, "level": 0.95, "method": "root"}  # infer
 
 _COMMANDS = {
     "synth": _Command(
-        _cmd_synth, "generate synthetic paired datasets", ("out",),
+        _cmd_synth, "truth.json", "generate synthetic paired datasets", ("out",),
         {"kind": None, "n": 100, "p": 200, "q": 200, "strength": 0.8,
          "rho": 0.9, "su": 10, "sv": 10, "seed": 0, "out": None},
     ),
     "fcg": _Command(
-        _cmd_fcg, "time series -> functional-connectivity features", ("input", "out"),
+        _cmd_fcg, "fcg_report.json",
+        "time series -> functional-connectivity features", ("input", "out"),
         {"input": None, "out": None, "fs": 1.0, "low": 0.08, "high": 0.15,
          "order": 1, "no_zero_phase": False, "nuisance_suffix": ".nuisance.csv",
          "no_nuisance": False, "out_format": "bin"},
     ),
     "dist": _Command(
-        _cmd_dist, "pairwise distance report for both modalities", ("x", "y", "out"),
+        _cmd_dist, "dist_report.json",
+        "pairwise distance report for both modalities", ("x", "y", "out"),
         {**_PAIR, "bins": 50, **_METRIC_PAIR},
     ),
     **{f"infer {mode}": _Command(
-        functools.partial(_cmd_infer, mode=mode), text, ("x", "y", "out"), defaults,
+        functools.partial(_cmd_infer, mode=mode), f"infer_{mode}.json", text,
+        ("x", "y", "out"), defaults,
     ) for mode, text, defaults in (
         ("perm", "permutation test of the distance-pair correlation", _DUMP),
         # dcor_ttest always uses Euclidean distances and draws no replicates.
@@ -651,26 +631,30 @@ _COMMANDS = {
         ("bootstrap", "bootstrap distribution of the distance-pair correlation", _DUMP),
     )},
     "scca fit": _Command(
-        _cmd_scca_fit, "fit sparse CCA at given l1 bounds", ("x", "y", "c1", "c2", "out"),
+        _cmd_scca_fit, "scca_fit.json",
+        "fit sparse CCA at given l1 bounds", ("x", "y", "c1", "c2", "out"),
         {**_PAIR, "c1": None, "c2": None, "d1": 1.0, "d2": 1.0, "tol": 1e-6,
          "max_iters": 500, "init": "svd", "seed": 0},
     ),
     "scca cv": _Command(
-        _cmd_scca_cv, "cross-validated grid search, refit, held-out test", ("x", "y", "out"),
+        _cmd_scca_cv, "cv_report.json",
+        "cross-validated grid search, refit, held-out test", ("x", "y", "out"),
         {**_PAIR, "grid_file": None, "cells": 8, "k": 5, "seed": 0, "tol": 1e-5,
          "max_iters": 200, "init": "svd", "threads": 1},
     ),
     "scca eval": _Command(
-        _cmd_scca_eval, "held-out correlation of a saved model", ("x", "y", "model", "out"),
+        _cmd_scca_eval, "scca_eval.json",
+        "held-out correlation of a saved model", ("x", "y", "model", "out"),
         {**_PAIR, "model": None},
     ),
     "subcluster": _Command(
-        _cmd_subcluster, "cluster selected features, rank cluster pairs",
-        ("x", "y", "model", "out"),
+        _cmd_subcluster, "subcluster_report.json",
+        "cluster selected features, rank cluster pairs", ("x", "y", "model", "out"),
         {**_PAIR, "model": None, "k": 5, "top": 3, **_METRIC_PAIR},
     ),
     "report": _Command(
-        _cmd_report, "permutation + dcor + subsampling summary table", ("x", "y", "out"),
+        _cmd_report, "inference_report.json",
+        "permutation + dcor + subsampling summary table", ("x", "y", "out"),
         _INTERVAL,
     ),
 }
@@ -706,7 +690,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     command = _COMMANDS[args.command_path]
     try:
-        command.handler(_resolve(args, command))
+        cfg = _resolve(args, command)
+        inputs = {key: cfg[key] for key in _INPUT_FILES if cfg.get(key)}
+        results = command.handler(cfg, inputs)
+        _write_json(os.path.join(cfg["out"], command.report),
+                    _report(args.command_path, cfg, inputs, results))
     except Exception as exc:  # structured error contract: JSON on stderr, exit 1
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True),

@@ -343,10 +343,11 @@ def save_matrix(m: FeatureMatrix, path: str, format: str = "bin") -> None:
     Binary layout: magic "HDPR1\\0", u64-LE row count, u64-LE column count,
     row-major IEEE-754 little-endian f64 payload, then a u64-LE byte-length
     prefix followed by the newline-separated UTF-8 subject-id block.
-    Round-trips finite doubles bit-exactly.
+    Round-trips finite doubles bit-exactly.  Creates the parent directory.
     """
     if format == "bin":
         ids_block = "\n".join(m.subject_ids).encode("utf-8")
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         with open(path, "wb") as f:
             f.write(BIN_MAGIC)
             f.write(struct.pack("<QQ", m.n_subjects, m.n_features))

@@ -65,6 +65,13 @@ class PlantedTruth:
         return np.flatnonzero(self.v_star)
 
 
+def _check_sizes(n: int, p: int, q: int) -> None:
+    """Every generator needs n >= 4 subjects and p, q >= 1 features."""
+    for name, size, floor in (("n", n, 4), ("p", p, 1), ("q", q, 1)):
+        if size < floor:
+            raise ValueError(f"need {name} >= {floor}, got {size}")
+
+
 def _ids(n: int) -> tuple[str, ...]:
     return tuple(f"s{i:04d}" for i in range(n))
 
@@ -76,8 +83,7 @@ def _paired(x: np.ndarray, y: np.ndarray, n: int) -> PairedDataset:
 
 def gen_null(n: int, p: int, q: int, seed: int = 0) -> PairedDataset:
     """Independent i.i.d. standard-normal modalities: the exact null."""
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
+    _check_sizes(n, p, q)
     rng = replicate_rng(seed, STREAM_SYNTH_NULL)
     x = rng.standard_normal((n, p))
     y = rng.standard_normal((n, q))
@@ -102,8 +108,7 @@ def gen_shared_latent(
     unscaled unit noise the induced distance correlation is too weak to be
     detectable at bench sizes.
     """
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
+    _check_sizes(n, p, q)
     if not 0.0 <= strength <= 1.0:
         raise ValueError(f"strength must be in [0, 1], got {strength}")
     rng = replicate_rng(seed, STREAM_SYNTH_LATENT)
@@ -146,8 +151,7 @@ def gen_sparse_canonical_pair(
     drowns the rank-one cross-covariance signal in spurious sparse
     correlations.
     """
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
+    _check_sizes(n, p, q)
     if not (1 <= s_u <= p and 1 <= s_v <= q):
         raise ValueError(f"supports (s_u={s_u}, s_v={s_v}) out of range for (p={p}, q={q})")
     if not 0.0 <= rho < 1.0:

@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,7 +135,7 @@ class TestInfer:
                   "--out", tmp_path / "i"])
         assert rc == 1
         err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] and "--b" in err["message"]
+        assert err == {"error": "CliError", "message": "b must be >= 1, got 0"}
 
     def test_dcor(self, tmp_path, latent_pair):
         x, y = latent_pair
@@ -574,19 +576,30 @@ class TestFcgBlocks:
 
 
 class TestConfigPrecedence:
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_threads_below_one_rejected(self, tmp_path, latent_pair, capsys, source):
+    @pytest.mark.parametrize("source, command, key, value, floor", [
+        pytest.param("flag", ["infer", "perm", "--b", 5], "threads", -3, 1, id="flag"),
+        pytest.param("config", ["infer", "perm", "--b", 5], "threads", 0, 1, id="config"),
+        *(pytest.param(source, command, key, value, floor, id=f"{source}-{name}-{key}")
+          for source in ("flag", "config")
+          for name, command, key, value, floor in (
+              ("report", ["report"], "seed", -1, 0),
+              ("fit", ["scca", "fit", "--c1", 1.5, "--c2", 1.5], "seed", -1, 0),
+              ("dist", ["dist"], "bins", 0, 1),
+              ("subsample", ["infer", "subsample"], "b", 0, 1),
+          )),
+    ])
+    def test_threads_below_one_rejected(self, tmp_path, latent_pair, capsys, source, command,
+                                        key, value, floor):
         x, y = latent_pair
-        args = ["infer", "perm", "--x", x, "--y", y, "--b", 5, "--out", tmp_path / "o"]
+        args = [*command, "--x", x, "--y", y, "--out", tmp_path / "o"]
         if source == "flag":
-            args += ["--threads", -3]
+            args += ["--" + key, value]
         else:
-            (tmp_path / "c.yaml").write_text("threads: 0\n")
+            (tmp_path / "c.yaml").write_text(f"{key}: {value}\n")
             args += ["--config", tmp_path / "c.yaml"]
         assert run(args) == 1
         err = json.loads(capsys.readouterr().err.strip())
-        value = -3 if source == "flag" else 0
-        assert err == {"error": "CliError", "message": f"threads must be >= 1, got {value}"}
+        assert err == {"error": "CliError", "message": f"{key} must be >= {floor}, got {value}"}
         assert not (tmp_path / "o").exists()
 
     def test_flag_beats_config_beats_default(self, tmp_path, latent_pair):
@@ -661,6 +674,57 @@ class TestConfigPrecedence:
         assert run(["infer", "subsample", "--x", x, "--y", y, "--config", cfg,
                     "--out", out]) == 0
         assert read_json(out / "infer_subsample.json")["config"]["ratio"] == 1
+
+
+class TestReportEnvelope:
+    def test_digests_are_exactly_the_input_files(self, tmp_path, latent_pair, planted_pair):
+        x, y = latent_pair
+        px, py = planted_pair
+        grid = tmp_path / "grid.csv"
+        grid.write_text("c1,c2\n1.4,1.4\n2.0,2.0\n")
+        src = tmp_path / "ts"
+        src.mkdir()
+        for seed, sid in enumerate(("alpha", "beta")):
+            TestFcg().write_subject(src, sid, seed=seed)
+        model = str(tmp_path / "out" / "scca_fit" / "model.json")
+        latent = ["--x", x, "--y", y]
+        planted = ["--x", px, "--y", py]
+        # (command path, flags after the path, the input files the report digests)
+        runs = [
+            ("synth", ["null", "--n", 5, "--p", 2, "--q", 2], {}),
+            ("fcg", ["--input", src], {
+                sid + suffix: str(src / (sid + suffix))
+                for sid in ("alpha", "beta") for suffix in (".csv", ".nuisance.csv")}),
+            ("dist", latent, {"x": x, "y": y}),
+            ("infer perm", [*latent, "--b", 5], {"x": x, "y": y}),
+            ("infer dcor", latent, {"x": x, "y": y}),
+            ("infer subsample", [*latent, "--b", 5, "--ratio", "0.5"], {"x": x, "y": y}),
+            ("infer bootstrap", [*latent, "--b", 5], {"x": x, "y": y}),
+            ("report", [*latent, "--b", 5, "--ratio", "0.5"], {"x": x, "y": y}),
+            ("scca fit", [*planted, "--c1", "1.8", "--c2", "1.8"], {"x": px, "y": py}),
+            ("scca cv", [*planted, "--cells", 2, "--k", 2], {"x": px, "y": py}),
+            ("scca cv", [*planted, "--grid-file", grid, "--k", 2],
+             {"x": px, "y": py, "grid_file": str(grid)}),
+            ("scca eval", [*planted, "--model", model], {"x": px, "y": py, "model": model}),
+            ("subcluster", [*planted, "--model", model, "--k", 2, "--top", 1],
+             {"x": px, "y": py, "model": model}),
+        ]
+        assert {path for path, _, _ in runs} == set(_COMMANDS)
+        for path, flags, files in runs:
+            out = tmp_path / "out" / path.replace(" ", "_")
+            assert run([*path.split(), *flags, "--out", out]) == 0
+            digests = read_json(out / _COMMANDS[path].report)["input_digests"]
+            assert digests == {key: hashlib.sha256(Path(f).read_bytes()).hexdigest()
+                               for key, f in files.items()}, path
+
+    @pytest.mark.parametrize("command", [["synth", "null", "--n", 3],
+                                         ["infer", "subsample", "--b", 1]],
+                             ids=["synth", "infer"])
+    def test_failed_command_leaves_no_out(self, tmp_path, latent_pair, command):
+        x, y = latent_pair
+        inputs = ["--x", x, "--y", y] if command[0] == "infer" else []
+        assert run([*command, *inputs, "--out", tmp_path / "o"]) == 1
+        assert not (tmp_path / "o").exists()
 
 
 # Every key each command path reads, with its default, as the reports'

@@ -122,3 +122,16 @@ class TestPlantedTruth:
         _, truth = gen_shared_latent(10, 4, 4, 0.5, seed=11)
         with pytest.raises(ValueError, match="no planted supports"):
             truth.support_u
+
+
+@pytest.mark.parametrize("generate", [
+    lambda n, p, q: gen_null(n, p, q, seed=0),
+    lambda n, p, q: gen_shared_latent(n, p, q, 0.5, seed=0),
+    lambda n, p, q: gen_sparse_canonical_pair(n, p, q, 1, 1, 0.5, seed=0),
+], ids=["null", "shared_latent", "sparse_canonical_pair"])
+def test_sizes_checked_before_any_draw(generate):
+    for (n, p, q), message in (((3, 5, 5), "need n >= 4, got 3"),
+                               ((10, 0, 5), "need p >= 1, got 0"),
+                               ((10, 5, -2), "need q >= 1, got -2")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            generate(n, p, q)
