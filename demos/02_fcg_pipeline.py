@@ -34,7 +34,7 @@ for subj in range(n_subjects):
     for j in range(m):
         shared = osc_a if j < m // 2 else osc_b
         data[:, j] = shared + 0.7 * rng.standard_normal(T) + drift
-    ts = RoiTimeSeries(data, fs)
+    ts = RoiTimeSeries(data)
 
     # nuisance: the drift plus white-matter-style principal components
     wm_voxels = drift[:, None] + 0.3 * rng.standard_normal((T, 50))
@@ -43,7 +43,7 @@ for subj in range(n_subjects):
     subjects.append((ts, nuisance))
 
 # Filtering runs on all subjects' ROI columns as one block.
-for subj, vec in enumerate(fcg_from_many(subjects, BandpassSpec(0.08, 0.15, 1))):
+for subj, vec in enumerate(fcg_from_many(subjects, BandpassSpec(0.08, 0.15, 1, fs))):
     rows.append(vec)
     print(f"subject {subj}: FCG vector of length {vec.size} "
           f"(mean within-group corr {vec[:3].mean():.3f})")

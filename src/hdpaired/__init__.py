@@ -16,15 +16,12 @@ from hdpaired.matrixio import (
     save_matrix,
     scale_rows_to_unit_variance,
     scale_to_unit_variance,
-    standardize_columns,
 )
 from hdpaired.distances import (
     DistanceMatrix,
     d_x,
     d_y,
     distance_matrix,
-    load_distance_matrix,
-    save_distance_matrix,
     upper_triangle,
 )
 from hdpaired.fcg import (

@@ -289,12 +289,13 @@ def _fcg_inputs(cfg: dict, subjects: list[str], inputs: dict[str, str]):
                 raise CliError(f"missing nuisance file for subject {sid!r}: {nu_path}")
             inputs[sid + cfg["nuisance_suffix"]] = nu_path
             regressors = _read_plain_csv(nu_path)
-        yield (RoiTimeSeries(series, cfg["fs"]),
+        yield (RoiTimeSeries(series),
                None if regressors is None else NuisanceMatrix(regressors))
 
 
 def _cmd_fcg(cfg: dict, inputs: dict[str, str]) -> dict:
-    spec = BandpassSpec(cfg["low"], cfg["high"], cfg["order"])
+    # Every filter option is checked here, before any subject is read.
+    spec = BandpassSpec(cfg["low"], cfg["high"], cfg["order"], cfg["fs"])
     suffix = cfg["nuisance_suffix"]
     entries = sorted(os.listdir(cfg["input"]))
     subjects = [

@@ -22,12 +22,11 @@ their bits.
 
 from __future__ import annotations
 
-import json
 from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from hdpaired.matrixio import FeatureMatrix, _as_readonly, load_matrix, save_matrix
+from hdpaired.matrixio import FeatureMatrix, _as_readonly
 
 METRICS = ("scaled_euclidean", "pearson_correlation_distance", "euclidean")
 
@@ -251,20 +250,3 @@ def upper_triangle(d: DistanceMatrix | np.ndarray) -> np.ndarray:
     # the one comparison makes it without a second n x n temporary.
     i = np.arange(a.shape[0])
     return a[i[:, None] < i]
-
-
-def save_distance_matrix(d: DistanceMatrix, path: str) -> None:
-    """Persist as the binary matrix format plus a JSON sidecar {metric_tag, n}."""
-    save_matrix(FeatureMatrix(d.data, d.subject_ids), path, "bin")
-    with open(str(path) + ".json", "w", encoding="utf-8") as f:
-        json.dump({"metric_tag": d.metric_tag, "n": d.n_subjects}, f, sort_keys=True)
-        f.write("\n")
-
-
-def load_distance_matrix(path: str) -> DistanceMatrix:
-    with open(str(path) + ".json", "r", encoding="utf-8") as f:
-        meta = json.load(f)
-    m = load_matrix(path, "bin")
-    if m.n_subjects != meta["n"]:
-        raise ValueError(f"{path}: sidecar n={meta['n']} but matrix has {m.n_subjects} rows")
-    return DistanceMatrix(m.data, meta["metric_tag"], m.subject_ids)

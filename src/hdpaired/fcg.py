@@ -8,6 +8,11 @@ The filter treats each column on its own, so fcg_from_many, which the
 grouped (T, C) block; the other steps run per subject.  Every operation is
 pure.
 
+BandpassSpec is the one filter, sampling rate included: building it checks
+every filter option and designs the filter, once.  The `fcg` command builds
+it before it reads any subject, so a bad filter option fails on its own,
+and a subject's file is named only in that subject's own failures.
+
 The filter design and the recursion are numpy ports of scipy.signal's
 `butter`, `lfilter` and `filtfilt` that make the same floating-point
 operations in the same order, so they return the same bits without loading
@@ -20,9 +25,8 @@ which filtfilt offers as method="gust".
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,10 +36,9 @@ from hdpaired.matrixio import _as_readonly
 
 @dataclass(frozen=True)
 class RoiTimeSeries:
-    """T timepoints x m ROI columns sampled at fs Hz."""
+    """T timepoints x m ROI columns."""
 
     data: np.ndarray
-    fs: float
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
@@ -43,12 +46,7 @@ class RoiTimeSeries:
             raise ValueError(f"time series must be 2-D with T >= 3, got {data.shape}")
         if not np.all(np.isfinite(data)):
             raise ValueError("time series contains non-finite entries")
-        if not self.fs > 0:
-            raise ValueError(f"sampling frequency must be positive, got {self.fs}")
-        if self.fs == np.inf:
-            raise ValueError(f"sampling frequency must be finite, got {self.fs}")
         object.__setattr__(self, "data", _as_readonly(data))
-        object.__setattr__(self, "fs", float(self.fs))
 
     @property
     def n_timepoints(self) -> int:
@@ -85,23 +83,56 @@ class NuisanceMatrix:
 
 @dataclass(frozen=True)
 class BandpassSpec:
-    """Band edges in Hz and Butterworth order per edge (default first-order)."""
+    """One Butterworth bandpass: band edges in Hz, order per edge (default
+    first-order) and the sampling rate fs in Hz of the series it filters.
+
+    Construction checks every option, Nyquist included, and designs the
+    filter once: b and a are design_bandpass(spec), read-only; zi is the
+    filter's steady state for a unit step; padlen is the zero-phase pad
+    length, three times the samples until the impulse-response envelope
+    decays below 1e-9, from the largest pole radius.  zi solves
+    (I - companion(a)^T) zi = b[1:] - a[1:] b[0], as in
+    scipy.signal.lfilter_zi (a[0] is 1).
+    """
 
     f_low: float = 0.08
     f_high: float = 0.15
     order: int = 1
+    fs: float = 1.0
+    b: np.ndarray = field(init=False, repr=False, compare=False)
+    a: np.ndarray = field(init=False, repr=False, compare=False)
+    zi: np.ndarray = field(init=False, repr=False, compare=False)
+    padlen: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 < self.f_low < self.f_high):
             raise ValueError(f"need 0 < f_low < f_high, got ({self.f_low}, {self.f_high})")
         if self.order < 1:
             raise ValueError(f"order must be a positive integer, got {self.order}")
-
-    def validate_against(self, fs: float) -> None:
-        if not self.f_high < fs / 2:
+        if not self.fs > 0:
+            raise ValueError(f"sampling frequency must be positive, got {self.fs}")
+        if self.fs == np.inf:
+            raise ValueError(f"sampling frequency must be finite, got {self.fs}")
+        if not self.f_high < self.fs / 2:
             raise ValueError(
-                f"band edge {self.f_high} Hz at or beyond Nyquist ({fs / 2} Hz)"
+                f"band edge {self.f_high} Hz at or beyond Nyquist ({self.fs / 2} Hz)"
             )
+        object.__setattr__(self, "fs", float(self.fs))
+        b, a = design_bandpass(self)
+        poles = np.roots(a)
+        rmax = float(np.max(np.abs(poles))) if poles.size else 0.0
+        if rmax >= 1.0:
+            raise ValueError(f"unstable filter (pole radius {rmax})")
+        length = len(b) if rmax <= 0.0 else max(len(b), int(np.ceil(np.log(1e-9) / np.log(rmax))))
+        n = len(a) - 1
+        companion = np.zeros((n, n))
+        companion[0] = -a[1:] / (1.0 * a[0:1])
+        companion[np.arange(1, n), np.arange(n - 1)] = 1
+        zi = np.linalg.solve(np.eye(n) - companion.T, b[1:] - a[1:] * b[0])
+        for name, value in (("b", b), ("a", a), ("zi", zi)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "padlen", 3 * length)
 
 
 def ols_residualize(ts: RoiTimeSeries, nuisance: NuisanceMatrix) -> RoiTimeSeries:
@@ -132,21 +163,20 @@ def ols_residualize(ts: RoiTimeSeries, nuisance: NuisanceMatrix) -> RoiTimeSerie
         )
     # q is an orthonormal basis of the full-rank design's column space.
     residual = ts.data - q @ (q.T @ ts.data)
-    return RoiTimeSeries(residual, ts.fs)
+    return RoiTimeSeries(residual)
 
 
-def design_bandpass(spec: BandpassSpec, fs: float) -> tuple[np.ndarray, np.ndarray]:
+def design_bandpass(spec: BandpassSpec) -> tuple[np.ndarray, np.ndarray]:
     """Digital Butterworth bandpass coefficients (b, a).
 
     Designed from the analog prototype by bilinear transform with frequency
     prewarping; `spec.order` is the order per band edge, so the overall
     transfer function has twice that order.  The result is bit for bit
     that of scipy.signal.butter(spec.order, [f_low, f_high],
-    btype="bandpass", fs=fs), whose steps this repeats.
+    btype="bandpass", fs=spec.fs), whose steps this repeats.
     """
-    spec.validate_against(fs)
     order = spec.order
-    wn = np.array([spec.f_low, spec.f_high]) / (fs / 2)
+    wn = np.array([spec.f_low, spec.f_high]) / (spec.fs / 2)
     # Analog lowpass prototype: poles on the unit circle, the middle one
     # exactly real, no zeros, unit gain.
     m = np.arange(-order + 1, order, 2, dtype=float)
@@ -180,34 +210,6 @@ def _poly(roots: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-@functools.lru_cache(maxsize=64)
-def _designed_filter(
-    spec: BandpassSpec, fs: float
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], int]:
-    """design_bandpass(spec, fs) as read-only (b, a), designed once per
-    (spec, fs); the filter's steady-state initial conditions for a unit
-    step, zi; and its zero-phase pad length: three times the samples until
-    the impulse-response envelope decays below 1e-9, from the largest pole
-    radius.
-
-    zi solves (I - companion(a)^T) zi = b[1:] - a[1:] b[0], as in
-    scipy.signal.lfilter_zi (a[0] is 1)."""
-    b, a = design_bandpass(spec, fs)
-    poles = np.roots(a)
-    rmax = float(np.max(np.abs(poles))) if poles.size else 0.0
-    if rmax >= 1.0:
-        raise ValueError(f"unstable filter (pole radius {rmax})")
-    length = len(b) if rmax <= 0.0 else max(len(b), int(np.ceil(np.log(1e-9) / np.log(rmax))))
-    n = len(a) - 1
-    companion = np.zeros((n, n))
-    companion[0] = -a[1:] / (1.0 * a[0:1])
-    companion[np.arange(1, n), np.arange(n - 1)] = 1
-    zi = np.linalg.solve(np.eye(n) - companion.T, b[1:] - a[1:] * b[0])
-    for arr in (b, a, zi):
-        arr.flags.writeable = False
-    return (b, a, zi), 3 * length
-
-
 def _df2t(b: np.ndarray, a: np.ndarray, x: np.ndarray, z: np.ndarray, out=None) -> None:
     """scipy.signal.lfilter's direct-form-II-transposed recursion down the
     rows of x (L, C), one time step at a time and vectorized over columns,
@@ -236,17 +238,20 @@ def _df2t(b: np.ndarray, a: np.ndarray, x: np.ndarray, z: np.ndarray, out=None) 
             out[t] = w[0]
 
 
-def _zero_phase(b, a, zi, x: np.ndarray, padlen: int) -> np.ndarray:
+def _zero_phase(spec: BandpassSpec, x: np.ndarray) -> np.ndarray:
     """scipy.signal.filtfilt(b, a, x, axis=0, padtype="even",
-    padlen=padlen), bit for bit, in T + padlen rows of working memory.
+    padlen=padlen) with spec's b and a and its padlen clamped to T - 1,
+    bit for bit, in T + padlen rows of working memory.
 
     Forward from zi * (first sample of the even extension): over the
     mirrored head x[padlen:0:-1], whose output is cropped away and so not
     kept, then in place over x and its mirrored tail.  Backward from
     zi * (last forward output), in place down the reversed rows without a
     reversed copy, ending at row 0: output before x[0] would be cropped."""
+    b, a, zi = spec.b, spec.a, spec.zi
     t, c = x.shape
     n = len(b) - 1
+    padlen = min(spec.padlen, t - 1)
     ext = np.empty((t + padlen, c))
     ext[:t] = x
     ext[t:] = x[-2:-(padlen + 2):-1]
@@ -261,18 +266,17 @@ def _zero_phase(b, a, zi, x: np.ndarray, padlen: int) -> np.ndarray:
     return ext[:t]
 
 
-def _bandpass(x: np.ndarray, fs: float, spec: BandpassSpec, zero_phase: bool) -> np.ndarray:
+def _bandpass(x: np.ndarray, spec: BandpassSpec, zero_phase: bool) -> np.ndarray:
     """The filter of butterworth_bandpass on a (T, C) float array, without
     checking the result: an entry that overflows comes back as inf or nan,
     as from scipy.signal, for the caller to check column by column."""
-    (b, a, zi), padlen = _designed_filter(spec, fs)
     with np.errstate(over="ignore", invalid="ignore"):
         if zero_phase:
-            return _zero_phase(b, a, zi, x, min(padlen, x.shape[0] - 1))
+            return _zero_phase(spec, x)
         out = np.array(x)
-        z = np.zeros((len(b), x.shape[1]))
+        z = np.zeros((len(spec.b), x.shape[1]))
         z[-1] = -0.0
-        _df2t(b, a, out, z, out=out)
+        _df2t(spec.b, spec.a, out, z, out=out)
         return out
 
 
@@ -297,8 +301,7 @@ def butterworth_bandpass(
     some 12 times scipy.signal.filtfilt's time.  For many subjects,
     fcg_from_many filters them in wide blocks.
     """
-    spec = spec or BandpassSpec()
-    return RoiTimeSeries(_bandpass(ts.data, ts.fs, spec, zero_phase), ts.fs)
+    return RoiTimeSeries(_bandpass(ts.data, spec or BandpassSpec(), zero_phase))
 
 
 def pearson_fcg(ts: RoiTimeSeries) -> np.ndarray:
@@ -337,36 +340,15 @@ def pca_regressors(voxel_data: np.ndarray, k: int) -> np.ndarray:
     return comps * np.array([canonical_sign(col) for col in comps.T])
 
 
-def residualize_checked(
-    ts: RoiTimeSeries, nuisance: NuisanceMatrix | None = None
-) -> RoiTimeSeries:
-    """The steps of fcg_from_timeseries before the filter: reject an ROI
-    column that is constant in `ts`, naming its index (filtering would
-    leave rounding residue in it, which correlates like noise), then
-    residualize against the nuisance regressors (the intercept alone when
-    there are none)."""
-    constant = np.flatnonzero(np.all(ts.data == ts.data[0], axis=0))
-    if constant.size:
-        raise ValueError(f"zero-variance ROI columns: indices {constant[:10].tolist()}")
-    nuis = nuisance if nuisance is not None else NuisanceMatrix.empty(ts.n_timepoints)
-    return ols_residualize(ts, nuis)
-
-
 def fcg_from_timeseries(
     ts: RoiTimeSeries,
     nuisance: NuisanceMatrix | None = None,
     spec: BandpassSpec | None = None,
     zero_phase: bool = True,
 ) -> np.ndarray:
-    """Full per-subject pipeline: residualize, bandpass, pairwise Pearson.
-
-    Raises for an ROI column that is constant in `ts` (see
-    residualize_checked).  For many subjects fcg_from_many gives the same
-    bits faster (see butterworth_bandpass).
-    """
-    cleaned = residualize_checked(ts, nuisance)
-    filtered = butterworth_bandpass(cleaned, spec, zero_phase=zero_phase)
-    return pearson_fcg(filtered)
+    """One subject's vector of fcg_from_many: residualize, bandpass,
+    pairwise Pearson.  Raises for an ROI column that is constant in `ts`."""
+    return next(fcg_from_many([(ts, nuisance)], spec, zero_phase))
 
 
 # Bytes of residualized series that fcg_from_many stacks side by side into
@@ -375,8 +357,7 @@ def fcg_from_timeseries(
 # rows).  Fewer, wider blocks filter faster, since the filter makes a fixed
 # number of numpy calls per time step: at 2 MiB (27 subjects of 240 x 40
 # per block) 150 such subjects filter in about 1.2 times the time of
-# scipy.signal.filtfilt run per subject, and fcg_from_many as a whole runs
-# about as fast as fcg_from_timeseries did with scipy.
+# scipy.signal.filtfilt run per subject.
 _BLOCK_BYTES = 2 << 20
 
 
@@ -385,24 +366,31 @@ def fcg_from_many(
     spec: BandpassSpec | None = None,
     zero_phase: bool = True,
 ) -> Iterator[np.ndarray]:
-    """fcg_from_timeseries(ts, nuisance, spec, zero_phase) of each
-    (ts, nuisance) pair, in order and with the same bits.
+    """The functional-connectivity vector of each (ts, nuisance) pair, in
+    order: reject an ROI column that is constant in `ts`, naming its index
+    (filtering would leave rounding residue in it, which correlates like
+    noise); residualize against the nuisance regressors (the intercept
+    alone when there are none); bandpass; pairwise Pearson.
 
-    Consecutive subjects with the same T and fs are residualized, then
-    filtered together as one block of at most _BLOCK_BYTES; each column
-    is filtered on its own, so no bit depends on the grouping.  Failures
-    come in subject order, as one subject at a time: the error raised by
-    the k-th next() is subject k's, or one that `subjects` raised while
-    yielding its k-th pair.  A filter-design failure is raised for the
-    block's first subject.
+    Consecutive subjects with the same T are residualized, then filtered
+    together as one block of at most _BLOCK_BYTES; each column is filtered
+    on its own, so no bit depends on the grouping.  Failures come in
+    subject order, as one subject at a time: the error raised by the k-th
+    next() is subject k's, or one that `subjects` raised while yielding its
+    k-th pair.
     """
     spec = spec or BandpassSpec()
-    block: list[RoiTimeSeries] = []
+    block: list[np.ndarray] = []
     pairs = iter(subjects)
     while True:
         try:
             ts, nuisance = next(pairs)
-            cleaned = residualize_checked(ts, nuisance)
+            constant = np.flatnonzero(np.all(ts.data == ts.data[0], axis=0))
+            if constant.size:
+                raise ValueError(f"zero-variance ROI columns: indices {constant[:10].tolist()}")
+            if nuisance is None:
+                nuisance = NuisanceMatrix.empty(ts.n_timepoints)
+            cleaned = ols_residualize(ts, nuisance).data
         except StopIteration:
             break
         except Exception:
@@ -410,26 +398,26 @@ def fcg_from_many(
             yield from _fcg_block(block, spec, zero_phase)
             raise
         if block and (
-            (cleaned.n_timepoints, cleaned.fs) != (block[0].n_timepoints, block[0].fs)
-            or sum(s.data.nbytes for s in block) + cleaned.data.nbytes > _BLOCK_BYTES
+            cleaned.shape[0] != block[0].shape[0]
+            or sum(s.nbytes for s in block) + cleaned.nbytes > _BLOCK_BYTES
         ):
             yield from _fcg_block(block, spec, zero_phase)
         block.append(cleaned)
     yield from _fcg_block(block, spec, zero_phase)
 
 
-def _fcg_block(block: list[RoiTimeSeries], spec: BandpassSpec, zero_phase: bool):
+def _fcg_block(block: list[np.ndarray], spec: BandpassSpec, zero_phase: bool):
     """Filter the residualized series in `block` as one array, emptying the
     list, then yield each subject's Pearson vector; a column that overflowed
     in the filter fails as its own subject's."""
     if not block:
         return
-    fs, widths = block[0].fs, [s.n_rois for s in block]
-    stacked = np.hstack([s.data for s in block])
+    widths = [s.shape[1] for s in block]
+    stacked = np.hstack(block)
     block.clear()  # the residuals now live in `stacked` alone
-    filtered = _bandpass(stacked, fs, spec, zero_phase)
+    filtered = _bandpass(stacked, spec, zero_phase)
     del stacked
     start = 0
     for width in widths:
-        yield pearson_fcg(RoiTimeSeries(filtered[:, start:start + width], fs))
+        yield pearson_fcg(RoiTimeSeries(filtered[:, start:start + width]))
         start += width

@@ -129,7 +129,8 @@ def scale_rows_to_unit_variance(m: FeatureMatrix) -> FeatureMatrix:
 
 @dataclass(frozen=True)
 class ColumnStandardizer:
-    """Column means/sds fitted on one matrix, applicable to another.
+    """Column means and sample sds (divide by n-1) fitted on one matrix,
+    applicable to another.
 
     `kept` is the manifest of retained column indices; zero-variance columns
     are dropped rather than erroring because real fingerprint data contains
@@ -169,17 +170,6 @@ class ColumnStandardizer:
                 f"expected {self.n_columns} columns, got {data.shape[1] if data.ndim == 2 else data.shape}"
             )
         return (data[:, self.kept] - self.mean) / self.sd
-
-
-def standardize_columns(m: FeatureMatrix) -> tuple[FeatureMatrix, ColumnStandardizer]:
-    """Standardize columns to mean 0, sample sd 1 (divide by n-1).
-
-    Returns the standardized matrix together with the fitted standardizer,
-    whose `kept` field is the manifest of retained (positive-variance)
-    columns.
-    """
-    std = ColumnStandardizer.fit(m.data)
-    return FeatureMatrix(std.apply(m.data), m.subject_ids), std
 
 
 # ---------------------------------------------------------------------------

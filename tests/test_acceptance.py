@@ -226,8 +226,9 @@ def test_criterion_09_filter_behavior():
     from hdpaired.fcg import BandpassSpec, RoiTimeSeries, butterworth_bandpass
 
     fs = 1.0
-    const = RoiTimeSeries(np.full((840, 1), 2.5), fs)
-    out = butterworth_bandpass(const)
+    spec = BandpassSpec(fs=fs)
+    const = RoiTimeSeries(np.full((840, 1), 2.5))
+    out = butterworth_bandpass(const, spec)
     rms_in = 2.5
     rms_out = float(np.sqrt(np.mean(out.data**2)))
     rejection_db = math.inf if rms_out == 0 else 20.0 * math.log10(rms_in / rms_out)
@@ -235,7 +236,7 @@ def test_criterion_09_filter_behavior():
     f0 = math.sqrt(0.08 * 0.15)
     t = np.arange(6000) / fs
     sig = np.sin(2 * np.pi * f0 * t)
-    filtered = butterworth_bandpass(RoiTimeSeries(sig[:, None], fs), BandpassSpec())
+    filtered = butterworth_bandpass(RoiTimeSeries(sig[:, None]), spec)
     measured = fit_sinusoid_amplitude(filtered.data[:, 0], f0, fs, skip=500)
     expected = bilinear_bandpass_gain(f0, 0.08, 0.15, fs) ** 2
     rel = abs(measured - expected) / expected

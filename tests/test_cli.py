@@ -485,6 +485,26 @@ class TestFcg:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["message"] == f"{src / 'beta.csv'}: nuisance rows (59) != time points (60)"
 
+    @pytest.mark.parametrize("option, message", [
+        (["--fs", 0], "sampling frequency must be positive, got 0.0"),
+        (["--fs", "inf"], "sampling frequency must be finite, got inf"),
+        (["--fs", 0.2], "band edge 0.15 Hz at or beyond Nyquist (0.1 Hz)"),
+        (["--high", 0.6], "band edge 0.6 Hz at or beyond Nyquist (0.5 Hz)"),
+    ], ids=["fs-0", "fs-inf", "fs-0.2", "high-0.6"])
+    def test_bad_filter_option_fails_before_any_subject(self, tmp_path, capsys, option,
+                                                        message):
+        # The first subject cannot be read, so any failure that came after
+        # reading it would be that file's.
+        src = tmp_path / "ts"
+        src.mkdir()
+        (src / "alpha.csv").write_text("r0,r1\n1.0\n")
+        self.write_subject(src, "beta", seed=2)
+        out = tmp_path / "o"
+        assert run(["fcg", "--input", src, *option, "--out", out]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError", "message": message}
+        assert not out.exists()
+
     def test_one_row_table_is_not_transposed(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,b\n1.0,2.0\n")
@@ -531,7 +551,7 @@ class TestFcgBlocks:
         # ... and the rows are those of the per-subject pipeline.
         rows = load_matrix(str(out / "fcg.bin"), "bin").data
         for i in range(len(self.LENGTHS)):
-            series = RoiTimeSeries(_read_plain_csv(str(src / f"s{i}.csv")), 1.0)
+            series = RoiTimeSeries(_read_plain_csv(str(src / f"s{i}.csv")))
             nuis = NuisanceMatrix(_read_plain_csv(str(src / f"s{i}.nuisance.csv")))
             assert rows[i].tobytes() == fcg_from_timeseries(series, nuis).tobytes()
 
@@ -567,12 +587,18 @@ class TestFcgBlocks:
     @BUDGETS
     def test_filter_design_error_names_the_first_subject(self, tmp_path, monkeypatch, capsys,
                                                          budget):
+        # The name is older than the rule it now checks: the filter is
+        # designed with BandpassSpec, before any subject is read, so at any
+        # block budget its error names no subject, not even s0.
         src = self.write_dir(tmp_path)
         (src / "s1.csv").write_text("r0,r1,r2,r3\n1.0,2.0\n")
         monkeypatch.setattr("hdpaired.fcg._BLOCK_BYTES", budget)
-        assert run(["fcg", "--input", src, "--high", 0.6, "--out", tmp_path / "o"]) == 1
+        out = tmp_path / "o"
+        assert run(["fcg", "--input", src, "--high", 0.6, "--out", out]) == 1
         err = json.loads(capsys.readouterr().err.strip())
-        assert err["message"] == f"{src / 's0.csv'}: band edge 0.6 Hz at or beyond Nyquist (0.5 Hz)"
+        assert err == {"error": "ValueError",
+                       "message": "band edge 0.6 Hz at or beyond Nyquist (0.5 Hz)"}
+        assert not out.exists()
 
 
 class TestConfigPrecedence:
@@ -900,8 +926,8 @@ def test_fcg_loads_no_scipy_signal(tmp_path):
     assert proc.stdout.strip().splitlines()[-1] == "True []"
     code = ("import sys; import numpy as np; "
             "from hdpaired.fcg import BandpassSpec, RoiTimeSeries, butterworth_bandpass, "
-            "design_bandpass; design_bandpass(BandpassSpec(order=3), 1.0); "
-            "butterworth_bandpass(RoiTimeSeries(np.arange(40.0).reshape(20, 2) % 7, 1.0)); "
+            "design_bandpass; design_bandpass(BandpassSpec(order=3, fs=1.0)); "
+            "butterworth_bandpass(RoiTimeSeries(np.arange(40.0).reshape(20, 2) % 7)); "
             f"print({scipy_modules})")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_child_env(), check=True)

@@ -14,8 +14,6 @@ from hdpaired.distances import (
     d_y,
     distance_matrix,
     euclidean,
-    load_distance_matrix,
-    save_distance_matrix,
     upper_triangle,
 )
 from hdpaired.matrixio import FeatureMatrix
@@ -230,16 +228,6 @@ class TestUpperTriangle:
 
 
 class TestPersistence:
-    def test_round_trip_with_sidecar(self, tmp_path):
-        data = np.random.default_rng(11).standard_normal((8, 5))
-        d = distance_matrix(fm(data), "scaled_euclidean")
-        path = str(tmp_path / "d.bin")
-        save_distance_matrix(d, path)
-        back = load_distance_matrix(path)
-        assert back.metric_tag == "scaled_euclidean"
-        assert back.subject_ids == d.subject_ids
-        np.testing.assert_array_equal(back.data, d.data)
-
     def test_euclidean_vs_dx_consistency(self):
         rng = np.random.default_rng(12)
         a, b = rng.standard_normal((2, 40))

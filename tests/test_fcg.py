@@ -5,7 +5,6 @@ from hdpaired.fcg import (
     BandpassSpec,
     NuisanceMatrix,
     RoiTimeSeries,
-    _designed_filter,
     butterworth_bandpass,
     design_bandpass,
     fcg_from_many,
@@ -18,26 +17,38 @@ from hdpaired.fcg import (
 from oracles import bilinear_bandpass_gain, fit_sinusoid_amplitude, naive_pearson
 
 
-def ts(data, fs=1.0):
-    return RoiTimeSeries(np.asarray(data, dtype=float), fs)
+def ts(data):
+    return RoiTimeSeries(np.asarray(data, dtype=float))
 
 
 class TestTypes:
     def test_time_series_validation(self):
         with pytest.raises(ValueError, match="T >= 3"):
             ts(np.ones((2, 3)))
-        with pytest.raises(ValueError, match="positive"):
-            RoiTimeSeries(np.ones((5, 2)), 0.0)
-        with pytest.raises(ValueError, match="sampling frequency must be positive, got nan"):
-            RoiTimeSeries(np.ones((5, 2)), float("nan"))
-        with pytest.raises(ValueError, match="sampling frequency must be finite, got inf"):
-            RoiTimeSeries(np.ones((5, 2)), float("inf"))
+        with pytest.raises(ValueError, match="non-finite"):
+            ts([[1.0], [np.nan], [2.0]])
 
     def test_bandpass_spec_validation(self):
         with pytest.raises(ValueError, match="f_low < f_high"):
             BandpassSpec(0.2, 0.1)
-        with pytest.raises(ValueError, match="Nyquist"):
-            BandpassSpec(0.08, 0.6).validate_against(1.0)
+        with pytest.raises(ValueError, match="order must be a positive integer, got 0"):
+            BandpassSpec(order=0)
+        with pytest.raises(ValueError, match="sampling frequency must be positive, got 0.0"):
+            BandpassSpec(fs=0.0)
+        with pytest.raises(ValueError, match="sampling frequency must be positive, got nan"):
+            BandpassSpec(fs=float("nan"))
+        with pytest.raises(ValueError, match="sampling frequency must be finite, got inf"):
+            BandpassSpec(fs=float("inf"))
+        with pytest.raises(ValueError, match=r"band edge 0.15 Hz at or beyond Nyquist \(0.1 Hz\)"):
+            BandpassSpec(fs=0.2)
+
+    def test_bandpass_spec_design_is_read_only_and_not_compared(self):
+        spec = BandpassSpec(0.05, 0.2, 2, fs=1 / 0.72)
+        assert not (spec.b.flags.writeable or spec.a.flags.writeable or spec.zi.flags.writeable)
+        # The design follows from the four options, so equality and hashing
+        # compare the options alone.
+        assert spec == BandpassSpec(0.05, 0.2, 2, fs=1 / 0.72) != BandpassSpec(0.05, 0.2, 2)
+        assert hash(spec) == hash(BandpassSpec(0.05, 0.2, 2, fs=1 / 0.72))
 
 
 class TestOlsResidualize:
@@ -94,11 +105,11 @@ class TestButterworthBandpass:
 
     def test_passband_gain_matches_analytic_oracle(self):
         fs = 1.0
-        spec = BandpassSpec(0.08, 0.15, 1)
+        spec = BandpassSpec(0.08, 0.15, 1, fs)
         f0 = np.sqrt(0.08 * 0.15)
         t = np.arange(6000) / fs
         sig = np.sin(2 * np.pi * f0 * t)
-        out = butterworth_bandpass(ts(sig[:, None], fs), spec)
+        out = butterworth_bandpass(ts(sig[:, None]), spec)
         measured = fit_sinusoid_amplitude(out.data[:, 0], f0, fs, skip=500)
         expected = bilinear_bandpass_gain(f0, 0.08, 0.15, fs) ** 2
         assert measured == pytest.approx(expected, rel=0.05)
@@ -107,8 +118,9 @@ class TestButterworthBandpass:
         fs = 1.0
         t = np.arange(4000) / fs
         f0 = np.sqrt(0.08 * 0.15)
-        out_pass = butterworth_bandpass(ts(np.sin(2 * np.pi * f0 * t)[:, None], fs))
-        out_stop = butterworth_bandpass(ts(np.sin(2 * np.pi * 0.40 * t)[:, None], fs))
+        spec = BandpassSpec(fs=fs)
+        out_pass = butterworth_bandpass(ts(np.sin(2 * np.pi * f0 * t)[:, None]), spec)
+        out_stop = butterworth_bandpass(ts(np.sin(2 * np.pi * 0.40 * t)[:, None]), spec)
         amp_pass = fit_sinusoid_amplitude(out_pass.data[:, 0], f0, fs, skip=300)
         amp_stop = fit_sinusoid_amplitude(out_stop.data[:, 0], 0.40, fs, skip=300)
         assert amp_stop < amp_pass
@@ -131,7 +143,7 @@ class TestButterworthBandpass:
         import scipy.signal
 
         fs = 1.0
-        b, a = design_bandpass(BandpassSpec(0.08, 0.15, 1), fs)
+        b, a = design_bandpass(BandpassSpec(0.08, 0.15, 1, fs))
         for f in (0.05, 0.09, 0.11, 0.15, 0.3):
             _, h = scipy.signal.freqz(b, a, worN=[2 * np.pi * f / fs])
             assert abs(h[0]) == pytest.approx(
@@ -154,28 +166,29 @@ class TestScipyOracle:
         import scipy.signal
 
         for low, high in ((0.01, 0.08), (0.08, 0.15), (0.009, 0.1), (0.001, 0.2), (0.05, 0.24)):
-            b, a = design_bandpass(BandpassSpec(low, high, order), fs)
+            spec = BandpassSpec(low, high, order, fs)
+            b, a = design_bandpass(spec)
             want_b, want_a = scipy.signal.butter(order, [low, high], btype="bandpass", fs=fs)
             assert _same_bits(b, want_b) and _same_bits(a, want_a), (low, high)
-            (_, _, zi), _ = _designed_filter(BandpassSpec(low, high, order), fs)
-            assert _same_bits(zi, scipy.signal.lfilter_zi(b, a))
+            assert _same_bits(spec.b, want_b) and _same_bits(spec.a, want_a), (low, high)
+            assert _same_bits(spec.zi, scipy.signal.lfilter_zi(b, a))
 
     @pytest.mark.parametrize("t", [3, 4, 120, 240, 6000])
     @pytest.mark.parametrize("order, fs", [(1, 1.0), (2, 1 / 0.72), (3, 0.5)])
     def test_filter_matches_filtfilt_and_lfilter(self, t, order, fs):
         import scipy.signal
 
-        spec = BandpassSpec(0.01, 0.2, order)
-        b, a = design_bandpass(spec, fs)
-        padlen = min(_designed_filter(spec, fs)[1], t - 1)
+        spec = BandpassSpec(0.01, 0.2, order, fs)
+        b, a = design_bandpass(spec)
+        padlen = min(spec.padlen, t - 1)
         assert (padlen == t - 1) == (t <= 240)  # the pad is clamped to T - 1 up to T = 240
         rng = np.random.default_rng(t + order)
         for c in (1, 37):
             x = 3.0 * rng.standard_normal((t, c)) + 1.0
-            got = butterworth_bandpass(ts(x, fs), spec).data
+            got = butterworth_bandpass(ts(x), spec).data
             want = scipy.signal.filtfilt(b, a, x, axis=0, padtype="even", padlen=padlen)
             assert _same_bits(got, want), ("zero-phase", c)
-            got = butterworth_bandpass(ts(x, fs), spec, zero_phase=False).data
+            got = butterworth_bandpass(ts(x), spec, zero_phase=False).data
             assert _same_bits(got, scipy.signal.lfilter(b, a, x, axis=0)), ("causal", c)
 
     def test_signed_zeros_match(self):
@@ -183,18 +196,18 @@ class TestScipyOracle:
         import scipy.signal
 
         spec = BandpassSpec()
-        b, a = design_bandpass(spec, 1.0)
+        b, a = design_bandpass(spec)
         x = np.random.default_rng(15).standard_normal((200, 5))
         x[:, 0] = 0.0
         x[:, 1] = -0.0
         x[50:120, 2] = 0.0
         x[::3, 3] = -0.0
         x[:, 4] = np.where(np.arange(200) % 2, 0.0, -0.0)
-        padlen = min(_designed_filter(spec, 1.0)[1], 199)
-        got = butterworth_bandpass(RoiTimeSeries(x, 1.0), spec).data
+        padlen = min(spec.padlen, 199)
+        got = butterworth_bandpass(RoiTimeSeries(x), spec).data
         assert _same_bits(got, scipy.signal.filtfilt(b, a, x, axis=0, padtype="even",
                                                      padlen=padlen))
-        got = butterworth_bandpass(RoiTimeSeries(x, 1.0), spec, zero_phase=False).data
+        got = butterworth_bandpass(RoiTimeSeries(x), spec, zero_phase=False).data
         assert _same_bits(got, scipy.signal.lfilter(b, a, x, axis=0))
 
     def test_columns_filter_alike_alone_and_stacked(self):
@@ -263,23 +276,28 @@ class TestPipeline:
 
     @staticmethod
     def subjects():
-        # Runs of equal T and fs, split by a change of T and one of fs;
-        # the second subject has no nuisance regressors and other widths.
+        # Runs of equal T, split by changes of T; the second subject has no
+        # nuisance regressors and another width.
         rng = np.random.default_rng(17)
-        shapes = [(60, 4, 1.0), (60, 3, 1.0), (60, 4, 1.0), (80, 4, 1.0), (80, 4, 0.5),
-                  (80, 4, 0.5)]
-        return [(ts(rng.standard_normal((t, m)), fs),
+        shapes = [(60, 4), (60, 3), (60, 4), (80, 4), (80, 4), (60, 4)]
+        return [(ts(rng.standard_normal((t, m))),
                  None if i == 1 else NuisanceMatrix(rng.standard_normal((t, 2))))
-                for i, (t, m, fs) in enumerate(shapes)]
+                for i, (t, m) in enumerate(shapes)]
 
     @pytest.mark.parametrize("budget", [1, 4000, 1 << 40])
     @pytest.mark.parametrize("zero_phase", [True, False])
     def test_many_equals_one_at_a_time(self, monkeypatch, budget, zero_phase):
         monkeypatch.setattr("hdpaired.fcg._BLOCK_BYTES", budget)
-        spec = BandpassSpec(0.05, 0.2, 2)
+        spec = BandpassSpec(0.05, 0.2, 2, fs=0.5)
         got = list(fcg_from_many(self.subjects(), spec, zero_phase))
-        want = [fcg_from_timeseries(t, n, spec, zero_phase) for t, n in self.subjects()]
+        # The steps one subject at a time, each through its public function.
+        want = [pearson_fcg(butterworth_bandpass(
+                    ols_residualize(t, n or NuisanceMatrix.empty(t.n_timepoints)),
+                    spec, zero_phase))
+                for t, n in self.subjects()]
         assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+        one = [fcg_from_timeseries(t, n, spec, zero_phase) for t, n in self.subjects()]
+        assert [v.tobytes() for v in one] == [v.tobytes() for v in want]
 
     @pytest.mark.parametrize("budget", [1, 1 << 40])
     @pytest.mark.parametrize("first, error, match", [
