@@ -405,6 +405,7 @@ def _cmd_infer(cfg: dict, inputs: dict[str, str], mode: str) -> dict:
             "n_subsamples": ci.n_subsamples,
             "n_degenerate": ci.n_degenerate,
         }
+        reps = ci.replicates
     else:  # bootstrap
         boot = bootstrap_distribution(dx, dy, cfg["b"], cfg["seed"], cfg["threads"])
         results = {
@@ -601,7 +602,7 @@ _METRIC_PAIR = {"metric_x": "scaled_euclidean", "metric_y": "pearson_correlation
 # The keys of every command that draws replicates from distance matrices.
 _DRAWS = {**_PAIR, "b": 10_000, "seed": 0, "threads": 1, **_METRIC_PAIR}
 _DUMP = {**_DRAWS, "dump_replicates": False}  # infer perm, infer bootstrap
-_INTERVAL = {**_DRAWS, "ratio": 0.135, "level": 0.95, "method": "root"}  # infer subsample, report
+_INTERVAL = {**_DRAWS, "ratio": 0.135, "level": 0.95, "method": "root"}  # report
 
 _COMMANDS = {
     "synth": _Command(
@@ -628,7 +629,7 @@ _COMMANDS = {
         ("perm", "permutation test of the distance-pair correlation", _DUMP),
         # dcor_ttest always uses Euclidean distances and draws no replicates.
         ("dcor", "bias-corrected distance-correlation t-test", _PAIR),
-        ("subsample", "subsampling confidence interval", _INTERVAL),
+        ("subsample", "subsampling confidence interval", {**_INTERVAL, "dump_replicates": False}),
         ("bootstrap", "bootstrap distribution of the distance-pair correlation", _DUMP),
     )},
     "scca fit": _Command(

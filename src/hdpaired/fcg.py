@@ -25,6 +25,7 @@ which filtfilt offers as method="gust".
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -138,8 +139,13 @@ class BandpassSpec:
 def ols_residualize(ts: RoiTimeSeries, nuisance: NuisanceMatrix) -> RoiTimeSeries:
     """Replace each ROI column by its OLS residual against [intercept | nuisance].
 
-    Residuals are orthogonal to every regressor column.  A rank-deficient
-    design raises, reporting the dependent columns found by a pivoted QR.
+    Residuals are orthogonal to every regressor column.  The design is
+    factored once by numpy's Householder QR, design = Q R; the residual is
+    data - Q (Q^T data).  The rank is that of a QR with column pivoting of
+    the design, found on the small square R (_pivoted_rank): Q is
+    orthonormal, so R has the design's column norms and inner products.
+    |R_kk| > |R_00| max(T, r) eps counts toward the rank, and a
+    rank-deficient design raises, reporting the dependent columns.
     """
     if nuisance.data.shape[0] != ts.n_timepoints:
         raise ValueError(
@@ -149,21 +155,53 @@ def ols_residualize(ts: RoiTimeSeries, nuisance: NuisanceMatrix) -> RoiTimeSerie
     t, r = design.shape
     if r > t:
         raise ValueError(f"design has more columns ({r}) than rows ({t})")
-    import scipy.linalg  # imported here: it is slow to load, and only residualizing needs it
-
-    q, rr, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(rr))
-    tol = diag[0] * max(t, r) * np.finfo(float).eps if diag.size else 0.0
-    rank = int(np.sum(diag > tol))
+    q, rr = np.linalg.qr(design)
+    rank, order = _pivoted_rank(rr, max(t, r) * np.finfo(float).eps)
     if rank < r:
-        dependent = sorted(int(j) for j in piv[rank:])
         raise ValueError(
             f"rank-deficient design (rank {rank} < {r} columns); "
-            f"dependent design columns (0 = intercept): {dependent}"
+            f"dependent design columns (0 = intercept): {sorted(order[rank:])}"
         )
     # q is an orthonormal basis of the full-rank design's column space.
     residual = ts.data - q @ (q.T @ ts.data)
     return RoiTimeSeries(residual)
+
+
+def _pivoted_rank(rr: np.ndarray, rtol: float) -> tuple[int, list[int]]:
+    """Rank and column order of a Householder QR with column pivoting of
+    rr (Golub & Van Loan, Matrix Computations, Alg. 5.4.1).
+
+    Step k moves the column whose entries in rows k.. have the largest norm
+    to position k, and applies the Householder reflection that zeroes it
+    below row k; that norm is |R_kk|.  The norms are recomputed at every
+    step, not downdated.  The
+    rank is the first k whose largest norm is at most |R_00| rtol.  Norms
+    within that tolerance of the largest are tied, and a tie goes to the
+    first column in the current order, as LAPACK's dgeqp3 breaks exact
+    ties: a column and its copy, or two columns whose dependence leaves
+    them equal norms, then give the same order whatever the rounding.
+    """
+    cols = rr.T.copy()  # row j holds column j
+    order = list(range(len(cols)))
+    tol = 0.0
+    for k in range(len(cols)):
+        rest = cols[k:, k:]
+        norms = np.sqrt(np.einsum("ij,ij->i", rest, rest)).tolist()
+        top = max(norms)
+        if k == 0:
+            tol = top * rtol
+        if top <= tol:
+            return k, order
+        j = next(i for i, norm in enumerate(norms) if norm >= top - tol)
+        if j:
+            rest[[0, j]] = rest[[j, 0]]
+            order[k], order[k + j] = order[k + j], order[k]
+        # H = I - v v^T / (top (top + |x0|)) maps x = rest[0] to -sign(x0) top e1.
+        v = rest[0].copy()
+        x0 = v[0]
+        v[0] = x0 + math.copysign(top, x0)
+        rest[1:] -= np.outer(rest[1:] @ v, v / (top * (top + abs(x0))))
+    return len(cols), order
 
 
 def design_bandpass(spec: BandpassSpec) -> tuple[np.ndarray, np.ndarray]:

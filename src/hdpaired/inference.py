@@ -388,10 +388,8 @@ def dcor_ttest(x: FeatureMatrix, y: FeatureMatrix) -> DcorResult:
     (`_ucentered_euclidean`); <Ux,Ux> is taken before Uy is built, then Ux*Uy is formed in
     Ux's buffer and Uy*Uy in Uy's.  Each sum is numpy's sum of the same
     products in the same C-contiguous layout as
-    `np.multiply(ucenter(dx), ucenter(dy)).sum()`, so r, t and p have its bits.
+    `np.multiply(ucenter(dx), ucenter(dy)).sum()`, so r and t have its bits.
     """
-    from scipy.special import stdtr  # imported here: it is slow to load, and only this test needs it
-
     if x.subject_ids != y.subject_ids:
         raise ValueError("matrices must be row-aligned over the same subjects")
     n = x.n_subjects
@@ -412,8 +410,91 @@ def dcor_ttest(x: FeatureMatrix, y: FeatureMatrix) -> DcorResult:
         t = math.inf if rc > 0 else -math.inf
     else:
         t = math.sqrt(v - 1) * rc / math.sqrt(1.0 - rc * rc)
-    p = float(stdtr(v - 1, -t))  # upper tail of Student-t with v - 1 df
+    p = _t_upper_tail(v - 1, t)
     return DcorResult(bias_corrected_r=r, t_statistic=t, degrees_of_freedom=v - 1, p_value=p)
+
+
+def _t_upper_tail(df: int, t: float) -> float:
+    """P(T > t) for Student's t with df degrees of freedom, as
+    scipy.special.stdtr(df, -t) gives it.
+
+    For t > 0 the tail is I_x(df/2, 1/2) / 2 with x = df / (df + t^2), I
+    being the regularized incomplete beta function; for t < 0 it is one
+    minus the tail at -t.  x and y = 1 - x are each formed from t^2 / df
+    (or its inverse, which cannot overflow), never one as 1 - the other,
+    since at large df x lies within t^2 / df of 1.  I then comes from the
+    continued fraction BFRAC of DiDonato & Morris (1992, ACM TOMS 18:360),
+    which reads x and y apart: as I_x(a, 1/2) when x lies below the mean
+    a / (a + 1/2) of Beta(a, 1/2), else as 1 - I_y(1/2, a).
+    """
+    if math.isnan(t):
+        return math.nan
+    if t == 0.0 or math.isinf(t):
+        return 0.5 if t == 0.0 else float(t < 0)
+    a = 0.5 * df
+    z = abs(t) / math.sqrt(df)
+    if z <= 1.0:
+        s = z * z
+        if s == 0.0:
+            return 0.5
+        log_x = -math.log1p(s)
+        log_y = math.log(s) + log_x
+        x, y = 1.0 / (1.0 + s), s / (1.0 + s)
+    else:
+        u = 1.0 / (z * z)
+        log_y = -math.log1p(u)
+        log_x = log_y - 2.0 * math.log(z)
+        x, y = u / (1.0 + u), 1.0 / (1.0 + u)
+    # x^a y^(1/2) / B(a, 1/2), with log B(a, 1/2) = log(pi) / 2 - _log_gamma_ratio(a).
+    front = math.exp(a * log_x + 0.5 * log_y + _log_gamma_ratio(a) - 0.5 * math.log(math.pi))
+    lam = (a + 0.5) * y - 0.5  # a - (a + 1/2) x
+    if lam >= 0.0:
+        tail = 0.5 * front * _beta_fraction(a, 0.5, x, y, lam)
+    else:
+        tail = 0.5 - 0.5 * front * _beta_fraction(0.5, a, y, x, -lam)
+    return tail if t > 0 else 1.0 - tail
+
+
+def _log_gamma_ratio(a: float) -> float:
+    """log Gamma(a + 1/2) - log Gamma(a).  From a = 20 on, its asymptotic
+    series to a^-9, whose first omitted term is below 1e-16 there: the
+    difference of the two log-gammas loses digits as a grows (7e-10 off at
+    a = 1e6, which the tail's p carries as a relative error)."""
+    if a < 20.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    u = 1.0 / (a * a)
+    series = 1 / 8 - u * (1 / 192 - u * (1 / 640 - u * (17 / 14336 - u * 31 / 18432)))
+    return 0.5 * math.log(a) - series / a
+
+
+def _beta_fraction(a: float, b: float, x: float, y: float, lam: float) -> float:
+    """I_x(a, b) B(a, b) / (x^a y^b) for lam = a - (a + b) x >= 0, y = 1 - x:
+    the continued fraction BFRAC of TOMS 708, evaluated forward with the
+    partial numerators and denominators rescaled at every step.  It takes
+    at most about 150 steps at any df for the t tail's b = 1/2."""
+    c = lam + 1.0
+    c0 = b / a
+    c1 = 1.0 / a + 1.0
+    yp1 = y + 1.0
+    p, s = 1.0, a + 1.0
+    an, bn, anp1, bnp1 = 0.0, 1.0, 1.0, c / c1
+    r = c1 / c
+    for n in range(1, 1001):
+        t = n / a
+        w = n * (b - n) * x
+        e = a / s
+        alpha = p * (p + c0) * e * e * (w * x)
+        e = (t + 1.0) / (c1 + t + t)
+        beta = n + w / s + e * (c + n * yp1)
+        p = t + 1.0
+        s += 2.0
+        an, anp1 = anp1, alpha * an + beta * anp1
+        bn, bnp1 = bnp1, alpha * bn + beta * bnp1
+        r0, r = r, anp1 / bnp1
+        if abs(r - r0) <= 1e-15 * r:
+            return r
+        an, bn, anp1, bnp1 = an / bnp1, bn / bnp1, r, 1.0
+    raise ArithmeticError(f"incomplete beta fraction did not converge (a={a}, b={b}, x={x})")
 
 
 def _check_interval(level: float, method: str) -> None:

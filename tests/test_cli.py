@@ -14,6 +14,7 @@ import pytest
 from hdpaired.cli import _COMMANDS, _read_plain_csv, _resolve, build_parser, main
 from hdpaired.distances import distance_matrix
 from hdpaired.fcg import NuisanceMatrix, RoiTimeSeries, fcg_from_timeseries
+from hdpaired.inference import subsample_ci
 from hdpaired.matrixio import FeatureMatrix, load_matrix, save_matrix
 from hdpaired.scca import SccaSolver
 
@@ -160,6 +161,35 @@ class TestInfer:
                     "--seed", 4, "--dump-replicates", "--out", out]) == 0
         lines = (out / "replicates_bootstrap.csv").read_text().strip().splitlines()
         assert len(lines) == 41
+
+    def test_subsample_replicate_dump(self, tmp_path):
+        # Subjects 2.. share one x row, so a draw of 4 without subject 0 or 1
+        # has a constant x triangle: a degenerate replicate, written as nan.
+        ids = tuple(f"s{i}" for i in range(20))
+        xdata = np.zeros((20, 2))
+        xdata[0, 0] = xdata[1, 1] = 1.0
+        x = FeatureMatrix(xdata, ids)
+        y = FeatureMatrix(np.random.default_rng(11).standard_normal((20, 4)), ids)
+        save_matrix(x, str(tmp_path / "x.bin"))
+        save_matrix(y, str(tmp_path / "y.bin"))
+        dumps = []
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}"
+            assert run(["infer", "subsample", "--x", tmp_path / "x.bin", "--y", tmp_path / "y.bin",
+                        "--b", 50, "--ratio", "0.2", "--seed", 3, "--threads", threads,
+                        "--dump-replicates", "--out", out]) == 0
+            dumps.append((out / "replicates_subsample.csv").read_bytes())
+        assert dumps[0] == dumps[1]
+        rows = list(csv.reader(dumps[0].decode().splitlines()))
+        assert rows[0] == ["replicate", "value"]
+        assert [int(i) for i, _ in rows[1:]] == list(range(50))
+        ci = subsample_ci(distance_matrix(x, "scaled_euclidean"),
+                          distance_matrix(y, "pearson_correlation_distance"), 0.2, 50, seed=3)
+        assert 0 < ci.n_degenerate < 50
+        np.testing.assert_array_equal([float(v) for _, v in rows[1:]], ci.replicates)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["report", "--x", "x", "--y", "y", "--out", "o",
+                                       "--dump-replicates"])
 
     def test_missing_file_errors(self, tmp_path, capsys):
         rc = run(["infer", "dcor", "--x", tmp_path / "nope.bin",
@@ -772,7 +802,8 @@ RESOLVED_DEFAULTS = {
     "infer subsample": {"x": "x", "y": "y", "out": "o", "b": 10_000, "seed": 0,
                         "ratio": 0.135, "level": 0.95, "method": "root", "threads": 1,
                         "metric_x": "scaled_euclidean",
-                        "metric_y": "pearson_correlation_distance"},
+                        "metric_y": "pearson_correlation_distance",
+                        "dump_replicates": False},
     "scca fit": {"x": "x", "y": "y", "out": "o", "c1": 2.0, "c2": 3.0, "d1": 1.0,
                  "d2": 1.0, "tol": 1e-6, "max_iters": 500, "init": "svd", "seed": 0},
     "scca cv": {"x": "x", "y": "y", "out": "o", "grid_file": None, "cells": 8, "k": 5,
@@ -806,7 +837,7 @@ _DRAWS = {"x", "y", "out", "b", "seed", "threads", "metric-x", "metric-y", "conf
 INFER_READS = {
     "perm": _DRAWS | {"dump-replicates"},
     "dcor": {"x", "y", "out", "config"},
-    "subsample": _DRAWS | {"ratio", "level", "method"},
+    "subsample": _DRAWS | {"ratio", "level", "method", "dump-replicates"},
     "bootstrap": _DRAWS | {"dump-replicates"},
 }
 # A value each flag accepts (default "3"); None marks a switch.
@@ -867,12 +898,14 @@ class TestOptionTable:
     @pytest.mark.parametrize("mode", sorted(INFER_READS))
     def test_infer_config_key_the_mode_does_not_read_rejected(self, mode, tmp_path, capsys):
         unread = sorted(key.replace("-", "_") for key in set(INFER_FLAGS) - INFER_READS[mode])
+        # infer subsample reads every infer flag; dist's "bins" stands in there.
+        key = unread[0] if unread else "bins"
         cfg = tmp_path / "conf.yaml"
-        cfg.write_text(f"{unread[0]}: 1\n")
+        cfg.write_text(f"{key}: 1\n")
         assert run(["infer", mode, "--x", "x", "--y", "y", "--config", cfg,
                     "--out", tmp_path / "o"]) == 1
         err = json.loads(capsys.readouterr().err.strip())
-        assert err == {"error": "CliError", "message": f"unknown config keys: [{unread[0]!r}]"}
+        assert err == {"error": "CliError", "message": f"unknown config keys: [{key!r}]"}
         assert not (tmp_path / "o").exists()
 
     def test_mode_flags_follow_the_mode(self):
@@ -882,8 +915,9 @@ class TestOptionTable:
 
 
 def test_import_skips_slow_scipy_modules():
-    # scipy costs most of the CLI's start-up, so every scipy import sits in
-    # the function that uses it: synth and scca never load scipy at all.
+    # scipy costs most of the CLI's start-up, so its one import sits in the
+    # function that uses it, rank_correlations (infer perm): no other
+    # command loads scipy at all.
     code = ("import sys, hdpaired.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -909,21 +943,29 @@ def test_dist_and_subcluster_load_no_scipy(tmp_path, planted_pair):
 
 
 def test_fcg_loads_no_scipy_signal(tmp_path):
-    # The bandpass design and filter are numpy: fcg loads scipy.linalg for
-    # the pivoted QR of its residualization, but no scipy.signal module,
-    # and designing and applying the filter alone loads no scipy at all.
+    # The residualization's QR, the bandpass filter and the dCor t-test's
+    # Student-t tail are numpy, so fcg, then report and infer dcor on its
+    # output, run in one process without importing any scipy module; so
+    # does designing and applying the filter alone.
     src = tmp_path / "ts"
     src.mkdir()
-    for i in range(3):
+    for i in range(8):
         TestFcg().write_subject(src, f"s{i}", seed=i)
-    args = [str(a) for a in ("fcg", "--input", src, "--out", tmp_path / "o")]
+    ids = tuple(f"s{i}" for i in range(8))
+    y = tmp_path / "y.bin"
+    save_matrix(FeatureMatrix(np.random.default_rng(8).standard_normal((8, 5)), ids), str(y))
+    x = tmp_path / "o" / "fcg.bin"
+    steps = [["fcg", "--input", src, "--out", tmp_path / "o"],
+             ["report", "--x", x, "--y", y, "--b", 99, "--ratio", "0.5", "--out", tmp_path / "r"],
+             ["infer", "dcor", "--x", x, "--y", y, "--out", tmp_path / "d"]]
     scipy_modules = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
     code = ("import sys; from hdpaired.cli import main; "
-            f"assert main({args!r}) == 0; mods = {scipy_modules}; "
-            "print('scipy.linalg' in mods, [m for m in mods if m.startswith('scipy.signal')])")
+            f"assert all(main(args) == 0 for args in {[[str(a) for a in s] for s in steps]!r}); "
+            f"print({scipy_modules})")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_child_env(), check=True)
-    assert proc.stdout.strip().splitlines()[-1] == "True []"
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert 0.0 <= read_json(tmp_path / "d" / "infer_dcor.json")["results"]["p_value"] <= 1.0
     code = ("import sys; import numpy as np; "
             "from hdpaired.fcg import BandpassSpec, RoiTimeSeries, butterworth_bandpass, "
             "design_bandpass; design_bandpass(BandpassSpec(order=3, fs=1.0)); "

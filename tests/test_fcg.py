@@ -77,11 +77,37 @@ class TestOlsResidualize:
         assert np.max(np.abs(inner) / norms) < 1e-8
 
     def test_rank_deficient_design_reports_columns(self):
+        # The messages scipy.linalg.qr's pivoting gave, before the QR was numpy.
         rng = np.random.default_rng(3)
         base = rng.standard_normal((60, 2))
-        nuis = NuisanceMatrix(np.column_stack([base, base[:, 0] + base[:, 1]]))
-        with pytest.raises(ValueError, match="rank-deficient"):
-            ols_residualize(ts(rng.standard_normal((60, 2))), nuis)
+        series = ts(rng.standard_normal((60, 2)))
+        for nuis, rank, r, dependent in (
+            (np.column_stack([base, base[:, 0] + base[:, 1]]), 3, 4, [1]),
+            (np.ones((60, 1)), 1, 2, [1]),  # a copy of the intercept
+            (np.column_stack([base, base[:, 1]]), 3, 4, [3]),  # a tie goes to the first
+        ):
+            with pytest.raises(ValueError) as exc:
+                ols_residualize(series, NuisanceMatrix(nuis))
+            assert str(exc.value) == (
+                f"rank-deficient design (rank {rank} < {r} columns); "
+                f"dependent design columns (0 = intercept): {dependent}")
+
+    @pytest.mark.parametrize("t", [60, 240])
+    @pytest.mark.parametrize("r", [1, 7, 13])
+    def test_residuals_match_scipy_pivoted_qr(self, t, r):
+        # The residual of scipy.linalg.qr with pivoting, the earlier route;
+        # scipy is imported here only.
+        import scipy.linalg
+
+        rng = np.random.default_rng(100 * t + r)
+        for _ in range(10):
+            nuis = rng.standard_normal((t, r - 1)) * rng.uniform(0.1, 10.0, r - 1)
+            data = rng.standard_normal((t, 5)) * 100.0 + 3.0
+            got = ols_residualize(ts(data), NuisanceMatrix(nuis)).data
+            q = scipy.linalg.qr(NuisanceMatrix(nuis).design(), mode="economic",
+                                pivoting=True)[0]
+            want = data - q @ (q.T @ data)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(data))
 
     def test_idempotent(self):
         rng = np.random.default_rng(4)

@@ -319,7 +319,35 @@ class TestDcorTtest:
         x = rng.standard_normal((n, 6))
         y = fm(x[:, :3] + rng.standard_normal((n, 3)))
         res = dcor_ttest(fm(x), y)
-        assert (res.bias_corrected_r, res.t_statistic, res.p_value) == dcor_reference(fm(x), y)
+        r, t, p = dcor_reference(fm(x), y)
+        assert (res.bias_corrected_r, res.t_statistic) == (r, t)
+        # The reference's p is scipy's stdtr; dcor_ttest's own tail agrees to rounding.
+        assert res.p_value == pytest.approx(p, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 10, 20, 150, 2000])
+    def test_t_tail_matches_stdtr(self, n):
+        # The degrees of freedom of the dCor t-test at n subjects.  t = 10.4 at
+        # n = 150 is near the benchmark's report-desk dCor, whose p is ~1e-25.
+        df = n * (n - 3) // 2 - 1
+        for t in (0.0, 1e-3, -1e-3, 1.0, -1.0, 5.0, -5.0, 10.4, 60.0, -60.0,
+                  math.inf, -math.inf):
+            got, want = inference._t_upper_tail(df, t), float(scipy.special.stdtr(df, -t))
+            if want >= 1e-300:
+                assert got == pytest.approx(want, rel=1e-12), (df, t)
+            else:
+                assert 0.0 <= got <= 1e-300, (df, t)
+
+    def test_t_tail_at_the_ends(self):
+        assert inference._t_upper_tail(1, 0.0) == 0.5
+        assert inference._t_upper_tail(1, 1e-200) == 0.5
+        assert inference._t_upper_tail(7, math.inf) == 0.0
+        assert inference._t_upper_tail(7, -math.inf) == 1.0
+        assert math.isnan(inference._t_upper_tail(7, math.nan))
+        # Cauchy (df 1): P(T > t) = atan(1 / t) / pi, about 1 / (pi t) far out,
+        # where t^2 overflows.
+        assert inference._t_upper_tail(1, 1e200) == pytest.approx(1 / (math.pi * 1e200),
+                                                                   rel=1e-12)
+        assert inference._t_upper_tail(1, -1e200) == 1.0
 
     def test_every_distance_matrix_check_runs(self, monkeypatch):
         built = []
