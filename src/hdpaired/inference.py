@@ -152,12 +152,12 @@ def _cross_product(dx: DistanceMatrix, dy: DistanceMatrix,
 
     The rows are cut into tiles of max(1, _TILE_BYTES // (8n)) rows.  The
     tile of rows a..e-1 holds cy over the columns a..n-1, contiguously, with
-    zeros where j <= i.  It is filled straight from the rows of dy, so no
-    triangle is held beside the tiles; each entry is the same subtraction
-    as in the centered triangle, so it has the same bits.  G(s) adds,
-    in tile order, each tile's einsum against dx gathered at
-    (s[a:e], s[a:]).  No pair index is built and no BLAS call is made, so
-    G(s) depends on the data, s and n alone.
+    zeros where j <= i.  It is one np.triu of dy's block less mean_y, so no
+    triangle is held beside the tiles; each entry is the same subtraction as
+    in the centered triangle, so it has the same bits.  G(s) adds, in tile
+    order, each tile's einsum against dx gathered at (s[a:e], s[a:]).  No
+    pair index is built and no BLAS call is made, so G(s) depends on the
+    data, s and n alone.
     """
     n = dx.n_subjects
     rows = max(1, _TILE_BYTES // (8 * n))
@@ -165,10 +165,7 @@ def _cross_product(dx: DistanceMatrix, dy: DistanceMatrix,
     x, y = dx.data, dy.data
     for a in range(0, n - 1, rows):
         e = min(a + rows, n)
-        tile = np.zeros((e - a, n - a))
-        for i in range(a, e):
-            np.subtract(y[i, i + 1:], mean_y, out=tile[i - a, i + 1 - a:])
-        tiles.append((a, e, tile))
+        tiles.append((a, e, np.triu(y[a:e, a:] - mean_y, 1)))
 
     def gamma(s: np.ndarray) -> float:
         total = 0.0

@@ -355,19 +355,15 @@ class SccaSolver:
         rng = np.random.default_rng(0xC0FFEE)
         v = rng.standard_normal(self.y.shape[1])
         v /= math.sqrt(float(v @ v))
-        u = np.zeros(self.x.shape[1])
+        mats, w = (self.x, self.y), [np.zeros(self.x.shape[1]), v]
         for _ in range(sweeps):
-            u = self.x.T @ (self.y @ v)
-            nu = math.sqrt(float(u @ u))
-            if nu == 0.0:
-                raise ValueError("zero cross-covariance; alignment direction undefined")
-            u /= nu
-            v = self.y.T @ (self.x @ u)
-            nv = math.sqrt(float(v @ v))
-            if nv == 0.0:
-                raise ValueError("zero cross-covariance; alignment direction undefined")
-            v /= nv
-        return u, v
+            for k in (0, 1):
+                g = mats[k].T @ (mats[1 - k] @ w[1 - k])
+                norm = math.sqrt(float(g @ g))
+                if norm == 0.0:
+                    raise ValueError("zero cross-covariance; alignment direction undefined")
+                w[k] = g / norm
+        return w[0], w[1]
 
     def fit_cca(self) -> AlignmentPair:
         """Top singular pair of the cross-covariance, rescaled so
@@ -401,19 +397,21 @@ class SccaSolver:
 
     def _half_step(self, which: str, c: float, d: float):
         """Map (g, current point w) to a maximizer of g @ w over
-        {w : ||Mw||_2 <= 1, ||w||_1 <= c, ||w||_2 <= d}, and whether the
-        splitting stopped at its cap.
+        {w : ||Mw||_2 <= 1, ||w||_1 <= c, ||w||_2 <= d}, its scores M @ w,
+        and whether the splitting stopped at its cap.
 
         The maximizer over the l1/l2 intersection, which holds the full
         set, is exact when it also satisfies ||Mw||_2 <= 1; after spectral
         scaling ||Mw|| <= ||w|| <= d, so always when d <= 1.  Otherwise the
         splitting runs, from w (or that maximizer, at the start).  Dividing
         by the largest relative constraint violation then restores exact
-        feasibility: all sets are star-shaped around the origin.
+        feasibility: all sets are star-shaped around the origin.  The scores
+        are formed again only for a point so rescaled.
         """
         m = self.x if which == "x" else self.y
 
-        def step(g: np.ndarray, w: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
+        def step(g: np.ndarray,
+                 w: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, bool]:
             best = _lmo_l1_l2(g, c, d)
             score = m @ best
             capped = False
@@ -426,7 +424,8 @@ class SccaSolver:
                          math.sqrt(float(score @ score)))
             if factor > 1.0:
                 best = best / factor
-            return best, capped
+                score = m @ best
+            return best, score, capped
 
         return step
 
@@ -436,41 +435,40 @@ class SccaSolver:
         """Alternating maximization of <Xu, Yv> under the elastic-net
         constraint sets; a half-step is kept only if it improves its linear
         objective.  converged=False flags hitting max_iters before the
-        objective stalls below tol."""
+        objective stalls below tol.  Both sides, k = 0 for (X, u) and 1 for
+        (Y, v), run one body and carry the scores their half-steps formed."""
         if init not in _INIT_MODES:
             raise ValueError(f"init must be one of {_INIT_MODES}, got {init!r}")
-        step_u = self._half_step("x", params.c1, params.d1)
-        step_v = self._half_step("y", params.c2, params.d2)
+        mats = (self.x, self.y)
+        steps = (self._half_step("x", params.c1, params.d1),
+                 self._half_step("y", params.c2, params.d2))
         if init == "svd":
-            u0, v0 = self._cached("power_init", self._power_init)
+            points = list(self._cached("power_init", self._power_init))
         else:
             rng = replicate_rng(seed, STREAM_SCCA_INIT)
-            u0 = rng.standard_normal(self.x.shape[1])
-            v0 = rng.standard_normal(self.y.shape[1])
-        (u, cap_u), (v, cap_v) = step_u(u0), step_v(v0)
-        cap_hits = cap_u + cap_v
-        obj = float((self.x @ u) @ (self.y @ v))
+            points = [rng.standard_normal(m.shape[1]) for m in mats]
+        scores, cap_hits = [None, None], 0
+        for k in (0, 1):
+            points[k], scores[k], capped = steps[k](points[k])
+            cap_hits += capped
+        obj = float(scores[0] @ scores[1])
         trace = [obj]
         for it in range(1, params.max_iters + 1):
-            gu = self.x.T @ (self.y @ v)
-            cand, capped = step_u(gu, u)
-            cap_hits += capped
-            if float(gu @ cand) > float(gu @ u):
-                u = cand
-            gv = self.y.T @ (self.x @ u)
-            cand, capped = step_v(gv, v)
-            cap_hits += capped
-            if float(gv @ cand) > float(gv @ v):
-                v = cand
-            new_obj = float((self.x @ u) @ (self.y @ v))
+            for k in (0, 1):
+                g = mats[k].T @ scores[1 - k]
+                cand, score, capped = steps[k](g, points[k])
+                cap_hits += capped
+                if float(g @ cand) > float(g @ points[k]):
+                    points[k], scores[k] = cand, score
+            new_obj = float(scores[0] @ scores[1])
             trace.append(new_obj)
             converged = new_obj - obj <= params.tol * max(1.0, abs(new_obj))
             obj = new_obj
             if converged:
                 break
         # <Xu, Yv> is unchanged, bit for bit, by (u, v) -> (-u, -v).
-        sign = canonical_sign(u)
-        u, v = sign * u, sign * v
+        sign = canonical_sign(points[0])
+        u, v = sign * points[0], sign * points[1]
         return AlignmentPair(
             u=u,
             v=v,

@@ -187,3 +187,61 @@ def fit_sinusoid_amplitude(signal, freq, fs, skip=0):
     design = np.column_stack([np.sin(2 * np.pi * freq * t), np.cos(2 * np.pi * freq * t)])
     coef, *_ = np.linalg.lstsq(design, x, rcond=None)
     return float(np.hypot(coef[0], coef[1]))
+
+
+def plain_scca_alternation(x, y, c1, c2, d1=1.0, d2=1.0, max_iters=500, tol=1e-6,
+                           start=None):
+    """Sparse CCA by plain alternation, each side's half-step written out on
+    its own and every score product x @ u, y @ v formed afresh where it is
+    used.  Only the l1/l2 maximizer and the ellipsoid splitting come from
+    hdpaired.scca.  start = (u0, v0) replaces the 15 power-iteration sweeps
+    from the fixed seed.  Returns (u, v, objective, objective_trace,
+    iterations, converged, split_cap_hits)."""
+    from hdpaired import scca
+
+    def half_step(m, g, w, c, d):
+        best = scca._lmo_l1_l2(g, c, d)
+        capped = False
+        if float((m @ best) @ (m @ best)) > 1.0 + 1e-12:
+            best, capped = scca._maximize_on_intersection(
+                g, best if w is None else w, c, d, scca._EllipsoidProjection(m))
+        factor = max(math.sqrt(float(best @ best)) / d, float(np.abs(best).sum()) / c,
+                     math.sqrt(float((m @ best) @ (m @ best))))
+        return (best / factor if factor > 1.0 else best), capped
+
+    if start is None:
+        rng = np.random.default_rng(0xC0FFEE)
+        v = rng.standard_normal(y.shape[1])
+        v /= math.sqrt(float(v @ v))
+        for _ in range(15):
+            u = x.T @ (y @ v)
+            u /= math.sqrt(float(u @ u))
+            v = y.T @ (x @ u)
+            v /= math.sqrt(float(v @ v))
+    else:
+        u, v = start
+    u, cap_u = half_step(x, u, None, c1, d1)
+    v, cap_v = half_step(y, v, None, c2, d2)
+    cap_hits = cap_u + cap_v
+    obj = float((x @ u) @ (y @ v))
+    trace = [obj]
+    for it in range(1, max_iters + 1):
+        gu = x.T @ (y @ v)
+        cand, capped = half_step(x, gu, u, c1, d1)
+        cap_hits += capped
+        if float(gu @ cand) > float(gu @ u):
+            u = cand
+        gv = y.T @ (x @ u)
+        cand, capped = half_step(y, gv, v, c2, d2)
+        cap_hits += capped
+        if float(gv @ cand) > float(gv @ v):
+            v = cand
+        new_obj = float((x @ u) @ (y @ v))
+        trace.append(new_obj)
+        converged = new_obj - obj <= tol * max(1.0, abs(new_obj))
+        obj = new_obj
+        if converged:
+            break
+    # the sign that makes u's first largest-magnitude entry positive
+    sign = -1.0 if u[int(np.argmax(np.abs(u)))] < 0 else 1.0
+    return sign * u, sign * v, obj, np.array(trace), it, converged, cap_hits

@@ -358,6 +358,21 @@ class TestScca:
         assert err["error"] == "CliError"
         assert f"grid file {grid}, line {lineno}: {detail}" in err["message"]
 
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1.5,1.5\n", "grid file must have header 'c1,c2', got ['a', 'b']"),
+        ("c1,c2\n", "grid file contains no cells"),
+    ], ids=["header", "no-cells"])
+    def test_grid_file_rejected_whole(self, tmp_path, planted_pair, capsys, text, message):
+        x, y = planted_pair
+        grid = tmp_path / "grid.csv"
+        grid.write_text(text)
+        out = tmp_path / "cv"
+        assert run(["scca", "cv", "--x", x, "--y", y, "--grid-file", grid,
+                    "--out", out]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "CliError", "message": message}
+        assert not out.exists()
+
     def test_subcluster_names_missing_training_subjects(self, tmp_path, planted_pair, capsys):
         x, y = planted_pair
         fit_dir = tmp_path / "f"
@@ -533,6 +548,42 @@ class TestFcg:
         assert run(["fcg", "--input", src, *option, "--out", out]) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"error": "ValueError", "message": message}
+        assert not out.exists()
+
+    def test_directory_without_series_rejected(self, tmp_path, capsys):
+        src = tmp_path / "ts"
+        src.mkdir()
+        out = tmp_path / "o"
+        assert run(["fcg", "--input", src, "--out", out]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "CliError", "message": f"no time-series CSVs found in {src}"}
+        assert not out.exists()
+
+    def test_subjects_of_different_roi_counts_rejected(self, tmp_path, capsys):
+        src = tmp_path / "ts"
+        src.mkdir()
+        self.write_subject(src, "a", t=60, m=4, seed=1, nuisance=False)
+        self.write_subject(src, "b", t=60, m=3, seed=2, nuisance=False)
+        out = tmp_path / "o"
+        assert run(["fcg", "--input", src, "--no-nuisance", "--out", out]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "CliError",
+                       "message": "subject 'b' yields 3 features, expected 6"}
+        assert not out.exists()
+
+    def test_design_wider_than_series_rejected(self, tmp_path, capsys):
+        src = tmp_path / "ts"
+        src.mkdir()
+        self.write_subject(src, "a", t=3, m=3, seed=1, nuisance=False)
+        nuisance = np.random.default_rng(2).standard_normal((3, 3))
+        (src / "a.nuisance.csv").write_text(
+            "n0,n1,n2\n" + "".join(",".join(repr(float(v)) for v in row) + "\n"
+                                   for row in nuisance))
+        out = tmp_path / "o"
+        assert run(["fcg", "--input", src, "--out", out]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "CliError", "message": (
+            f"{src / 'a.csv'}: design has more columns (4) than rows (3)")}
         assert not out.exists()
 
     def test_one_row_table_is_not_transposed(self, tmp_path):
@@ -713,6 +764,26 @@ class TestConfigPrecedence:
         assert err["error"] == "CliError"
         assert f"config key {key!r}" in err["message"]
         assert not (tmp_path / "o").exists()
+
+    def test_config_that_is_not_a_mapping_rejected(self, tmp_path, latent_pair, capsys):
+        x, y = latent_pair
+        cfg = tmp_path / "conf.yaml"
+        cfg.write_text("- 1\n- 2\n")
+        out = tmp_path / "o"
+        assert run(["report", "--x", x, "--y", y, "--config", cfg, "--out", out]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "CliError",
+                       "message": f"config file {cfg} must be a key-value mapping"}
+        assert not out.exists()
+
+    def test_missing_required_option_named(self, tmp_path, latent_pair, capsys):
+        _, y = latent_pair
+        out = tmp_path / "o"
+        assert run(["report", "--y", y, "--out", out]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "CliError",
+                       "message": "missing required options for report: ['x']"}
+        assert not out.exists()
 
     def test_config_reads_exponent_floats(self, tmp_path):
         cfg = tmp_path / "conf.yaml"

@@ -19,7 +19,7 @@ from hdpaired.scca import (
 )
 from hdpaired.distances import d_y
 
-from oracles import naive_pearson
+from oracles import naive_pearson, plain_scca_alternation
 
 
 def orthonormal_columns(n, d, seed):
@@ -359,8 +359,9 @@ class TestHalfStep:
                 step = solver._half_step("x", c, d)
                 for _ in range(20):
                     g = rng.standard_normal(25) * rng.uniform(0.01, 5)
-                    w, capped = step(g)
+                    w, score, capped = step(g)
                     assert not capped
+                    assert np.array_equal(score, x @ w)
                     np.testing.assert_allclose(w, scca._lmo_l1_l2(g, c, d),
                                                rtol=1e-14, atol=1e-300)
             fit = solver.fit(SccaParams(c1=c, c2=c, max_iters=50))
@@ -381,8 +382,9 @@ class TestHalfStep:
                 if np.linalg.norm(x @ scca._lmo_l1_l2(g, c, d)) <= 1.0:
                     continue
                 bound += 1
-                w, capped = step(g)
+                w, score, capped = step(g)
                 assert not capped
+                assert np.array_equal(score, x @ w)
                 assert np.linalg.norm(x @ w) <= 1.0 + 1e-12
                 assert np.abs(w).sum() <= c * (1 + 1e-12)
                 assert np.linalg.norm(w) <= d * (1 + 1e-12)
@@ -404,6 +406,56 @@ class TestHalfStep:
         x, y = x * spectral_scale(x), y * spectral_scale(y)
         scaled = fit_scca(x, y, SccaParams(c1=2.5, c2=2.5, d1=0.8, max_iters=20))
         assert scaled.split_cap_hits == 0
+
+
+class TestAlternationOracle:
+    """fit carries each side's scores from its half-step; the plain
+    alternation forms x @ u and y @ v afresh, and every output keeps its
+    bits."""
+
+    def check(self, x, y, params, init="svd", seed=0, start=None):
+        solver = SccaSolver(x, y)
+        fit = solver.fit(params, init=init, seed=seed)
+        u, v, obj, trace, iterations, converged, cap_hits = plain_scca_alternation(
+            x, y, params.c1, params.c2, params.d1, params.d2, params.max_iters, params.tol,
+            start=start)
+        assert np.array_equal(fit.u, u) and np.array_equal(fit.v, v)
+        assert fit.objective == obj
+        assert fit.objective_trace.tobytes() == trace.tobytes()
+        assert (fit.iterations, fit.converged, fit.split_cap_hits) == (
+            iterations, converged, cap_hits)
+        assert fit.iterations > 2
+        return solver
+
+    def test_spectrally_scaled_fit(self):
+        from hdpaired.matrixio import ColumnStandardizer
+        from hdpaired.model_selection import spectral_scale
+
+        rng = np.random.default_rng(31)
+        raw = rng.standard_normal((40, 25)), rng.standard_normal((40, 18))
+        raw[1][:, :3] += raw[0][:, :3]
+        x, y = (ColumnStandardizer.fit(m).apply(m) for m in raw)
+        x, y = x * spectral_scale(x), y * spectral_scale(y)
+        solver = self.check(x, y, SccaParams(c1=2.2, c2=1.8, tol=1e-10))
+        assert not solver._cache.keys() & {"ell_x", "ell_y"}
+
+    def test_binding_ellipsoid(self):
+        rng = np.random.default_rng(32)
+        x = unit_columns(rng.standard_normal((30, 12)))
+        y = unit_columns(rng.standard_normal((30, 10)))
+        solver = self.check(x, y, SccaParams(c1=2.5, c2=2.5, d1=2.0, d2=2.0, tol=1e-10))
+        assert solver._cache.keys() >= {"ell_x", "ell_y"}  # the splitting ran on both sides
+
+    def test_seeded_random_start(self):
+        from hdpaired._util import STREAM_SCCA_INIT, replicate_rng
+
+        rng = np.random.default_rng(33)
+        x = unit_columns(rng.standard_normal((35, 20)))
+        y = unit_columns(rng.standard_normal((35, 16)))
+        draws = replicate_rng(5, STREAM_SCCA_INIT)
+        start = draws.standard_normal(20), draws.standard_normal(16)
+        self.check(x, y, SccaParams(c1=1.8, c2=2.4, tol=1e-10), init="seeded-random",
+                   seed=5, start=start)
 
 
 class TestFeasibleProjection:
