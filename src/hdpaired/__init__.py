@@ -14,13 +14,9 @@ from hdpaired.matrixio import (
     load_matrix,
     pair,
     save_matrix,
-    scale_rows_to_unit_variance,
-    scale_to_unit_variance,
 )
 from hdpaired.distances import (
     DistanceMatrix,
-    d_x,
-    d_y,
     distance_matrix,
     upper_triangle,
 )

@@ -460,24 +460,18 @@ def _grid_from_cfg(cfg: dict, p: int, q: int) -> list[SccaParams]:
     path = cfg["grid_file"]
     if not path:
         return default_grid(p, q, cells=cfg["cells"], max_iters=cfg["max_iters"], tol=cfg["tol"])
+    try:
+        header, _, data = read_csv(path, labels=False)
+    except ValueError as exc:
+        raise CliError(f"grid file {exc}") from None
+    if header[:2] != ["c1", "c2"]:
+        raise CliError(f"grid file must have header 'c1,c2', got {header}")
     cells = []
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip().split(",")
-        if header[:2] != ["c1", "c2"]:
-            raise CliError(f"grid file must have header 'c1,c2', got {header}")
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            fields = line.strip().split(",")
-            try:
-                if len(fields) < 2:
-                    raise ValueError(f"expected two values c1,c2, got {line.strip()!r}")
-                cells.append(SccaParams(float(fields[0]), float(fields[1]),
-                                        max_iters=cfg["max_iters"], tol=cfg["tol"]))
-            except ValueError as exc:
-                raise CliError(f"grid file {path}, line {lineno}: {exc}") from None
-    if not cells:
-        raise CliError("grid file contains no cells")
+    for k, (c1, c2) in enumerate(data[:, :2].tolist(), start=1):
+        try:
+            cells.append(SccaParams(c1, c2, max_iters=cfg["max_iters"], tol=cfg["tol"]))
+        except ValueError as exc:
+            raise CliError(f"grid file {path}, row {k}: {exc}") from None
     return cells
 
 

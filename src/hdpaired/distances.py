@@ -1,6 +1,7 @@
-"""Inter-subject distance functions and symmetric distance-matrix builders.
+"""Symmetric inter-subject distance-matrix builders.
 
-Two domain metrics plus plain Euclidean:
+Two domain metrics plus plain Euclidean, each defined here only as a
+matrix builder (`distance_matrix`):
 
 * scaled_euclidean            d(x, x') = ||x - x'||_2 / p
 * pearson_correlation_distance d(y, y') = 1 - pearson(y, y'), in [0, 2]
@@ -104,37 +105,6 @@ class DistanceMatrix:
     @property
     def n_subjects(self) -> int:
         return self.data.shape[0]
-
-
-def d_x(x: np.ndarray, x2: np.ndarray) -> float:
-    """Euclidean distance scaled by the number of features, ||x - x'||_2 / p."""
-    return euclidean(x, x2) / np.size(x)
-
-
-def euclidean(x: np.ndarray, x2: np.ndarray) -> float:
-    """Plain Euclidean distance ||x - x'||_2."""
-    x = np.asarray(x, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if x.shape != x2.shape or x.ndim != 1 or x.size < 1:
-        raise ValueError(f"length mismatch: {x.shape} vs {x2.shape}")
-    diff = x - x2
-    return float(np.sqrt(np.dot(diff, diff)))
-
-
-def d_y(y: np.ndarray, y2: np.ndarray) -> float:
-    """One minus the Pearson correlation of the two vectors' entries."""
-    y = np.asarray(y, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
-    if y.shape != y2.shape or y.ndim != 1 or y.size < 2:
-        raise ValueError(f"length mismatch or too short: {y.shape} vs {y2.shape}")
-    a = y - y.mean()
-    b = y2 - y2.mean()
-    na = np.dot(a, a)
-    nb = np.dot(b, b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("zero-variance input; correlation distance undefined")
-    r = np.dot(a, b) / np.sqrt(na * nb)
-    return float(min(max(1.0 - r, 0.0), 2.0))
 
 
 def _padded(n: int, p: int) -> np.ndarray:

@@ -3,6 +3,9 @@
 Pipeline: OLS nuisance residualization, a Butterworth bandpass of a given
 order per band edge (first-order by default; zero-phase by default),
 pairwise Pearson correlation over ROI pairs, upper-triangle vectorization.
+An ROI column that is constant, or whose residual is rounding residue
+because it lies in the span of the nuisance regressors, is rejected by
+index: its correlations would be noise.
 The filter treats each column on its own, so fcg_from_many, which the
 `fcg` command runs, filters the residualized series of many subjects as one
 grouped (T, C) block; the other steps run per subject.  Every operation is
@@ -385,7 +388,8 @@ def fcg_from_timeseries(
     zero_phase: bool = True,
 ) -> np.ndarray:
     """One subject's vector of fcg_from_many: residualize, bandpass,
-    pairwise Pearson.  Raises for an ROI column that is constant in `ts`."""
+    pairwise Pearson.  Raises for an ROI column that is constant in `ts` or
+    that lies in the span of the nuisance regressors."""
     return next(fcg_from_many([(ts, nuisance)], spec, zero_phase))
 
 
@@ -408,7 +412,11 @@ def fcg_from_many(
     order: reject an ROI column that is constant in `ts`, naming its index
     (filtering would leave rounding residue in it, which correlates like
     noise); residualize against the nuisance regressors (the intercept
-    alone when there are none); bandpass; pairwise Pearson.
+    alone when there are none); reject, for the same reason, a column j
+    that lies in the regressors' span, max|r_j| <= sqrt(eps) max|x_j -
+    mean(x_j)| for residual r_j, naming its index; bandpass; pairwise
+    Pearson.  Max-abs norms, unlike sums of squares, do not underflow for
+    a column of tiny scale.
 
     Consecutive subjects with the same T are residualized, then filtered
     together as one block of at most _BLOCK_BYTES; each column is filtered
@@ -429,6 +437,19 @@ def fcg_from_many(
             if nuisance is None:
                 nuisance = NuisanceMatrix.empty(ts.n_timepoints)
             cleaned = ols_residualize(ts, nuisance).data
+            # Both sides divided by each column's peak (nonzero, as no column
+            # is constant), so that the mean of a huge column cannot overflow.
+            peak = np.max(np.abs(ts.data), axis=0)
+            unit = ts.data / peak
+            spread = np.max(np.abs(unit - unit.mean(axis=0)), axis=0)
+            in_span = np.flatnonzero(
+                np.max(np.abs(cleaned), axis=0) / peak <= math.sqrt(np.finfo(float).eps) * spread
+            )
+            if in_span.size:
+                raise ValueError(
+                    "ROI columns in the span of the nuisance regressors: "
+                    f"indices {in_span[:10].tolist()}"
+                )
         except StopIteration:
             break
         except Exception:

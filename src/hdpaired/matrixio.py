@@ -1,4 +1,4 @@
-"""Feature-matrix data model, CSV/binary I/O, scaling and standardization.
+"""Feature-matrix data model, CSV/binary I/O and column standardization.
 
 A FeatureMatrix is an n-subjects x d-features array with unique string
 subject identifiers.  Subject alignment between two modalities is always by
@@ -98,33 +98,6 @@ def pair(x: FeatureMatrix, y: FeatureMatrix) -> PairedDataset:
     order = [pos[s] for s in x.subject_ids]
     y_aligned = FeatureMatrix(y.data[order], x.subject_ids)
     return PairedDataset(x, y_aligned)
-
-
-def scale_to_unit_variance(row: np.ndarray) -> np.ndarray:
-    """Divide a feature vector by its population standard deviation.
-
-    Uses the population convention (divide by d) so the entry variance of
-    the output is exactly 1.  No centering is applied.
-    """
-    row = np.asarray(row, dtype=float)
-    if row.ndim != 1 or row.size < 2:
-        raise ValueError("input must be a vector with at least 2 entries")
-    sd = float(np.std(row))
-    if sd == 0.0:
-        raise ValueError("zero-variance vector cannot be scaled to unit variance")
-    return row / sd
-
-
-def scale_rows_to_unit_variance(m: FeatureMatrix) -> FeatureMatrix:
-    """Apply scale_to_unit_variance to every row independently."""
-    sds = np.std(m.data, axis=1)
-    bad = np.flatnonzero(sds == 0.0)
-    if bad.size:
-        raise ValueError(
-            f"zero-variance rows cannot be scaled: subjects "
-            f"{[m.subject_ids[i] for i in bad[:5]]}"
-        )
-    return FeatureMatrix(m.data / sds[:, None], m.subject_ids)
 
 
 @dataclass(frozen=True)

@@ -342,25 +342,30 @@ class TestScca:
         assert rep["refit_iterations"] == lib.model.fit.iterations
         assert rep["refit_converged"] == lib.model.fit.converged
 
-    @pytest.mark.parametrize("rows, lineno, detail", [
-        ("1.4,1.4\n1.4\n", 3, "expected two values c1,c2, got '1.4'"),
-        ("1.4,abc\n", 2, "could not convert string to float: 'abc'"),
-        ("2.0,2.0\n\n1.4,-2\n", 4, "l1 bounds must be positive"),
-    ])
+    @pytest.mark.parametrize("text, where, detail", [
+        ("c1,c2\n1.4,1.4\n1.4\n", ":3", "expected 2 fields, got 1"),
+        ("c1,c2\n1.4,abc\n", ":2", "cannot parse value 'abc' in column 'c2'"),
+        ("c1,c2\n2.0,2.0\n1.4,inf\n", ":3", "non-finite value 'inf' in column 'c2'"),
+        ("c1,c2,note\n2.0,2.0,0\n1.4,1.4,x\n", ":3", "cannot parse value 'x' in column 'note'"),
+        ("c1,c2\n2.0,2.0\n\n1.4,-2\n", ", row 2", "l1 bounds must be positive, got (1.4, -2.0)"),
+    ], ids=["field-count", "bad-cell", "non-finite", "extra-column", "bad-bound"])
     def test_grid_file_error_names_file_and_line(self, tmp_path, planted_pair, capsys,
-                                                 rows, lineno, detail):
+                                                 text, where, detail):
+        # The grid file is read as every other table: the reader names a bad
+        # line, and a bad (c1, c2) pair is named by its data row.
         x, y = planted_pair
         grid = tmp_path / "grid.csv"
-        grid.write_text("c1,c2\n" + rows)
+        grid.write_text(text)
+        out = tmp_path / "cv"
         assert run(["scca", "cv", "--x", x, "--y", y, "--grid-file", grid,
-                    "--out", tmp_path / "cv"]) == 1
+                    "--out", out]) == 1
         err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "CliError"
-        assert f"grid file {grid}, line {lineno}: {detail}" in err["message"]
+        assert err == {"error": "CliError", "message": f"grid file {grid}{where}: {detail}"}
+        assert not out.exists()
 
     @pytest.mark.parametrize("text, message", [
         ("a,b\n1.5,1.5\n", "grid file must have header 'c1,c2', got ['a', 'b']"),
-        ("c1,c2\n", "grid file contains no cells"),
+        ("c1,c2\n", "grid file {grid}: no data rows"),
     ], ids=["header", "no-cells"])
     def test_grid_file_rejected_whole(self, tmp_path, planted_pair, capsys, text, message):
         x, y = planted_pair
@@ -370,8 +375,24 @@ class TestScca:
         assert run(["scca", "cv", "--x", x, "--y", y, "--grid-file", grid,
                     "--out", out]) == 1
         err = json.loads(capsys.readouterr().err.strip())
-        assert err == {"error": "CliError", "message": message}
+        assert err == {"error": "CliError", "message": message.format(grid=grid)}
         assert not out.exists()
+
+    def test_grid_file_read_as_any_csv(self, tmp_path, planted_pair):
+        # Quoted header cells and CRLF line ends, as a spreadsheet writes
+        # them, and a numeric column after c1,c2 that is ignored.
+        x, y = planted_pair
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        plain.write_text("c1,c2\n1.4,1.4\n2.0,2.0\n")
+        quoted.write_bytes(b'"c1","c2","w"\r\n1.4,1.4,7\r\n\r\n"2.0",2.0,8\r\n')
+        for grid in (plain, quoted):
+            assert run(["scca", "cv", "--x", x, "--y", y, "--grid-file", grid, "--k", 3,
+                        "--out", tmp_path / grid.stem]) == 0
+        reports = [read_json(tmp_path / name / "cv_report.json")["results"]
+                   for name in ("plain", "quoted")]
+        assert reports[1]["grid"] == [[1.4, 1.4], [2.0, 2.0]]
+        for key in ("grid", "selected", "mean_validation", "test_correlation"):
+            assert reports[1][key] == reports[0][key]
 
     def test_subcluster_names_missing_training_subjects(self, tmp_path, planted_pair, capsys):
         x, y = planted_pair

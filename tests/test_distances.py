@@ -10,10 +10,7 @@ from hdpaired.distances import (
     _SYMMETRY_TILE,
     METRICS,
     DistanceMatrix,
-    d_x,
-    d_y,
     distance_matrix,
-    euclidean,
     upper_triangle,
 )
 from hdpaired.matrixio import FeatureMatrix
@@ -26,56 +23,63 @@ def fm(data):
     return FeatureMatrix(data, tuple(f"s{i}" for i in range(data.shape[0])))
 
 
+def pairwise(rows, metric):
+    """The builder's matrix over the given rows, as a plain array."""
+    return distance_matrix(fm(rows), metric).data
+
+
 class TestScaledEuclidean:
     def test_identity(self):
         v = np.random.default_rng(0).standard_normal(10)
-        assert d_x(v, v) == 0.0
+        assert pairwise([v, v], "scaled_euclidean")[0, 1] == 0.0
 
     def test_forced_value(self):
-        assert d_x(np.array([1.0, 0, 0, 0]), np.array([0.0, 1, 0, 0])) == pytest.approx(
-            math.sqrt(2) / 4, abs=1e-15
-        )
+        d = pairwise([[1.0, 0, 0, 0], [0.0, 1, 0, 0]], "scaled_euclidean")
+        assert d[0, 1] == pytest.approx(math.sqrt(2) / 4, abs=1e-15)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal(1000)
         b = rng.standard_normal(1000)
-        assert d_x(a, b) == pytest.approx(naive_scaled_euclidean(a, b), rel=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            d_x(np.ones(3), np.ones(4))
+        assert pairwise([a, b], "scaled_euclidean")[0, 1] == pytest.approx(
+            naive_scaled_euclidean(a, b), rel=1e-12)
 
     def test_triangle_inequality_random_triples(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
-            a, b, c = rng.standard_normal((3, 20))
-            assert d_x(a, c) <= d_x(a, b) + d_x(b, c) + 1e-12
+            d = pairwise(rng.standard_normal((3, 20)), "scaled_euclidean")
+            assert d[0, 2] <= d[0, 1] + d[1, 2] + 1e-12
 
 
 class TestCorrelationDistance:
     def test_identical_is_zero(self):
         v = np.random.default_rng(3).standard_normal(30)
-        assert d_y(v, v) == 0.0
+        # 1 - g with g, the product of a unit row with itself, within an
+        # ulp of 1: the builder recomputes no correlation pair.
+        d = pairwise([v, v], "pearson_correlation_distance")
+        assert 0.0 <= d[0, 1] <= np.finfo(float).eps
 
     def test_negation_is_two(self):
         v = np.random.default_rng(4).standard_normal(30)
-        assert d_y(v, -v) == pytest.approx(2.0, abs=1e-12)
+        d = pairwise([v, -v], "pearson_correlation_distance")
+        assert d[0, 1] == pytest.approx(2.0, abs=1e-12)
 
     def test_positive_multiple_is_zero(self):
         v = np.random.default_rng(5).standard_normal(30)
-        assert d_y(v, 3.0 * v) == pytest.approx(0.0, abs=1e-12)
+        d = pairwise([v, 3.0 * v], "pearson_correlation_distance")
+        assert d[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_variance_errors(self):
-        with pytest.raises(ValueError, match="zero-variance"):
-            d_y(np.ones(5), np.arange(5.0))
+        with pytest.raises(ValueError, match=r"zero-variance vectors .*\['s0'\]"):
+            pairwise([np.ones(5), np.arange(5.0)], "pearson_correlation_distance")
 
     def test_nonnegative_symmetric(self):
-        rng = np.random.default_rng(6)
-        for _ in range(100):
-            a, b = rng.standard_normal((2, 15))
-            assert 0.0 <= d_y(a, b) <= 2.0
-            assert d_y(a, b) == d_y(b, a)
+        rows = np.random.default_rng(6).standard_normal((100, 15))
+        d = pairwise(rows, "pearson_correlation_distance")
+        assert np.array_equal(d, d.T)
+        assert np.all((d >= 0.0) & (d <= 2.0))
+        np.testing.assert_allclose(d, naive_distance_matrix(rows, "pearson_correlation_distance"),
+                                   rtol=0, atol=1e-12)
 
 
 class TestDistanceMatrix:
@@ -229,6 +233,11 @@ class TestUpperTriangle:
 
 class TestPersistence:
     def test_euclidean_vs_dx_consistency(self):
+        # d_X, the scaled Euclidean matrix, is the Euclidean matrix times
+        # 1.0 / p bit for bit: both come from one Gram product.
         rng = np.random.default_rng(12)
-        a, b = rng.standard_normal((2, 40))
-        assert d_x(a, b) == pytest.approx(euclidean(a, b) / 40, rel=1e-15)
+        for n, p in ((2, 40), (19, 7), (40, 300)):
+            rows = rng.standard_normal((n, p))
+            rows[n // 2] = rows[0] + 1e-9  # recomputed from its differences
+            np.testing.assert_array_equal(pairwise(rows, "scaled_euclidean"),
+                                          pairwise(rows, "euclidean") * (1.0 / p))

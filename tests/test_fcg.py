@@ -300,6 +300,21 @@ class TestPipeline:
         with pytest.raises(ValueError, match=r"zero-variance ROI columns: indices \[2\]"):
             fcg_from_timeseries(ts(data))
 
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_roi_in_nuisance_span_named(self, j):
+        # The residual of an ROI that the regressors reproduce is rounding
+        # residue (norm ~1e-14 here), whose correlations are noise.
+        rng = np.random.default_rng(15)
+        nuis = rng.standard_normal((240, 3))
+        data = rng.standard_normal((240, 5))
+        data[:, j] = 2.0 * nuis[:, 0] - nuis[:, 1] + 5.0
+        with pytest.raises(ValueError,
+                           match=r"ROI columns in the span of the nuisance regressors: "
+                                 rf"indices \[{j}\]"):
+            fcg_from_timeseries(ts(data), NuisanceMatrix(nuis))
+        data[:, j] += 1e-3 * rng.standard_normal(240)
+        assert fcg_from_timeseries(ts(data), NuisanceMatrix(nuis)).size == 10
+
     @staticmethod
     def subjects():
         # Runs of equal T, split by changes of T; the second subject has no

@@ -17,8 +17,6 @@ from hdpaired.matrixio import (
     pair,
     read_csv,
     save_matrix,
-    scale_rows_to_unit_variance,
-    scale_to_unit_variance,
     write_csv,
 )
 
@@ -276,35 +274,6 @@ class TestPair:
             )
             ds = pair(x, y)
             assert ds.x.subject_ids == ds.y.subject_ids
-
-
-class TestScaling:
-    def test_population_convention(self):
-        out = scale_to_unit_variance(np.array([0.0, 2.0, 4.0]))
-        np.testing.assert_allclose(out, np.array([0.0, 2.0, 4.0]) / np.sqrt(8.0 / 3.0))
-        assert abs(np.var(out) - 1.0) < 1e-12
-
-    def test_constant_vector_errors(self):
-        with pytest.raises(ValueError, match="zero-variance"):
-            scale_to_unit_variance(np.array([5.0, 5.0, 5.0]))
-
-    def test_random_vector_unit_variance(self):
-        v = np.random.default_rng(3).standard_normal(1000) * 17.3
-        out = scale_to_unit_variance(v)
-        assert abs(float(np.mean(out**2) - np.mean(out) ** 2) - 1.0) < 1e-12
-
-    @given(st.floats(min_value=1e-3, max_value=1e3), st.integers(0, 2**31))
-    @settings(max_examples=40, deadline=None)
-    def test_positive_scale_invariance(self, c, seed):
-        v = np.random.default_rng(seed).standard_normal(24)
-        np.testing.assert_allclose(
-            scale_to_unit_variance(c * v), scale_to_unit_variance(v), atol=1e-12
-        )
-
-    def test_rowwise_helper(self):
-        m = fm(np.random.default_rng(1).standard_normal((5, 40)))
-        out = scale_rows_to_unit_variance(m)
-        assert np.allclose(np.var(out.data, axis=1), 1.0, atol=1e-12)
 
 
 def standardized(data):

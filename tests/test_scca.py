@@ -17,7 +17,8 @@ from hdpaired.scca import (
     project_l1_l2,
     project_l2_ball,
 )
-from hdpaired.distances import d_y
+from hdpaired.distances import distance_matrix
+from hdpaired.matrixio import FeatureMatrix
 
 from oracles import naive_pearson, plain_scca_alternation
 
@@ -527,7 +528,9 @@ class TestProjectAndCorrelation:
     def test_correlation_consistent_with_correlation_distance(self):
         rng = np.random.default_rng(6)
         a, b = rng.standard_normal((2, 100))
-        assert canonical_correlation(a, b) == pytest.approx(1.0 - d_y(a, b), abs=1e-12)
+        d = distance_matrix(FeatureMatrix(np.vstack([a, b]), ("a", "b")),
+                            "pearson_correlation_distance")
+        assert canonical_correlation(a, b) == pytest.approx(1.0 - d.data[0, 1], abs=1e-12)
 
     def test_constant_scores_error(self):
         with pytest.raises(ValueError, match="constant"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hdpaired.distances import DistanceMatrix, d_x, d_y
+from hdpaired.distances import DistanceMatrix
 from hdpaired.subcluster import (
     FeatureClustering,
     complete_linkage,
@@ -10,7 +10,11 @@ from hdpaired.subcluster import (
     subcluster_cca,
 )
 
-from oracles import naive_complete_linkage_merges
+from oracles import (
+    naive_complete_linkage_merges,
+    naive_correlation_distance,
+    naive_scaled_euclidean,
+)
 
 
 def random_feature_distance(f, seed):
@@ -47,12 +51,12 @@ class TestFeatureDistanceMatrix:
         for a in range(5):
             for b in range(5):
                 if a != b:
-                    expected = d_x(data[:, idx[a]], data[:, idx[b]])
+                    expected = naive_scaled_euclidean(data[:, idx[a]], data[:, idx[b]])
                     assert d.data[a, b] == pytest.approx(expected, rel=1e-12)
         dcorr = feature_distance_matrix(data, idx, "pearson_correlation_distance")
         for a in range(5):
             for b in range(a + 1, 5):
-                expected = d_y(data[:, idx[a]], data[:, idx[b]])
+                expected = naive_correlation_distance(data[:, idx[a]], data[:, idx[b]])
                 assert dcorr.data[a, b] == pytest.approx(expected, rel=1e-12)
 
     def test_constant_column_named_under_correlation(self):
