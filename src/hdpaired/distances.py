@@ -151,41 +151,18 @@ def _pairwise(rows: np.ndarray, metric_tag: str, labels: tuple[str, ...]) -> np.
     offsets 0, 3 and 1e3, with pairs placed around the cut.
 
     Correlation distance: rows are centered and scaled to unit norm, and
-    d = 1 - g is clipped to [0, 2].
+    d = 1 - g, at most 2.  For unit rows 1 - g_ij = ||z_i - z_j||^2 / 2, so
+    a pair with d_ij < 2^-10, whose 1 - g cancelled the same way, is
+    recomputed as that half sum of squared differences, and identical rows
+    give exact zeros.
 
     The result is the Gram buffer from `_gram`, a new C-contiguous array.
     """
     rows = np.asarray(rows, dtype=float)
     n, p = rows.shape
-    if metric_tag in ("scaled_euclidean", "euclidean"):
-        z = _padded(n, p)
-        np.subtract(rows, (rows.min(axis=0) + rows.max(axis=0)) / 2.0, out=z[:n])
-        d = _gram(z, n)
-        sq = d.diagonal().copy()
-        top = sq.max()
-        total = np.empty((min(n, _GRAM_ROWS), n))
-        for a in range(0, n, _GRAM_ROWS):
-            blk = d[a:a + _GRAM_ROWS]
-            m = blk.shape[0]
-            diag = (np.arange(m), np.arange(a, a + m))
-            np.add(sq[a:a + m, None], sq, out=total[:m])
-            blk *= -2.0
-            blk += total[:m]
-            blk[diag] = np.inf
-            # Only rows whose smallest entry could fall under the cut are
-            # tested pair by pair.  (i, j) and (j, i) are recomputed in their
-            # own rows from differences that are exact negatives, so they
-            # stay equal.  Every d^2 under the cut is recomputed, negative
-            # ones included, so none is left below 0 for the square root.
-            for r in np.flatnonzero(blk.min(axis=1) < _CANCELLED * (sq[a:a + m] + top)):
-                js = np.flatnonzero(blk[r] < _CANCELLED * total[r])
-                diff = rows[js] - rows[a + r]
-                blk[r, js] = np.einsum("ij,ij->i", diff, diff)
-            blk[diag] = 0.0
-            np.sqrt(blk, out=blk)
-            if metric_tag == "scaled_euclidean":
-                blk *= 1.0 / p
-    elif metric_tag == "pearson_correlation_distance":
+    corr = metric_tag == "pearson_correlation_distance"
+    z = _padded(n, p)
+    if corr:
         if p < 2:
             raise ValueError("correlation distance needs at least 2 entries per row")
         centered = rows - rows.mean(axis=1, keepdims=True)
@@ -195,14 +172,50 @@ def _pairwise(rows: np.ndarray, metric_tag: str, labels: tuple[str, ...]) -> np.
             raise ValueError(
                 f"zero-variance vectors under correlation distance: {[labels[i] for i in bad[:5]]}"
             )
-        z = _padded(n, p)
         np.divide(centered, np.sqrt(ss)[:, None], out=z[:n])
-        d = _gram(z, n)
-        np.subtract(1.0, d, out=d)
-        np.clip(d, 0.0, 2.0, out=d)
-        np.fill_diagonal(d, 0.0)
+    elif metric_tag in ("scaled_euclidean", "euclidean"):
+        np.subtract(rows, (rows.min(axis=0) + rows.max(axis=0)) / 2.0, out=z[:n])
     else:
         raise ValueError(f"unknown metric_tag {metric_tag!r}; expected one of {METRICS}")
+    d = _gram(z, n)
+    # Cancelled pairs are recomputed from the unit rows as ||z_i - z_j||^2 / 2
+    # under the correlation distance, and from the unshifted rows otherwise.
+    src, half = (z, 0.5) if corr else (rows, 1.0)
+    sq = d.diagonal().copy()
+    top = sq.max()
+    total = np.empty((min(n, _GRAM_ROWS), n))
+    for a in range(0, n, _GRAM_ROWS):
+        blk = d[a:a + _GRAM_ROWS]
+        m = blk.shape[0]
+        diag = (np.arange(m), np.arange(a, a + m))
+        if corr:
+            # 1 - g is half of d^2 = (g_ii + g_jj) - 2 g_ij, and g_ii + g_jj
+            # is about 2, so its cut is 2^-10 itself.
+            np.subtract(1.0, blk, out=blk)
+            scale = row_scale = np.ones(m)
+        else:
+            scale = total[:m]
+            np.add(sq[a:a + m, None], sq, out=scale)
+            blk *= -2.0
+            blk += scale
+            row_scale = sq[a:a + m] + top
+        blk[diag] = np.inf
+        # Only rows whose smallest entry could fall under the cut are tested
+        # pair by pair.  (i, j) and (j, i) are recomputed in their own rows
+        # from differences that are exact negatives, so they stay equal.
+        # Every value under the cut is recomputed, negative ones included,
+        # so none is left below 0.
+        for r in np.flatnonzero(blk.min(axis=1) < _CANCELLED * row_scale):
+            js = np.flatnonzero(blk[r] < _CANCELLED * scale[r])
+            diff = src[js] - src[a + r]
+            blk[r, js] = np.einsum("ij,ij->i", diff, diff) * half
+        blk[diag] = 0.0
+        if corr:
+            np.minimum(blk, 2.0, out=blk)
+        else:
+            np.sqrt(blk, out=blk)
+            if metric_tag == "scaled_euclidean":
+                blk *= 1.0 / p
     return d
 
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hdpaired._util import canonical_sign
+from hdpaired.distances import upper_triangle
 from hdpaired.matrixio import _as_readonly
 
 
@@ -144,11 +145,11 @@ def ols_residualize(ts: RoiTimeSeries, nuisance: NuisanceMatrix) -> RoiTimeSerie
 
     Residuals are orthogonal to every regressor column.  The design is
     factored once by numpy's Householder QR, design = Q R; the residual is
-    data - Q (Q^T data).  The rank is that of a QR with column pivoting of
-    the design, found on the small square R (_pivoted_rank): Q is
-    orthonormal, so R has the design's column norms and inner products.
-    |R_kk| > |R_00| max(T, r) eps counts toward the rank, and a
-    rank-deficient design raises, reporting the dependent columns.
+    data - Q (Q^T data).  A design column is dependent when it lies in the
+    span of the columns before it: |R_jj|, its distance from that span, is
+    at most max(T, r) eps times the largest column norm of the design (R
+    has the design's column norms, as Q is orthonormal).  A design with a
+    dependent column raises, naming every such column in design order.
     """
     if nuisance.data.shape[0] != ts.n_timepoints:
         raise ValueError(
@@ -159,52 +160,16 @@ def ols_residualize(ts: RoiTimeSeries, nuisance: NuisanceMatrix) -> RoiTimeSerie
     if r > t:
         raise ValueError(f"design has more columns ({r}) than rows ({t})")
     q, rr = np.linalg.qr(design)
-    rank, order = _pivoted_rank(rr, max(t, r) * np.finfo(float).eps)
-    if rank < r:
+    largest = np.sqrt(np.max(np.einsum("ij,ij->j", rr, rr)))
+    dependent = np.flatnonzero(np.abs(rr.diagonal()) <= max(t, r) * np.finfo(float).eps * largest)
+    if dependent.size:
         raise ValueError(
-            f"rank-deficient design (rank {rank} < {r} columns); "
-            f"dependent design columns (0 = intercept): {sorted(order[rank:])}"
+            f"rank-deficient design (rank {r - dependent.size} < {r} columns); "
+            f"dependent design columns (0 = intercept): {dependent.tolist()}"
         )
     # q is an orthonormal basis of the full-rank design's column space.
     residual = ts.data - q @ (q.T @ ts.data)
     return RoiTimeSeries(residual)
-
-
-def _pivoted_rank(rr: np.ndarray, rtol: float) -> tuple[int, list[int]]:
-    """Rank and column order of a Householder QR with column pivoting of
-    rr (Golub & Van Loan, Matrix Computations, Alg. 5.4.1).
-
-    Step k moves the column whose entries in rows k.. have the largest norm
-    to position k, and applies the Householder reflection that zeroes it
-    below row k; that norm is |R_kk|.  The norms are recomputed at every
-    step, not downdated.  The
-    rank is the first k whose largest norm is at most |R_00| rtol.  Norms
-    within that tolerance of the largest are tied, and a tie goes to the
-    first column in the current order, as LAPACK's dgeqp3 breaks exact
-    ties: a column and its copy, or two columns whose dependence leaves
-    them equal norms, then give the same order whatever the rounding.
-    """
-    cols = rr.T.copy()  # row j holds column j
-    order = list(range(len(cols)))
-    tol = 0.0
-    for k in range(len(cols)):
-        rest = cols[k:, k:]
-        norms = np.sqrt(np.einsum("ij,ij->i", rest, rest)).tolist()
-        top = max(norms)
-        if k == 0:
-            tol = top * rtol
-        if top <= tol:
-            return k, order
-        j = next(i for i, norm in enumerate(norms) if norm >= top - tol)
-        if j:
-            rest[[0, j]] = rest[[j, 0]]
-            order[k], order[k + j] = order[k + j], order[k]
-        # H = I - v v^T / (top (top + |x0|)) maps x = rest[0] to -sign(x0) top e1.
-        v = rest[0].copy()
-        x0 = v[0]
-        v[0] = x0 + math.copysign(top, x0)
-        rest[1:] -= np.outer(rest[1:] @ v, v / (top * (top + abs(x0))))
-    return len(cols), order
 
 
 def design_bandpass(spec: BandpassSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -237,18 +202,7 @@ def design_bandpass(spec: BandpassSpec) -> tuple[np.ndarray, np.ndarray]:
     z_z = np.concatenate(((4.0 + z_bp) / (4.0 - z_bp), -np.ones(order)))
     p_z = (4.0 + p_bp) / (4.0 - p_bp)
     gain = bw**order * np.real(np.prod(4.0 - z_bp) / np.prod(4.0 - p_bp))
-    return gain * _poly(z_z), _poly(p_z)
-
-
-def _poly(roots: np.ndarray) -> np.ndarray:
-    """Monic polynomial with the given complex roots, multiplied out one
-    root at a time; real when the roots come in conjugate pairs."""
-    coeffs = np.ones(1, dtype=complex)
-    for r in roots:
-        coeffs = np.convolve(coeffs, np.array([1.0, -r]))
-    if np.all(np.sort(roots.imag) == np.sort(-roots.imag)):
-        coeffs = coeffs.real.copy()
-    return coeffs
+    return gain * np.poly(z_z), np.poly(p_z)
 
 
 def _df2t(b: np.ndarray, a: np.ndarray, x: np.ndarray, z: np.ndarray, out=None) -> None:
@@ -359,8 +313,7 @@ def pearson_fcg(ts: RoiTimeSeries) -> np.ndarray:
         raise ValueError(f"zero-variance ROI columns: indices {bad[:10].tolist()}")
     unit = centered / norms
     corr = unit.T @ unit
-    iu, ju = np.triu_indices(ts.n_rois, 1)
-    return np.clip(corr[iu, ju], -1.0, 1.0)
+    return np.clip(upper_triangle(corr), -1.0, 1.0)
 
 
 def pca_regressors(voxel_data: np.ndarray, k: int) -> np.ndarray:

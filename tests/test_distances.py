@@ -14,6 +14,7 @@ from hdpaired.distances import (
     upper_triangle,
 )
 from hdpaired.matrixio import FeatureMatrix
+from hdpaired.subcluster import feature_distance_matrix
 
 from oracles import naive_distance_matrix, naive_scaled_euclidean
 
@@ -54,10 +55,24 @@ class TestScaledEuclidean:
 class TestCorrelationDistance:
     def test_identical_is_zero(self):
         v = np.random.default_rng(3).standard_normal(30)
-        # 1 - g with g, the product of a unit row with itself, within an
-        # ulp of 1: the builder recomputes no correlation pair.
         d = pairwise([v, v], "pearson_correlation_distance")
-        assert 0.0 <= d[0, 1] <= np.finfo(float).eps
+        assert d[0, 1] == 0.0 == d[1, 0]
+
+    @pytest.mark.parametrize("p", [2, 3, 30, 400])
+    def test_identical_rows_are_zero_at_any_scale(self, p):
+        # 1 - g can fall an ulp or two off 0 for a unit row against itself;
+        # the cancelled pair is recomputed from the rows.
+        rng = np.random.default_rng(p)
+        for scale in (1e-6, 1.0, 3.0, 1e6):
+            rows = rng.standard_normal((6, p)) * scale
+            rows[3:5] = rows[0]
+            d = pairwise(rows, "pearson_correlation_distance")
+            for i, j in ((0, 3), (0, 4), (3, 4)):
+                assert d[i, j] == 0.0 == d[j, i], (scale, i, j)
+            assert np.array_equal(d, d.T)
+            feat = feature_distance_matrix(rows.T.copy(), np.arange(6),
+                                           "pearson_correlation_distance").data
+            assert np.array_equal(feat, d)
 
     def test_negation_is_two(self):
         v = np.random.default_rng(4).standard_normal(30)

@@ -77,20 +77,66 @@ class TestOlsResidualize:
         assert np.max(np.abs(inner) / norms) < 1e-8
 
     def test_rank_deficient_design_reports_columns(self):
-        # The messages scipy.linalg.qr's pivoting gave, before the QR was numpy.
+        # A column is named when it lies in the span of the columns before
+        # it, so the column the user added is named, never the intercept.
         rng = np.random.default_rng(3)
         base = rng.standard_normal((60, 2))
         series = ts(rng.standard_normal((60, 2)))
         for nuis, rank, r, dependent in (
-            (np.column_stack([base, base[:, 0] + base[:, 1]]), 3, 4, [1]),
+            (np.column_stack([base, base[:, 0] + base[:, 1]]), 3, 4, [3]),
             (np.ones((60, 1)), 1, 2, [1]),  # a copy of the intercept
-            (np.column_stack([base, base[:, 1]]), 3, 4, [3]),  # a tie goes to the first
+            (np.column_stack([base, base[:, 1]]), 3, 4, [3]),  # a copy
+            (np.column_stack([base, np.full(60, 5.0)]), 3, 4, [3]),  # a constant
+            (np.column_stack([base, 10.0 * base[:, 0]]), 3, 4, [3]),  # a scaled copy
+            (np.column_stack([base, np.full(60, 5.0), base[:, 0] - base[:, 1]]), 3, 5, [3, 4]),
         ):
             with pytest.raises(ValueError) as exc:
                 ols_residualize(series, NuisanceMatrix(nuis))
             assert str(exc.value) == (
                 f"rank-deficient design (rank {rank} < {r} columns); "
                 f"dependent design columns (0 = intercept): {dependent}")
+
+    def test_rank_matches_matrix_rank_on_random_designs(self):
+        # Exact dependencies (copies, scaled copies, sums, constants) and
+        # clearly full-rank designs, with columns of mixed scales.
+        rng = np.random.default_rng(5)
+        eps = np.finfo(float).eps
+        for trial in range(300):
+            t = int(rng.choice([30, 60, 240, 1200]))
+            k = int(rng.integers(1, 9))
+            nuis = rng.standard_normal((t, k)) * 10.0 ** rng.uniform(-6, 6, k)
+            for _ in range(int(rng.integers(0, 4)) if trial % 3 else 0):
+                kind = rng.integers(3)
+                cols = rng.choice(nuis.shape[1], 2)
+                if kind == 0:
+                    new = rng.uniform(-10, 10) * nuis[:, cols[0]]
+                elif kind == 1:
+                    new = nuis[:, cols[0]] + rng.uniform(-10, 10) * nuis[:, cols[1]]
+                else:
+                    new = np.full(t, 10.0 ** rng.uniform(-6, 6))
+                at = int(rng.integers(nuis.shape[1] + 1))
+                nuis = np.insert(nuis, at, new, axis=1)
+            design = NuisanceMatrix(nuis).design()
+            r = design.shape[1]
+            series = ts(rng.standard_normal((t, 2)))
+            rank = np.linalg.matrix_rank(design)
+            if rank == r:
+                ols_residualize(series, NuisanceMatrix(nuis))
+                continue
+            with pytest.raises(ValueError) as exc:
+                ols_residualize(series, NuisanceMatrix(nuis))
+            head, named = str(exc.value).split(": ", 1)
+            assert head == (f"rank-deficient design (rank {rank} < {r} columns); "
+                            "dependent design columns (0 = intercept)")
+            named = [int(j) for j in named.strip("[]").split(", ")]
+            assert len(named) == r - rank
+            tol = max(t, r) * eps * np.max(np.linalg.norm(design, axis=0))
+            for j in named:
+                # Columns scaled to unit norm, so that lstsq's own rounding
+                # stays far below the tolerance.
+                before = design[:, :j] / np.linalg.norm(design[:, :j], axis=0)
+                coef = np.linalg.lstsq(before, design[:, j], rcond=None)[0]
+                assert np.linalg.norm(design[:, j] - before @ coef) <= tol, (trial, j)
 
     @pytest.mark.parametrize("t", [60, 240])
     @pytest.mark.parametrize("r", [1, 7, 13])
@@ -186,15 +232,21 @@ class TestScipyOracle:
     """The numpy design and filter against scipy.signal, bit for bit.
     scipy.signal is imported here only."""
 
-    @pytest.mark.parametrize("fs", [0.5, 1.0, 1 / 0.72])
-    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("fs", [0.5, 1.0, 1 / 0.72, 2.0])
+    @pytest.mark.parametrize("order", range(1, 9))
     def test_design_matches_butter(self, order, fs):
         import scipy.signal
 
         for low, high in ((0.01, 0.08), (0.08, 0.15), (0.009, 0.1), (0.001, 0.2), (0.05, 0.24)):
+            want_b, want_a = scipy.signal.butter(order, [low, high], btype="bandpass", fs=fs)
+            if np.max(np.abs(np.roots(want_a))) >= 1.0:
+                # Rounding in a high-order design put a pole outside the
+                # unit circle, and the spec refuses it.
+                with pytest.raises(ValueError, match="unstable filter"):
+                    BandpassSpec(low, high, order, fs)
+                continue
             spec = BandpassSpec(low, high, order, fs)
             b, a = design_bandpass(spec)
-            want_b, want_a = scipy.signal.butter(order, [low, high], btype="bandpass", fs=fs)
             assert _same_bits(b, want_b) and _same_bits(a, want_a), (low, high)
             assert _same_bits(spec.b, want_b) and _same_bits(spec.a, want_a), (low, high)
             assert _same_bits(spec.zi, scipy.signal.lfilter_zi(b, a))
