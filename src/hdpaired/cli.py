@@ -476,9 +476,10 @@ def _grid_from_cfg(cfg: dict, p: int, q: int) -> list[SccaParams]:
 
 
 def _cmd_scca_fit(cfg: dict, inputs: dict[str, str]) -> dict:
-    x, y = _load_pair(cfg)
+    # The bounds are checked here, before any input is read.
     params = SccaParams(cfg["c1"], cfg["c2"], cfg["d1"], cfg["d2"],
                         cfg["max_iters"], cfg["tol"])
+    x, y = _load_pair(cfg)
     model = fit_model(x.data, y.data, params, init=cfg["init"], seed=cfg["seed"])
     fit = model.fit
     _write_json(os.path.join(cfg["out"], "model.json"),
@@ -487,7 +488,6 @@ def _cmd_scca_fit(cfg: dict, inputs: dict[str, str]) -> dict:
         "objective": fit.objective,
         "converged": fit.converged,
         "iterations": fit.iterations,
-        "split_cap_hits": fit.split_cap_hits,
         "support_u_size": int(fit.support_u.size),
         "support_v_size": int(fit.support_v.size),
     }

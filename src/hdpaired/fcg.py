@@ -392,17 +392,25 @@ def fcg_from_many(
             cleaned = ols_residualize(ts, nuisance).data
             # Both sides divided by each column's peak (nonzero, as no column
             # is constant), so that the mean of a huge column cannot overflow.
+            # A peak-scaled column spreads at most 2 from its mean, so only a
+            # column with max|r_j| / peak_j <= 4 sqrt(eps) (2 and a rounding
+            # margin) can fail; its mean and spread are formed alone.
             peak = np.max(np.abs(ts.data), axis=0)
-            unit = ts.data / peak
-            spread = np.max(np.abs(unit - unit.mean(axis=0)), axis=0)
-            in_span = np.flatnonzero(
-                np.max(np.abs(cleaned), axis=0) / peak <= math.sqrt(np.finfo(float).eps) * spread
-            )
-            if in_span.size:
-                raise ValueError(
-                    "ROI columns in the span of the nuisance regressors: "
-                    f"indices {in_span[:10].tolist()}"
-                )
+            ratio = np.max(np.abs(cleaned), axis=0) / peak
+            tol = math.sqrt(np.finfo(float).eps)
+            near = np.flatnonzero(ratio <= 4.0 * tol)
+            if near.size:
+                unit = ts.data[:, near] / peak[near]
+                # Summed row by row, the order unit.mean(axis=0) takes over
+                # all m >= 2 columns of a C-ordered series, so each spread
+                # keeps the bits it had when every column's was formed.
+                mean = np.cumsum(unit, axis=0)[-1] / unit.shape[0]
+                in_span = near[ratio[near] <= tol * np.max(np.abs(unit - mean), axis=0)]
+                if in_span.size:
+                    raise ValueError(
+                        "ROI columns in the span of the nuisance regressors: "
+                        f"indices {in_span[:10].tolist()}"
+                    )
         except StopIteration:
             break
         except Exception:

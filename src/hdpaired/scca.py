@@ -7,30 +7,28 @@ rescales so the projected scores have unit norm.  fit_scca solves
     maximize  <Xu, Yv>
     s.t.      ||Xu||2 <= 1, ||u||1 <= c1, ||u||2 <= d1   (and same for v)
 
-by alternating over u and v.  Each half-step maximizes a linear function
-g @ w over a convex set.  Over {||w||1 <= c, ||w||2 <= d} the maximizer has
-a closed form (_lmo_l1_l2: a soft-threshold of g rescaled to norm d, the
-PMD update of Witten, Tibshirani & Hastie 2009), and when that point also
-satisfies ||Xw||2 <= 1 it is the maximizer over the full set.  Only
-otherwise does an Anderson-accelerated Douglas-Rachford splitting between
-the ellipsoid and the l1/l2 intersection run; the thin SVD that the
-ellipsoid projection needs is built the first time the ellipsoid binds.
-The p x q cross-covariance is never materialized.  Every l1/l2 step, that
-maximization and the l1, l2 and l1/l2 projections alike, finds its
-threshold with one routine, _soft_threshold, which measures it from the
-largest entry and so is exact at any magnitude whose squares stay normal
-floats.
+with 0 < d1, d2 <= 1 on matrices with ||X||2, ||Y||2 <= 1, by alternating
+over u and v.  Then ||Xu||2 <= ||u||2 <= d1 <= 1 for every u in the l1/l2
+ball, so the score-norm cap is implied.  Each half-step maximizes a linear
+function g @ w over that ball, in closed form (_lmo_l1_l2: a
+soft-threshold of g rescaled to norm d, the PMD update of Witten,
+Tibshirani & Hastie 2009).  The p x q cross-covariance is never
+materialized.  Every l1/l2 step, that maximization and the l1, l2 and
+l1/l2 projections alike, finds its threshold with one routine,
+_soft_threshold, which measures it from the largest entry and so is exact
+at any magnitude whose squares stay normal floats.
 
 The biconvex problem has no known globally optimal algorithm; the returned
 pair is a feasible point with a nondecreasing objective trace.
 
 Note on scaling: the l1/l2 bounds bite relative to the scale of the input
-matrices.  The CLI divides each standardized matrix by its top singular
-value, so ||X u|| <= ||u|| holds for every u; with d <= 1 (the default,
-and the only value cross-validation uses) the score-norm cap is implied by
-the l2 ball, and the useful l1 range is exactly [1, sqrt(dim)].  With
-d > 1, or on unscaled matrices, all three constraint sets can be active;
-the solver handles the general case.
+matrices.  model_selection.spectral_scale gives the factor that divides a
+standardized matrix by its top singular value; fit_model and
+cv_grid_search (and so the CLI) apply it to both sides, and the useful l1
+range is then exactly [1, sqrt(dim)].  The solver does not check ||X||2
+up front, which would take one more SVD per solver.  A half-step whose
+l1/l2 maximizer has scores of norm above 1 raises instead, naming the
+side; every half-step that does not raise is exact.
 """
 
 from __future__ import annotations
@@ -45,11 +43,6 @@ import numpy as np
 from hdpaired._util import STREAM_SCCA_INIT, canonical_sign, pearson_or_nan, replicate_rng
 
 _INIT_MODES = ("svd", "seeded-random")
-# Iteration cap and memory of the Anderson-accelerated Douglas-Rachford
-# splitting that maximizes a half-step over the ellipsoid and the l1/l2
-# intersection; it runs only when the ellipsoid binds.
-_SPLIT_ITERS = 200
-_ANDERSON_MEMORY = 5
 
 
 @dataclass(frozen=True)
@@ -66,8 +59,8 @@ class SccaParams:
     def __post_init__(self):
         if not (self.c1 > 0 and self.c2 > 0):
             raise ValueError(f"l1 bounds must be positive, got ({self.c1}, {self.c2})")
-        if not (self.d1 > 0 and self.d2 > 0):
-            raise ValueError(f"l2 bounds must be positive, got ({self.d1}, {self.d2})")
+        if not (0 < self.d1 <= 1 and 0 < self.d2 <= 1):
+            raise ValueError(f"l2 bounds must lie in (0, 1], got ({self.d1}, {self.d2})")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iters < 1:
@@ -80,9 +73,7 @@ class AlignmentPair:
 
     objective is <Xu, Yv> on the training data; objective_trace records the
     value after each alternation step and is nondecreasing within
-    floating-point tolerance.  split_cap_hits counts the half-steps whose
-    splitting stopped at _SPLIT_ITERS iterations (0 when the ellipsoid
-    never binds).
+    floating-point tolerance.
     """
 
     u: np.ndarray
@@ -93,7 +84,6 @@ class AlignmentPair:
     iterations: int
     converged: bool
     objective_trace: np.ndarray
-    split_cap_hits: int = 0
 
 
 def project(m: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -230,104 +220,12 @@ def _lmo_l1_l2(g: np.ndarray, c: float, d: float) -> np.ndarray:
     return np.sign(g) * s * (d / _norm2(s))
 
 
-class _EllipsoidProjection:
-    """Euclidean projection onto {w : ||M w||_2 <= 1} via a thin SVD of M.
-
-    Components of w in the null space of M are free; row-space coordinates
-    are shrunk by 1/(1 + lam * s_i^2) with lam >= 0 solving the secular
-    equation phi(lam) = sum_i s_i^2 w_i^2 / (1 + lam s_i^2)^2 = 1.  It has
-    the form of the trust-region secular equation: phi^(-1/2) is concave
-    and nearly linear in lam, so Newton on phi^(-1/2) = 1 from the left of
-    the root stays left of it and takes a few steps.
-    """
-
-    def __init__(self, m: np.ndarray):
-        u, s, vt = np.linalg.svd(np.asarray(m, dtype=float), full_matrices=False)
-        keep = s > (s[0] * 1e-13 if s.size and s[0] > 0 else 0.0)
-        self.s2 = s[keep] ** 2
-        self.vt = np.ascontiguousarray(vt[keep])
-
-    def project(self, z: np.ndarray, lam_hint: float = 0.0) -> tuple[np.ndarray, float]:
-        """Project z; lam_hint warm-starts the Newton solve (the root moves
-        little between consecutive splitting iterations)."""
-        if self.s2.size == 0:
-            return z.copy(), 0.0
-        w = self.vt @ z
-        sw2 = self.s2 * (w * w)
-        if float(sw2.sum()) <= 1.0:
-            return z.copy(), 0.0
-        lam = max(lam_hint, 0.0)
-        denom = 1.0 + lam * self.s2
-        phi = float(sw2 @ (1.0 / (denom * denom)))
-        if phi < 1.0:
-            # Hint overshot the root; Newton needs to start left of it.
-            lam = 0.0
-            denom = 1.0 + lam * self.s2
-            phi = float(sw2.sum())
-        for _ in range(60):
-            if phi - 1.0 <= 1e-13:
-                break
-            inv2 = 1.0 / (denom * denom)
-            dphi = -2.0 * float((self.s2 * sw2) @ (inv2 / denom))
-            lam -= 2.0 * phi * (math.sqrt(phi) - 1.0) / dphi
-            denom = 1.0 + lam * self.s2
-            phi = float(sw2 @ (1.0 / (denom * denom)))
-        w_new = w / denom
-        return z + self.vt.T @ (w_new - w), lam
-
-
-def _maximize_on_intersection(
-    g: np.ndarray, start: np.ndarray, c: float, d: float, ell: _EllipsoidProjection
-) -> tuple[np.ndarray, bool]:
-    """Maximizer of g @ w over the intersection of the ellipsoid of ell and
-    the ball B = {w : ||w||_1 <= c, ||w||_2 <= d}, and whether the splitting
-    stopped at its cap.
-
-    Douglas-Rachford splitting of -g @ x + ind_ell(x) and ind_B(x) with
-    step t = ||start|| / ||g||: x = ell(s + t g), f = P_B(2x - s) - x,
-    s <- s + f, from s = start, with P_B = project_l1_l2.  At its fixed
-    points f = 0 and x is the maximizer.  Type-II Anderson acceleration
-    over the last _ANDERSON_MEMORY steps extrapolates s, with its
-    least-squares weights Tikhonov-regularized so that they stay bounded.
-    Stops when max |f| <= 1e-12 (1 + max |x|) or after _SPLIT_ITERS
-    iterations, and returns P_B(2x - s) at the smallest ||f|| seen, so the
-    point lies in B.  The tolerance is near rounding level so that inputs
-    equal up to rounding give fits equal up to rounding.
-    """
-    t = math.sqrt(float(start @ start) / float(g @ g))
-    s = start
-    ss: list[np.ndarray] = []
-    fs: list[np.ndarray] = []
-    best, best_y = math.inf, s
-    lam = 0.0
-    for _ in range(_SPLIT_ITERS):
-        x, lam = ell.project(s + t * g, lam)
-        y = project_l1_l2(2.0 * x - s, c, d)
-        f = y - x
-        resid = float(f @ f)
-        if resid < best:
-            best, best_y = resid, y
-        if float(np.max(np.abs(f))) <= 1e-12 * (1.0 + float(np.max(np.abs(x)))):
-            return best_y, False
-        ss.append(s)
-        fs.append(f)
-        del ss[:-_ANDERSON_MEMORY - 1], fs[:-_ANDERSON_MEMORY - 1]
-        s = s + f
-        if len(fs) > 1:
-            df = np.diff(fs, axis=0)
-            gram = df @ df.T
-            reg = 1e-10 * float(np.trace(gram))
-            if reg > 0.0:
-                gamma = np.linalg.solve(gram + reg * np.eye(len(gram)), df @ f)
-                s = s - (np.diff(ss, axis=0) + df).T @ gamma
-    return best_y, True
-
-
 class SccaSolver:
-    """Reusable solver for one (X, Y) pair.  The power-iteration start and,
-    once the ellipsoid first binds, its SVD-based projection are computed
-    once and shared across parameter settings (cross-validation fits many
-    cells on the same fold matrices, possibly from several threads)."""
+    """Reusable solver for one (X, Y) pair, each of spectral norm at most 1
+    (see the module's note on scaling).  The power-iteration start is
+    computed once and shared across parameter settings (cross-validation
+    fits many cells on the same fold matrices, possibly from several
+    threads)."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         x = np.asarray(x, dtype=float)
@@ -396,36 +294,33 @@ class SccaSolver:
     # -- sparse fit ----------------------------------------------------------
 
     def _half_step(self, which: str, c: float, d: float):
-        """Map (g, current point w) to a maximizer of g @ w over
-        {w : ||Mw||_2 <= 1, ||w||_1 <= c, ||w||_2 <= d}, its scores M @ w,
-        and whether the splitting stopped at its cap.
+        """Map g to the maximizer of g @ w over {w : ||Mw||_2 <= 1,
+        ||w||_1 <= c, ||w||_2 <= d} and its scores M @ w.
 
-        The maximizer over the l1/l2 intersection, which holds the full
-        set, is exact when it also satisfies ||Mw||_2 <= 1; after spectral
-        scaling ||Mw|| <= ||w|| <= d, so always when d <= 1.  Otherwise the
-        splitting runs, from w (or that maximizer, at the start).  Dividing
-        by the largest relative constraint violation then restores exact
-        feasibility: all sets are star-shaped around the origin.  The scores
-        are formed again only for a point so rescaled.
+        The maximizer over the l1/l2 ball, which holds the full set, is the
+        maximizer over the full set whenever its scores have norm at most 1:
+        always when ||M||_2 <= 1 and d <= 1.  Scores of larger norm, beyond
+        rounding, mean that M was not spectrally scaled, and raise.  Dividing
+        by the largest relative constraint violation keeps the point exactly
+        feasible under rounding: all sets are star-shaped around the origin.
+        The scores are formed again only for a point so rescaled.
         """
         m = self.x if which == "x" else self.y
 
-        def step(g: np.ndarray,
-                 w: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, bool]:
+        def step(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             best = _lmo_l1_l2(g, c, d)
             score = m @ best
-            capped = False
             if float(score @ score) > 1.0 + 1e-12:
-                ell = self._cached("ell_" + which, lambda: _EllipsoidProjection(m))
-                best, capped = _maximize_on_intersection(
-                    g, best if w is None else w, c, d, ell)
-                score = m @ best
+                raise ValueError(
+                    f"{which} side: the l1/l2 maximizer has scores of norm "
+                    f"{math.sqrt(float(score @ score)):.6g} > 1; scale each matrix by "
+                    f"model_selection.spectral_scale, as fit_model and cv_grid_search do")
             factor = max(math.sqrt(float(best @ best)) / d, float(np.abs(best).sum()) / c,
                          math.sqrt(float(score @ score)))
             if factor > 1.0:
                 best = best / factor
                 score = m @ best
-            return best, score, capped
+            return best, score
 
         return step
 
@@ -447,17 +342,15 @@ class SccaSolver:
         else:
             rng = replicate_rng(seed, STREAM_SCCA_INIT)
             points = [rng.standard_normal(m.shape[1]) for m in mats]
-        scores, cap_hits = [None, None], 0
+        scores = [None, None]
         for k in (0, 1):
-            points[k], scores[k], capped = steps[k](points[k])
-            cap_hits += capped
+            points[k], scores[k] = steps[k](points[k])
         obj = float(scores[0] @ scores[1])
         trace = [obj]
         for it in range(1, params.max_iters + 1):
             for k in (0, 1):
                 g = mats[k].T @ scores[1 - k]
-                cand, score, capped = steps[k](g, points[k])
-                cap_hits += capped
+                cand, score = steps[k](g)
                 if float(g @ cand) > float(g @ points[k]):
                     points[k], scores[k] = cand, score
             new_obj = float(scores[0] @ scores[1])
@@ -478,7 +371,6 @@ class SccaSolver:
             iterations=it,
             converged=converged,
             objective_trace=np.array(trace),
-            split_cap_hits=int(cap_hits),
         )
 
 

@@ -193,21 +193,16 @@ def plain_scca_alternation(x, y, c1, c2, d1=1.0, d2=1.0, max_iters=500, tol=1e-6
                            start=None):
     """Sparse CCA by plain alternation, each side's half-step written out on
     its own and every score product x @ u, y @ v formed afresh where it is
-    used.  Only the l1/l2 maximizer and the ellipsoid splitting come from
-    hdpaired.scca.  start = (u0, v0) replaces the 15 power-iteration sweeps
-    from the fixed seed.  Returns (u, v, objective, objective_trace,
-    iterations, converged, split_cap_hits)."""
+    used.  Only the l1/l2 maximizer comes from hdpaired.scca.  start =
+    (u0, v0) replaces the 15 power-iteration sweeps from the fixed seed.
+    Returns (u, v, objective, objective_trace, iterations, converged)."""
     from hdpaired import scca
 
-    def half_step(m, g, w, c, d):
+    def half_step(m, g, c, d):
         best = scca._lmo_l1_l2(g, c, d)
-        capped = False
-        if float((m @ best) @ (m @ best)) > 1.0 + 1e-12:
-            best, capped = scca._maximize_on_intersection(
-                g, best if w is None else w, c, d, scca._EllipsoidProjection(m))
         factor = max(math.sqrt(float(best @ best)) / d, float(np.abs(best).sum()) / c,
                      math.sqrt(float((m @ best) @ (m @ best))))
-        return (best / factor if factor > 1.0 else best), capped
+        return best / factor if factor > 1.0 else best
 
     if start is None:
         rng = np.random.default_rng(0xC0FFEE)
@@ -220,20 +215,17 @@ def plain_scca_alternation(x, y, c1, c2, d1=1.0, d2=1.0, max_iters=500, tol=1e-6
             v /= math.sqrt(float(v @ v))
     else:
         u, v = start
-    u, cap_u = half_step(x, u, None, c1, d1)
-    v, cap_v = half_step(y, v, None, c2, d2)
-    cap_hits = cap_u + cap_v
+    u = half_step(x, u, c1, d1)
+    v = half_step(y, v, c2, d2)
     obj = float((x @ u) @ (y @ v))
     trace = [obj]
     for it in range(1, max_iters + 1):
         gu = x.T @ (y @ v)
-        cand, capped = half_step(x, gu, u, c1, d1)
-        cap_hits += capped
+        cand = half_step(x, gu, c1, d1)
         if float(gu @ cand) > float(gu @ u):
             u = cand
         gv = y.T @ (x @ u)
-        cand, capped = half_step(y, gv, v, c2, d2)
-        cap_hits += capped
+        cand = half_step(y, gv, c2, d2)
         if float(gv @ cand) > float(gv @ v):
             v = cand
         new_obj = float((x @ u) @ (y @ v))
@@ -244,4 +236,4 @@ def plain_scca_alternation(x, y, c1, c2, d1=1.0, d2=1.0, max_iters=500, tol=1e-6
             break
     # the sign that makes u's first largest-magnitude entry positive
     sign = -1.0 if u[int(np.argmax(np.abs(u)))] < 0 else 1.0
-    return sign * u, sign * v, obj, np.array(trace), it, converged, cap_hits
+    return sign * u, sign * v, obj, np.array(trace), it, converged

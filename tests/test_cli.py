@@ -433,6 +433,33 @@ class TestScca:
             f"model {model} was fit on 30 x and 30 y columns, but the inputs have 10 and 12")}
         assert not (tmp_path / "o").exists()
 
+    def test_l2_bound_above_one_fails_before_any_input(self, tmp_path, capsys):
+        # Neither input exists, so a failure that came after reading one
+        # would name its file.
+        out = tmp_path / "f"
+        assert run(["scca", "fit", "--x", tmp_path / "x.bin", "--y", tmp_path / "y.bin",
+                    "--c1", "1.8", "--c2", "1.8", "--d1", 2, "--out", out]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError",
+                       "message": "l2 bounds must lie in (0, 1], got (2.0, 1.0)"}
+        assert not out.exists()
+
+    def test_model_with_l2_bound_above_one_rejected(self, tmp_path, planted_pair, capsys):
+        x, y = planted_pair
+        fit_dir = tmp_path / "f"
+        assert run(["scca", "fit", "--x", x, "--y", y, "--c1", "1.8", "--c2", "1.8",
+                    "--out", fit_dir]) == 0
+        model = read_json(fit_dir / "model.json")
+        model["params"]["d1"] = 2.0
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(model))
+        out = tmp_path / "ev"
+        assert run(["scca", "eval", "--x", x, "--y", y, "--model", edited, "--out", out]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError",
+                       "message": "l2 bounds must lie in (0, 1], got (2.0, 1.0)"}
+        assert not out.exists()
+
     def test_subcluster_rejects_negative_top(self, tmp_path, planted_pair, capsys):
         x, y = planted_pair
         fit_dir = tmp_path / "f"

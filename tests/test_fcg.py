@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -366,6 +368,45 @@ class TestPipeline:
             fcg_from_timeseries(ts(data), NuisanceMatrix(nuis))
         data[:, j] += 1e-3 * rng.standard_normal(240)
         assert fcg_from_timeseries(ts(data), NuisanceMatrix(nuis)).size == 10
+
+    def test_nuisance_span_check_matches_the_full_formula(self):
+        # The check forms a column's mean and spread only when its residual
+        # peak is within 4 sqrt(eps) of its own peak.  The oracle forms them
+        # for every column.  Half the columns sit within a factor 2 of the
+        # tolerance edge, and columns are scaled from 1e-150 to 1e150.
+        prefix = "ROI columns in the span of the nuisance regressors: indices "
+        rng = np.random.default_rng(27)
+        tol = np.sqrt(np.finfo(float).eps)
+        near_edge = {"rejected": 0, "kept": 0}
+        for _ in range(200):
+            t, m, r = int(rng.integers(20, 120)), int(rng.integers(2, 11)), int(rng.integers(1, 4))
+            nuis = NuisanceMatrix(rng.standard_normal((t, r)))
+            design = nuis.design()
+            data = rng.standard_normal((t, m))
+            for j in np.flatnonzero(rng.random(m) < 0.5):
+                span = design @ rng.standard_normal(r + 1)
+                unit = span / np.abs(span).max()
+                noise = rng.standard_normal(t)
+                noise -= design @ np.linalg.lstsq(design, noise, rcond=None)[0]
+                size = np.abs(span).max() * np.max(np.abs(unit - unit.mean())) / np.abs(noise).max()
+                data[:, j] = span + rng.uniform(0.5, 2.0) * tol * size * noise
+            data *= 10.0 ** rng.uniform(-150.0, 150.0, m)
+            series = ts(data)
+            peak = np.max(np.abs(data), axis=0)
+            unit = data / peak
+            edge = np.max(np.abs(ols_residualize(series, nuis).data), axis=0) / peak / (
+                tol * np.max(np.abs(unit - unit.mean(axis=0)), axis=0))
+            try:
+                next(fcg_from_many([(series, nuis)]))
+                rejected = []
+            except ValueError as exc:
+                assert str(exc).startswith(prefix)
+                rejected = json.loads(str(exc).removeprefix(prefix))
+            assert rejected == np.flatnonzero(edge <= 1.0).tolist()
+            near = (edge > 0.5) & (edge < 2.0)
+            near_edge["rejected"] += int(np.sum(near & (edge <= 1.0)))
+            near_edge["kept"] += int(np.sum(near & (edge > 1.0)))
+        assert min(near_edge.values()) >= 100
 
     @staticmethod
     def subjects():

@@ -18,7 +18,8 @@ from hdpaired.scca import (
     project_l2_ball,
 )
 from hdpaired.distances import distance_matrix
-from hdpaired.matrixio import FeatureMatrix
+from hdpaired.matrixio import ColumnStandardizer, FeatureMatrix
+from hdpaired.model_selection import spectral_scale
 
 from oracles import naive_pearson, plain_scca_alternation
 
@@ -35,6 +36,13 @@ def orthonormal_columns(n, d, seed):
 def unit_columns(data):
     centered = data - data.mean(axis=0)
     return centered / np.linalg.norm(centered, axis=0)
+
+
+def scaled(data):
+    """Standardized columns divided by the top singular value, as fit_model
+    scales each side: the input the sparse-CCA solver accepts."""
+    standardized = ColumnStandardizer.fit(data).apply(data)
+    return standardized * spectral_scale(standardized)
 
 
 class TestProjections:
@@ -72,40 +80,6 @@ class TestProjections:
         v = np.array([3.0, 4.0])
         np.testing.assert_allclose(project_l2_ball(v, 1.0), v / 5.0)
         np.testing.assert_allclose(project_l2_ball(v, 10.0), v)
-
-    def test_ellipsoid_projection(self):
-        from hdpaired.scca import _EllipsoidProjection
-
-        rng = np.random.default_rng(2)
-        m = rng.standard_normal((8, 5))
-        proj = _EllipsoidProjection(m)
-        for _ in range(30):
-            z = rng.standard_normal(5) * 3
-            out, _ = proj.project(z)
-            assert np.linalg.norm(m @ out) <= 1 + 1e-9
-            # optimality: the correction is normal to the boundary (parallel
-            # to M^T M out) whenever the constraint was active
-            if np.linalg.norm(m @ z) > 1:
-                grad = m.T @ (m @ out)
-                resid = z - out
-                cos = resid @ grad / (np.linalg.norm(resid) * np.linalg.norm(grad))
-                assert cos == pytest.approx(1.0, abs=1e-6)
-
-    def test_ellipsoid_projection_on_boundary_whatever_the_hint(self):
-        from hdpaired.scca import _EllipsoidProjection
-
-        rng = np.random.default_rng(25)
-        m = rng.standard_normal((8, 5))
-        proj = _EllipsoidProjection(m)
-        for _ in range(30):
-            z = rng.standard_normal(5) * 3
-            if np.linalg.norm(m @ z) <= 1:
-                continue
-            out, lam = proj.project(z)
-            assert np.linalg.norm(m @ out) == pytest.approx(1.0, abs=1e-12)
-            # a warm-start hint on either side of the root lands on it
-            for hint in (0.5 * lam, 2.0 * lam):
-                np.testing.assert_allclose(proj.project(z, hint)[0], out, rtol=0, atol=1e-12)
 
 
 def reference_l2_ball(w, d):
@@ -313,11 +287,6 @@ class TestLinearMaximizer:
                                    scca._lmo_l1_l2(g, c, d), rtol=0, atol=1e-12)
 
 
-class _NoEllipsoid:
-    def __init__(self, m):
-        raise AssertionError("ellipsoid projection built on spectrally scaled data")
-
-
 def slsqp_half_step(m, g, c, d):
     """Reference maximizer of g @ w over {||Mw||_2 <= 1, ||w||_1 <= c,
     ||w||_2 <= d}: scipy SLSQP on w = w+ - w- with w+, w- >= 0."""
@@ -345,68 +314,51 @@ def slsqp_half_step(m, g, c, d):
 
 
 class TestHalfStep:
-    def test_spectrally_scaled_fit_never_builds_ellipsoid(self, monkeypatch):
-        from hdpaired.matrixio import ColumnStandardizer
-        from hdpaired.model_selection import spectral_scale
-
+    def test_spectrally_scaled_fit_never_builds_ellipsoid(self):
+        # With d <= 1 on spectrally scaled input the score-norm cap never
+        # binds: every half-step is the l1/l2 maximizer, and none raises.
         rng = np.random.default_rng(21)
-        raw = rng.standard_normal((40, 25)), rng.standard_normal((40, 18))
-        x, y = (ColumnStandardizer.fit(m).apply(m) for m in raw)
-        x, y = x * spectral_scale(x), y * spectral_scale(y)
-        monkeypatch.setattr(scca, "_EllipsoidProjection", _NoEllipsoid)
+        x, y = scaled(rng.standard_normal((40, 25))), scaled(rng.standard_normal((40, 18)))
         solver = SccaSolver(x, y)
         for c in (1.0, 1.7, 3.0, 5.0):
             for d in (0.6, 1.0):
                 step = solver._half_step("x", c, d)
                 for _ in range(20):
                     g = rng.standard_normal(25) * rng.uniform(0.01, 5)
-                    w, score, capped = step(g)
-                    assert not capped
+                    w, score = step(g)
                     assert np.array_equal(score, x @ w)
                     np.testing.assert_allclose(w, scca._lmo_l1_l2(g, c, d),
                                                rtol=1e-14, atol=1e-300)
             fit = solver.fit(SccaParams(c1=c, c2=c, max_iters=50))
             assert np.linalg.norm(x @ fit.u) <= 1.0 and np.linalg.norm(y @ fit.v) <= 1.0
-            assert fit.split_cap_hits == 0
 
     def test_binding_ellipsoid_matches_slsqp_reference(self):
-        # Measured worst relative gap to SLSQP over these draws: 2.7e-10
-        # (SLSQP itself overshoots the constraints by up to 8e-10).
+        # The score-norm ellipsoid is one of the three constraints SLSQP
+        # keeps; on spectrally scaled input with d <= 1 it cannot bind at
+        # the optimum, so the l1/l2 maximizer is the exact half-step.
+        # SLSQP overshoots its constraints (the l2 bound by up to 6e-7
+        # relative on these draws), so its value is read twice: as found,
+        # and with its point divided back into the full set.  The half-step
+        # lies between the two within 1e-9 relative.
         rng = np.random.default_rng(24)
-        x = unit_columns(rng.standard_normal((30, 12)))
+        x = scaled(rng.standard_normal((30, 12)))
         solver = SccaSolver(x, x)
-        bound = 0
-        for c, d in ((1.5, 1.0), (2.5, 1.0), (6.0, 2.0), (3.0, 3.0)):
-            step = solver._half_step("x", c, d)
-            for _ in range(10):
-                g = rng.standard_normal(12) * rng.uniform(0.5, 4)
-                if np.linalg.norm(x @ scca._lmo_l1_l2(g, c, d)) <= 1.0:
-                    continue
-                bound += 1
-                w, score, capped = step(g)
-                assert not capped
-                assert np.array_equal(score, x @ w)
-                assert np.linalg.norm(x @ w) <= 1.0 + 1e-12
-                assert np.abs(w).sum() <= c * (1 + 1e-12)
-                assert np.linalg.norm(w) <= d * (1 + 1e-12)
-                ref = slsqp_half_step(x, g, c, d)
-                assert float(g @ w) == pytest.approx(float(g @ ref), rel=1e-9)
-        assert bound >= 20  # the splitting really ran
-
-    def test_split_cap_hits_counted(self, monkeypatch):
-        from hdpaired.matrixio import ColumnStandardizer
-        from hdpaired.model_selection import spectral_scale
-
-        monkeypatch.setattr(scca, "_SPLIT_ITERS", 1)
-        rng = np.random.default_rng(26)
-        raw = rng.standard_normal((30, 20)), rng.standard_normal((30, 15))
-        unit = fit_scca(unit_columns(raw[0]), unit_columns(raw[1]),
-                        SccaParams(c1=2.5, c2=2.5, max_iters=20))
-        assert unit.split_cap_hits > 0
-        x, y = (ColumnStandardizer.fit(m).apply(m) for m in raw)
-        x, y = x * spectral_scale(x), y * spectral_scale(y)
-        scaled = fit_scca(x, y, SccaParams(c1=2.5, c2=2.5, d1=0.8, max_iters=20))
-        assert scaled.split_cap_hits == 0
+        for c in (1.0, 1.5, 2.5, 6.0):
+            for d in (0.6, 1.0):
+                step = solver._half_step("x", c, d)
+                for _ in range(5):
+                    g = rng.standard_normal(12) * rng.uniform(0.5, 4)
+                    w, score = step(g)
+                    assert np.array_equal(score, x @ w)
+                    assert np.linalg.norm(x @ w) <= 1.0 + 1e-12
+                    assert np.abs(w).sum() <= c * (1 + 1e-12)
+                    assert np.linalg.norm(w) <= d * (1 + 1e-12)
+                    ref = slsqp_half_step(x, g, c, d)
+                    overshoot = max(1.0, np.abs(ref).sum() / c, np.linalg.norm(ref) / d,
+                                    np.linalg.norm(x @ ref))
+                    value = float(g @ w)
+                    assert float(g @ ref) / overshoot <= value * (1 + 1e-9)
+                    assert value <= float(g @ ref) * (1 + 1e-9)
 
 
 class TestAlternationOracle:
@@ -415,44 +367,28 @@ class TestAlternationOracle:
     bits."""
 
     def check(self, x, y, params, init="svd", seed=0, start=None):
-        solver = SccaSolver(x, y)
-        fit = solver.fit(params, init=init, seed=seed)
-        u, v, obj, trace, iterations, converged, cap_hits = plain_scca_alternation(
+        fit = SccaSolver(x, y).fit(params, init=init, seed=seed)
+        u, v, obj, trace, iterations, converged = plain_scca_alternation(
             x, y, params.c1, params.c2, params.d1, params.d2, params.max_iters, params.tol,
             start=start)
         assert np.array_equal(fit.u, u) and np.array_equal(fit.v, v)
         assert fit.objective == obj
         assert fit.objective_trace.tobytes() == trace.tobytes()
-        assert (fit.iterations, fit.converged, fit.split_cap_hits) == (
-            iterations, converged, cap_hits)
+        assert (fit.iterations, fit.converged) == (iterations, converged)
         assert fit.iterations > 2
-        return solver
 
     def test_spectrally_scaled_fit(self):
-        from hdpaired.matrixio import ColumnStandardizer
-        from hdpaired.model_selection import spectral_scale
-
         rng = np.random.default_rng(31)
         raw = rng.standard_normal((40, 25)), rng.standard_normal((40, 18))
         raw[1][:, :3] += raw[0][:, :3]
-        x, y = (ColumnStandardizer.fit(m).apply(m) for m in raw)
-        x, y = x * spectral_scale(x), y * spectral_scale(y)
-        solver = self.check(x, y, SccaParams(c1=2.2, c2=1.8, tol=1e-10))
-        assert not solver._cache.keys() & {"ell_x", "ell_y"}
-
-    def test_binding_ellipsoid(self):
-        rng = np.random.default_rng(32)
-        x = unit_columns(rng.standard_normal((30, 12)))
-        y = unit_columns(rng.standard_normal((30, 10)))
-        solver = self.check(x, y, SccaParams(c1=2.5, c2=2.5, d1=2.0, d2=2.0, tol=1e-10))
-        assert solver._cache.keys() >= {"ell_x", "ell_y"}  # the splitting ran on both sides
+        self.check(scaled(raw[0]), scaled(raw[1]), SccaParams(c1=2.2, c2=1.8, tol=1e-10))
 
     def test_seeded_random_start(self):
         from hdpaired._util import STREAM_SCCA_INIT, replicate_rng
 
         rng = np.random.default_rng(33)
-        x = unit_columns(rng.standard_normal((35, 20)))
-        y = unit_columns(rng.standard_normal((35, 16)))
+        x = scaled(rng.standard_normal((35, 20)))
+        y = scaled(rng.standard_normal((35, 16)))
         draws = replicate_rng(5, STREAM_SCCA_INIT)
         start = draws.standard_normal(20), draws.standard_normal(16)
         self.check(x, y, SccaParams(c1=1.8, c2=2.4, tol=1e-10), init="seeded-random",
@@ -462,30 +398,24 @@ class TestAlternationOracle:
 class TestFeasibleProjection:
     def test_shared_solver_builds_cached_state_once_across_threads(self, monkeypatch):
         # cross-validation fits many cells on one solver from several
-        # threads: the power-iteration start and the ellipsoid projection
-        # are built once, and every fit matches a fit on a fresh solver
+        # threads: the power-iteration start is built once, and every fit
+        # matches a fit on a fresh solver
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
         rng = np.random.default_rng(23)
-        x = unit_columns(rng.standard_normal((20, 8)))
-        y = unit_columns(rng.standard_normal((20, 6)))
+        x = scaled(rng.standard_normal((20, 8)))
+        y = scaled(rng.standard_normal((20, 6)))
         grid = [SccaParams(c1=c, c2=c, max_iters=1) for c in np.linspace(1.2, 3.0, 6)]
         fresh = [SccaSolver(x, y).fit(params) for params in grid]
 
         builds = []
         power_init = SccaSolver._power_init
 
-        class CountingEllipsoid(scca._EllipsoidProjection):
-            def __init__(self, m):
-                builds.append("ellipsoid")
-                super().__init__(m)
-
         def counting_power_init(self, sweeps=15):
             builds.append("power_init")
             return power_init(self, sweeps)
 
-        monkeypatch.setattr(scca, "_EllipsoidProjection", CountingEllipsoid)
         monkeypatch.setattr(SccaSolver, "_power_init", counting_power_init)
         solver = SccaSolver(x, y)
         interval = sys.getswitchinterval()
@@ -495,7 +425,7 @@ class TestFeasibleProjection:
                 fits = list(pool.map(solver.fit, grid, timeout=300))
         finally:
             sys.setswitchinterval(interval)
-        assert sorted(builds) == ["ellipsoid", "ellipsoid", "power_init"]
+        assert builds == ["power_init"]
         for a, b in zip(fresh, fits):
             assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
 
@@ -596,6 +526,18 @@ class TestFitScca:
             SccaParams(c1=0.0, c2=1.0)
         with pytest.raises(ValueError, match="tol"):
             SccaParams(c1=1.0, c2=1.0, tol=0.0)
+        with pytest.raises(ValueError, match=r"l2 bounds must lie in \(0, 1\], got \(1.5, 1.0\)"):
+            SccaParams(c1=1.0, c2=1.0, d1=1.5)
+        assert SccaParams(c1=1.0, c2=1.0, d1=1.0, d2=1.0).d1 == 1.0
+
+    def test_unscaled_input_rejected(self):
+        # Unit columns have spectral norm above 1, so the l1/l2 maximizer
+        # can score above norm 1: the fit names the remedy.
+        rng = np.random.default_rng(14)
+        x = unit_columns(rng.standard_normal((50, 30)))
+        y = unit_columns(rng.standard_normal((50, 25)))
+        with pytest.raises(ValueError, match=r"x side: .* model_selection\.spectral_scale"):
+            fit_scca(x, y, SccaParams(c1=2.0, c2=2.0))
 
     def test_inactive_l1_matches_plain_cca_on_whitened_instances(self):
         # With exactly orthonormal columns the SVD solution of fit_cca is the
@@ -628,8 +570,8 @@ class TestFitScca:
 
     def test_monotone_trace_and_feasibility(self):
         rng = np.random.default_rng(14)
-        x = unit_columns(rng.standard_normal((50, 30)))
-        y = unit_columns(rng.standard_normal((50, 25)))
+        x = scaled(rng.standard_normal((50, 30)))
+        y = scaled(rng.standard_normal((50, 25)))
         params = SccaParams(c1=2.0, c2=2.5)
         fit = fit_scca(x, y, params)
         assert np.all(np.diff(fit.objective_trace) >= -1e-10)
@@ -642,8 +584,8 @@ class TestFitScca:
 
     def test_svd_init_bit_reproducible(self):
         rng = np.random.default_rng(15)
-        x = unit_columns(rng.standard_normal((40, 12)))
-        y = unit_columns(rng.standard_normal((40, 10)))
+        x = scaled(rng.standard_normal((40, 12)))
+        y = scaled(rng.standard_normal((40, 10)))
         params = SccaParams(c1=1.8, c2=1.8)
         a = fit_scca(x, y, params)
         b = fit_scca(x, y, params)
@@ -651,8 +593,8 @@ class TestFitScca:
 
     def test_seeded_random_init_reproducible_per_seed(self):
         rng = np.random.default_rng(16)
-        x = unit_columns(rng.standard_normal((40, 12)))
-        y = unit_columns(rng.standard_normal((40, 10)))
+        x = scaled(rng.standard_normal((40, 12)))
+        y = scaled(rng.standard_normal((40, 10)))
         params = SccaParams(c1=1.8, c2=1.8)
         a = fit_scca(x, y, params, init="seeded-random", seed=5)
         b = fit_scca(x, y, params, init="seeded-random", seed=5)
@@ -663,18 +605,12 @@ class TestFitScca:
     def test_scale_coherence_after_standardization(self):
         # multiplying raw columns by a common constant is absorbed by
         # standardization, so the fitted alignment is unchanged
-        from hdpaired.matrixio import ColumnStandardizer
-
         rng = np.random.default_rng(17)
         raw_x = rng.standard_normal((60, 8)) * 3 + 1
         raw_y = rng.standard_normal((60, 6))
 
         def pipeline(xr, yr):
-            sx = ColumnStandardizer.fit(xr)
-            sy = ColumnStandardizer.fit(yr)
-            scale = 1.0 / math.sqrt(xr.shape[0] - 1)
-            return fit_scca(sx.apply(xr) * scale, sy.apply(yr) * scale,
-                            SccaParams(c1=2.0, c2=2.0))
+            return fit_scca(scaled(xr), scaled(yr), SccaParams(c1=2.0, c2=2.0))
 
         a = pipeline(raw_x, raw_y)
         b = pipeline(raw_x * 7.5, raw_y)
@@ -683,16 +619,16 @@ class TestFitScca:
 
     def test_nonconvergence_flag(self):
         rng = np.random.default_rng(18)
-        x = unit_columns(rng.standard_normal((30, 40)))
-        y = unit_columns(rng.standard_normal((30, 40)))
+        x = scaled(rng.standard_normal((30, 40)))
+        y = scaled(rng.standard_normal((30, 40)))
         fit = fit_scca(x, y, SccaParams(c1=3.0, c2=3.0, max_iters=2, tol=1e-14))
         assert not fit.converged
         assert fit.iterations == 2
 
     def test_solver_reuse_matches_one_shot(self):
         rng = np.random.default_rng(19)
-        x = unit_columns(rng.standard_normal((40, 15)))
-        y = unit_columns(rng.standard_normal((40, 12)))
+        x = scaled(rng.standard_normal((40, 15)))
+        y = scaled(rng.standard_normal((40, 12)))
         solver = SccaSolver(x, y)
         params = SccaParams(c1=2.0, c2=2.0)
         a = solver.fit(params)
