@@ -1,5 +1,5 @@
-"""Shared plumbing: replicate-keyed RNG streams, ordered thread mapping, Pearson,
-the sign rule for directions."""
+"""Shared plumbing: replicate-keyed RNG streams, ordered thread mapping, one
+Pearson kernel, the sign rule for directions."""
 
 from __future__ import annotations
 
@@ -43,20 +43,27 @@ def parallel_map(fn, items, threads: int = 1) -> list:
 def pearson_or_nan(a: np.ndarray, b: np.ndarray) -> float:
     """Pearson correlation of two equal-length vectors by centered dot
     products; NaN when they have fewer than 3 entries or either is constant.
-
-    The three dot products come from one product c @ c.T of the stacked
-    centered pair, which BLAS runs as syrk without splitting the inner sums
-    across threads, so the result does not depend on the BLAS thread count
-    (a dot product of more than 10,000 entries does)."""
+    It is `pearson_rows` on the stacked pair, bit for bit."""
     if a.size < 3:
         return math.nan
-    c = np.empty((2, a.size))
-    np.subtract(a, a.mean(), out=c[0])
-    np.subtract(b, b.mean(), out=c[1])
-    (ssa, sab), (_, ssb) = (c @ c.T).tolist()
-    if ssa == 0.0 or ssb == 0.0:
-        return math.nan
-    return sab / math.sqrt(ssa * ssb)
+    return float(pearson_rows(np.array([[a, b]], dtype=float))[0])
+
+
+def pearson_rows(c: np.ndarray) -> np.ndarray:
+    """Pearson correlation of each (2, K) pair in a (rows, 2, K) float
+    stack, which it centers in place; NaN where either side is constant.
+
+    The sums of each pair come from one product of the stack with its
+    transpose, which numpy runs per pair as BLAS syrk.  syrk does not split
+    the inner sums across threads, so no value depends on the BLAS thread
+    count (a dot product of more than 10,000 entries does) or on the
+    number of rows."""
+    c -= c.mean(axis=2, keepdims=True)
+    sums = c @ c.transpose(0, 2, 1)
+    ssa, sab, ssb = sums[:, 0, 0], sums[:, 0, 1], sums[:, 1, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = sab / np.sqrt(ssa * ssb)
+    return np.where((ssa == 0.0) | (ssb == 0.0), np.nan, r)
 
 
 def canonical_sign(w: np.ndarray) -> float:

@@ -339,6 +339,8 @@ def _read_plain_csv(path: str) -> np.ndarray:
 
 def _cmd_dist(cfg: dict, inputs: dict[str, str]) -> dict:
     x, y = _load_pair(cfg)
+    if x.n_subjects < 2:
+        raise CliError(f"dist needs at least 2 subjects, got {x.n_subjects}")
     dx = distance_matrix(x, cfg["metric_x"])
     dy = distance_matrix(y, cfg["metric_y"])
     ids = x.subject_ids

@@ -37,6 +37,7 @@ from hdpaired._util import (
     STREAM_PERMUTATION,
     STREAM_SUBSAMPLE,
     parallel_map,
+    pearson_rows,
     replicate_rng,
 )
 from hdpaired.distances import DistanceMatrix, distance_matrix, upper_triangle
@@ -59,17 +60,18 @@ def _replicates(stat, n: int, b: int, seed: int, stream: int, threads: int = 1,
     """stat(draws) for b index draws of length n, in replicate order.
 
     Replicate i reads the raw 64-bit outputs i*n .. (i+1)*n - 1 of the
-    generator keyed by (seed, stream).  Their stable argsort, formed by
-    `_permutations`, is a uniform permutation of 0..n-1 (two equal words,
-    the only source of bias, come with probability below n**2 / 2**65); with
-    replace=True each output mod n is one draw with replacement (bias below
-    n / 2**64).  A block holds max(1, _BLOCK_BYTES // max(8n, draw_bytes))
-    draws, where draw_bytes is what `stat` holds per draw.  The blocks go in
-    at most `threads` runs of consecutive blocks; a run jumps to its first
-    replicate with `advance` and reads on, so one generator is keyed per
-    run and replicate i depends on neither b, the block size nor the thread
-    count.  `stat` maps a block's (rows, n) draws to one value each; no
-    value may depend on the block height.
+    generator keyed by (seed, stream).  `_permutations` overwrites the low
+    (n - 1).bit_length() bits of word j with j, so the n keys are distinct,
+    and sorts them: a uniform permutation of 0..n-1 up to a bias below
+    n**3 / 2**64.  With replace=True each output mod n is one draw with
+    replacement (bias below n / 2**64).  A block holds
+    max(1, _BLOCK_BYTES // max(8n, draw_bytes)) draws, where draw_bytes is
+    what `stat` holds per draw, each block fresh from the generator.  The
+    blocks go in at most `threads` runs of consecutive blocks; a run jumps
+    to its first replicate with `advance` and reads on, so one generator is
+    keyed per run and replicate i depends on neither b, the block size nor
+    the thread count.  `stat` maps a block's (rows, n) draws to one value
+    each; no value may depend on the block height.
     """
     rows = max(1, _BLOCK_BYTES // max(8 * n, draw_bytes))
     starts = range(0, b, rows)
@@ -90,23 +92,21 @@ def _replicates(stat, n: int, b: int, seed: int, stream: int, threads: int = 1,
 
 
 def _permutations(raw: np.ndarray) -> np.ndarray:
-    """raw.argsort(axis=1, kind="stable") for a (rows, n) array, bit for bit.
+    """The permutation draws of a fresh (rows, n) block of raw words, which
+    it overwrites: the low b = (n - 1).bit_length() bits of word j become j,
+    and the row's argsort is the draw.
 
-    Rows are sorted by the default sort, which is faster.  Where a row's
-    words are distinct its sort order is unique, so both sorts agree; the
-    rows where two sorted neighbours are equal, read through one flat take,
-    are sorted again with the stable sort.
+    The keys of a row are distinct, so their sorted order is unique and the
+    default sort gives it.  The draw is the stable argsort of the words' top
+    64 - b bits, so it matches the stable argsort of the raw words unless two
+    words agree in those bits (probability below n**2 2**(b - 65) per draw).
+    Given distinct top bits it is the argsort of i.i.d. uniform values, so
+    uniform: its total-variation distance from uniform is below n**3 / 2**64.
     """
-    order = raw.argsort(axis=1)
-    rows, n = raw.shape
-    offsets = np.arange(0, rows * n, n)[:, None]
-    order += offsets  # flat indices, in place: no third block-sized array
-    words = raw.reshape(-1).take(order)
-    order -= offsets
-    tied = np.flatnonzero((words[:, 1:] == words[:, :-1]).any(axis=1))
-    if tied.size:
-        order[tied] = raw[tied].argsort(axis=1, kind="stable")
-    return order
+    n = raw.shape[1]
+    raw &= np.uint64(2**64 - (1 << (n - 1).bit_length()))
+    raw |= np.arange(n, dtype=np.uint64)
+    return raw.argsort(axis=1)
 
 
 def _pair_pearson(dx: DistanceMatrix, dy: DistanceMatrix, m: int):
@@ -116,11 +116,9 @@ def _pair_pearson(dx: DistanceMatrix, dy: DistanceMatrix, m: int):
     (m >= 4, so K >= 6).  A draw holds 16K bytes: its 2 x K pair values.
 
     A block's pairs are gathered through one flat index straight into a
-    (rows, 2, K) stack, centered row by row, and its sums come from one
-    batched c @ c.transpose(0, 2, 1).  numpy runs each stacked product as
-    BLAS syrk, which does not split the inner sums across threads, so every
-    value is the bits of pearson_or_nan on the two gathered vectors at any
-    block height and any BLAS thread count.
+    (rows, 2, K) stack for `pearson_rows`, so every value is the bits of
+    pearson_or_nan on the two gathered vectors at any block height and any
+    BLAS thread count.
     """
     n = dx.n_subjects
     im, jm = np.triu_indices(m, 1)
@@ -134,12 +132,7 @@ def _pair_pearson(dx: DistanceMatrix, dy: DistanceMatrix, m: int):
         # "raise", take buffers its output and copies it over.
         fx.take(k, out=c[:, 0], mode="clip")
         fy.take(k, out=c[:, 1], mode="clip")
-        c -= c.mean(axis=2, keepdims=True)
-        sums = c @ c.transpose(0, 2, 1)
-        ssx, sxy, ssy = sums[:, 0, 0], sums[:, 0, 1], sums[:, 1, 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = sxy / np.sqrt(ssx * ssy)
-        return np.where((ssx == 0.0) | (ssy == 0.0), np.nan, r)
+        return pearson_rows(c)
 
     return stat, 16 * im.size
 

@@ -220,32 +220,28 @@ def _lmo_l1_l2(g: np.ndarray, c: float, d: float) -> np.ndarray:
     return np.sign(g) * s * (d / _norm2(s))
 
 
+def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float arrays, once they are 2-D, row-aligned and finite."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
+        raise ValueError(f"row-aligned 2-D matrices required: {x.shape} vs {y.shape}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("non-finite entries in input matrices")
+    return x, y
+
+
 class SccaSolver:
     """Reusable solver for one (X, Y) pair, each of spectral norm at most 1
     (see the module's note on scaling).  The power-iteration start is
-    computed once and shared across parameter settings (cross-validation
-    fits many cells on the same fold matrices, possibly from several
-    threads)."""
+    built by the first init="svd" fit and shared across parameter settings
+    (cross-validation fits many cells on the same fold matrices, possibly
+    from several threads); seeded-random fits never build it."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
-            raise ValueError(f"row-aligned 2-D matrices required: {x.shape} vs {y.shape}")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ValueError("non-finite entries in input matrices")
-        self.x = x
-        self.y = y
-        self._cache: dict = {}
-        self._cache_lock = threading.Lock()
-
-    def _cached(self, key: str, build):
-        with self._cache_lock:
-            if key not in self._cache:
-                self._cache[key] = build()
-            return self._cache[key]
-
-    # -- initialization ----------------------------------------------------
+        self.x, self.y = _check_pair(x, y)
+        self._start = None
+        self._start_lock = threading.Lock()
 
     def _power_init(self, sweeps: int = 15) -> tuple[np.ndarray, np.ndarray]:
         # Power iterations on the cross-covariance, from a fixed internal
@@ -262,34 +258,6 @@ class SccaSolver:
                     raise ValueError("zero cross-covariance; alignment direction undefined")
                 w[k] = g / norm
         return w[0], w[1]
-
-    def fit_cca(self) -> AlignmentPair:
-        """Top singular pair of the cross-covariance, rescaled so
-        ||Xu||_2 = ||Yv||_2 = 1; the objective is the achieved canonical
-        correlation of the (centered) scores.  Exact and Gram-free: with thin
-        SVDs X = Ux Sx Vx^T and Y = Uy Sy Vy^T, the pair is (Vx a, Vy b) for
-        the top singular pair (a, b) of the small core Sx Ux^T Uy Sy."""
-        ux, sx, vxt = np.linalg.svd(self.x, full_matrices=False)
-        uy, sy, vyt = np.linalg.svd(self.y, full_matrices=False)
-        a, s, bt = np.linalg.svd(sx[:, None] * (ux.T @ uy) * sy)
-        if s[0] == 0.0:
-            raise ValueError("zero cross-covariance; alignment direction undefined")
-        # ||X Vx a||_2 = ||Sx a||_2, so dividing by it gives unit-norm scores.
-        u = vxt.T @ (a[:, 0] / np.linalg.norm(sx * a[:, 0]))
-        v = vyt.T @ (bt[0] / np.linalg.norm(sy * bt[0]))
-        sign = canonical_sign(u)  # <Xu, Yv> is invariant under (u, v) -> (-u, -v)
-        u, v = sign * u, sign * v
-        objective = float((self.x @ u) @ (self.y @ v))
-        return AlignmentPair(
-            u=u,
-            v=v,
-            objective=objective,
-            support_u=np.flatnonzero(u),
-            support_v=np.flatnonzero(v),
-            iterations=1,
-            converged=True,
-            objective_trace=np.array([objective]),
-        )
 
     # -- sparse fit ----------------------------------------------------------
 
@@ -338,7 +306,10 @@ class SccaSolver:
         steps = (self._half_step("x", params.c1, params.d1),
                  self._half_step("y", params.c2, params.d2))
         if init == "svd":
-            points = list(self._cached("power_init", self._power_init))
+            with self._start_lock:
+                if self._start is None:
+                    self._start = self._power_init()
+            points = list(self._start)
         else:
             rng = replicate_rng(seed, STREAM_SCCA_INIT)
             points = [rng.standard_normal(m.shape[1]) for m in mats]
@@ -375,8 +346,34 @@ class SccaSolver:
 
 
 def fit_cca(x: np.ndarray, y: np.ndarray) -> AlignmentPair:
-    """Plain CCA on centered matrices (no sparsity constraints)."""
-    return SccaSolver(x, y).fit_cca()
+    """Plain CCA on centered matrices (no sparsity constraints): the top
+    singular pair of the cross-covariance, rescaled so ||Xu||_2 = ||Yv||_2 =
+    1; the objective is the achieved canonical correlation of the (centered)
+    scores.  Exact and Gram-free: with thin SVDs X = Ux Sx Vx^T and
+    Y = Uy Sy Vy^T, the pair is (Vx a, Vy b) for the top singular pair
+    (a, b) of the small core Sx Ux^T Uy Sy."""
+    x, y = _check_pair(x, y)
+    ux, sx, vxt = np.linalg.svd(x, full_matrices=False)
+    uy, sy, vyt = np.linalg.svd(y, full_matrices=False)
+    a, s, bt = np.linalg.svd(sx[:, None] * (ux.T @ uy) * sy)
+    if s[0] == 0.0:
+        raise ValueError("zero cross-covariance; alignment direction undefined")
+    # ||X Vx a||_2 = ||Sx a||_2, so dividing by it gives unit-norm scores.
+    u = vxt.T @ (a[:, 0] / np.linalg.norm(sx * a[:, 0]))
+    v = vyt.T @ (bt[0] / np.linalg.norm(sy * bt[0]))
+    sign = canonical_sign(u)  # <Xu, Yv> is invariant under (u, v) -> (-u, -v)
+    u, v = sign * u, sign * v
+    objective = float((x @ u) @ (y @ v))
+    return AlignmentPair(
+        u=u,
+        v=v,
+        objective=objective,
+        support_u=np.flatnonzero(u),
+        support_v=np.flatnonzero(v),
+        iterations=1,
+        converged=True,
+        objective_trace=np.array([objective]),
+    )
 
 
 def fit_scca(

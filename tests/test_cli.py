@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,20 @@ class TestDist:
         n = 30
         for tag in ("x", "y"):
             assert report["results"][tag]["bin_total"] == n * (n - 1) // 2
+
+    def test_one_subject_rejected_before_any_distance(self, tmp_path, capsys):
+        for tag in ("x", "y"):
+            (tmp_path / f"{tag}.csv").write_text("id,a,b\ns1,1.0,2.0\n")
+        out = tmp_path / "d"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["dist", "--x", tmp_path / "x.csv", "--y", tmp_path / "y.csv",
+                        "--out", out]) == 1
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert [json.loads(line) for line in err] == [
+            {"error": "CliError", "message": "dist needs at least 2 subjects, got 1"}]
+        assert not out.exists()
 
 
 class TestInfer:
@@ -341,6 +356,26 @@ class TestScca:
         assert converged.tolist() == lib.fold_converged.tolist()
         assert rep["refit_iterations"] == lib.model.fit.iterations
         assert rep["refit_converged"] == lib.model.fit.converged
+
+    def test_zero_cross_covariance_fails_only_the_svd_start(self, tmp_path, capsys):
+        # Hadamard columns: x's three are orthogonal to y's one, and every
+        # product of x with a multiple of y is exactly 0.  The svd start has
+        # no direction to follow; a seeded-random start needs none, builds no
+        # svd start, and fits objective 0.
+        h = np.array([[1.0]])
+        for _ in range(3):
+            h = np.block([[h, h], [h, -h]])
+        for tag, cols in (("x", [1, 2, 3]), ("y", [4])):
+            header = ",".join(["id"] + [f"{tag}{j}" for j in cols])
+            rows = [",".join([f"s{i}"] + [f"{h[i, j]:g}" for j in cols]) for i in range(8)]
+            (tmp_path / f"{tag}.csv").write_text("\n".join([header] + rows) + "\n")
+        xy = ["--x", tmp_path / "x.csv", "--y", tmp_path / "y.csv", "--c1", 1, "--c2", 1]
+        assert run(["scca", "fit", *xy, "--out", tmp_path / "svd"]) == 1
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "ValueError", "message": "zero cross-covariance; alignment direction undefined"}
+        assert run(["scca", "fit", *xy, "--init", "seeded-random",
+                    "--out", tmp_path / "random"]) == 0
+        assert abs(read_json(tmp_path / "random" / "scca_fit.json")["results"]["objective"]) < 1e-12
 
     @pytest.mark.parametrize("text, where, detail", [
         ("c1,c2\n1.4,1.4\n1.4\n", ":3", "expected 2 fields, got 1"),

@@ -17,6 +17,7 @@ from hdpaired._util import (
     STREAM_PERMUTATION,
     STREAM_SUBSAMPLE,
     pearson_or_nan,
+    pearson_rows,
     replicate_rng,
 )
 from hdpaired.distances import DistanceMatrix, distance_matrix, upper_triangle
@@ -454,6 +455,16 @@ def tiled_cross_product(x, cy, s):
     return total
 
 
+def exact_pearson(a, b):
+    """Pearson correlation from centered sums taken with math.fsum; NaN if a
+    side is constant."""
+    if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
+        return math.nan
+    ca = a - math.fsum(a) / a.size
+    cb = b - math.fsum(b) / b.size
+    return math.fsum(ca * cb) / math.sqrt(math.fsum(ca * ca) * math.fsum(cb * cb))
+
+
 def all_replicates(dx, dy, b, seed, threads=1, ratio=0.5):
     """Replicate values of the three procedures, as one bytes string each."""
     return (
@@ -581,6 +592,46 @@ class TestReplicateEngine:
         assert expected == (sub.tobytes(),
                             np.array([pearson(s) for s in boot_draws]).tobytes())
 
+    @pytest.mark.parametrize("k", [3, 25, 703, 11175])
+    def test_pearson_kernel_matches_exact_sums(self, k):
+        # pearson_rows on a (rows, 2, K) stack and pearson_or_nan on each
+        # of its pairs, against centered sums taken with math.fsum.  Rows 0-4
+        # are scaled 1e-3..1e3 around offsets of up to 100 spreads; row 5 has
+        # a constant first side and row 6 a constant second side: NaN.
+        rng = np.random.default_rng(k)
+        rows = rng.standard_normal((7, 2, k))
+        rows[:5, 1] += rng.uniform(-1.0, 1.0, (5, 1)) * rows[:5, 0]
+        rows[:5] *= 10.0 ** rng.uniform(-3.0, 3.0, (5, 2, 1))
+        rows[:5] += rng.uniform(-100.0, 100.0, (5, 2, 1)) * rows[:5].std(axis=2, keepdims=True)
+        rows[5, 0], rows[6, 1] = 2.0, 0.0
+        expected = [exact_pearson(a, b) for a, b in rows]
+        assert np.isnan(expected[5:]).all() and not np.isnan(expected[:5]).any()
+        singles = [pearson_or_nan(a, b) for a, b in rows]
+        got = pearson_rows(rows.copy())
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(singles, expected, rtol=1e-12, atol=1e-12)
+
+    def test_pair_statistic_matches_exact_sums(self):
+        # Subsample and bootstrap replicates against math.fsum sums over the
+        # gathered pairs; dy as in test_same_bytes_at_any_chunk_height, so
+        # some subsamples have a constant y triangle and the value NaN.
+        n, m, b, seed = 30, 6, 40, 3
+        dx, _ = random_distance_pair(n, seed=35)
+        far = np.zeros((n, n), dtype=bool)
+        far[:3, :3] = True
+        dy = DistanceMatrix(np.where(np.eye(n, dtype=bool), 0.0, np.where(far, 2.0, 1.0)),
+                            "euclidean", dx.subject_ids)
+        sub = subsample_ci(dx, dy, ratio=m / n, b=b, seed=seed).replicates
+        boot = bootstrap_distribution(dx, dy, b=b, seed=seed).replicates
+        sub_draws = replicate_draws(n, b, seed, STREAM_SUBSAMPLE)[:, :m]
+        boot_draws = replicate_draws(n, b, seed, STREAM_BOOTSTRAP, replace=True)
+        for values, draws in ((sub, sub_draws), (boot, boot_draws)):
+            iu, ju = np.triu_indices(draws.shape[1], 1)
+            expected = [exact_pearson(dx.data[s[iu], s[ju]], dy.data[s[iu], s[ju]])
+                        for s in draws]
+            np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-12)
+        assert 2 <= np.isnan(sub).sum() <= b - 2
+
     def test_wide_triangles_same_bytes_at_one_and_two_blas_threads(self):
         # 150 of 160 subjects give 11,175 subsample pairs, and all 160 give
         # 12,720 bootstrap pairs: above the 10,000 entries past which
@@ -627,16 +678,40 @@ class TestReplicateEngine:
         assert outputs[0] == outputs[1] and len(outputs[0].split()) == 2
 
     def test_permutations_match_the_stable_sort_on_tied_words(self):
+        # A draw is the stable argsort of the words' top 64 - 6 bits at
+        # n = 40: words that agree there keep their index order, whatever
+        # their low bits.  The reference is built before `_permutations`
+        # overwrites its block.
         rng = np.random.default_rng(35)
         raw = rng.integers(0, 2**64, size=(6, 40), dtype=np.uint64)
         raw[1, 7] = raw[1, 30]  # one repeated word
-        raw[2] = rng.integers(0, 3, size=40)  # many repeats
+        raw[2] = rng.integers(0, 3, size=40)  # equal top bits, low bits in {0, 1, 2}
         raw[3] = 12345  # all equal
         raw[4, ::2] = raw[4, 1::2]  # every word twice
-        got = _permutations(raw)
+        keys = raw >> np.uint64(6)
+        got = _permutations(raw.copy())
         assert got.dtype == np.intp
-        assert np.array_equal(got, raw.argsort(axis=1, kind="stable"))
-        assert np.array_equal(got[3], np.arange(40))
+        assert np.array_equal(got, keys.argsort(axis=1, kind="stable"))
+        assert np.array_equal(got[2], np.arange(40)) and np.array_equal(got[3], np.arange(40))
+        assert not np.array_equal(got[2], raw[2].argsort(kind="stable"))
+        assert list(got[1]).index(7) < list(got[1]).index(30)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 128, 129, 2048, 2049])
+    def test_draws_are_permutations_where_the_key_width_changes(self, n):
+        # (n - 1).bit_length() low bits of each word hold its index: 2 bits
+        # at n = 3 and 4, 3 at n = 5, 7 at n = 128, 8 at n = 129, 11 at
+        # n = 2048 and 12 at n = 2049.
+        b = (n - 1).bit_length()
+        for stream in (STREAM_PERMUTATION, STREAM_SUBSAMPLE):
+            draws = replicate_draws(n, 5, 9, stream)
+            raw = replicate_rng(9, stream).bit_generator.random_raw((5, n))
+            assert np.array_equal(draws, (raw >> np.uint64(b)).argsort(axis=1, kind="stable"))
+            assert all(np.array_equal(np.sort(s), np.arange(n)) for s in draws)
+        # Words that share their top 64 - b bits come out in index order,
+        # whatever their low b bits.
+        low = np.random.default_rng(n).integers(0, 2**b, size=(2, n), dtype=np.uint64)
+        assert np.array_equal(_permutations(low | np.uint64(0xABCD << 40)),
+                              np.tile(np.arange(n), (2, 1)))
 
     @pytest.mark.parametrize("n", [4, 150, 2000])
     def test_draws_are_stable_argsorts_of_the_raw_words(self, n):
