@@ -1,14 +1,18 @@
 """Command-line interface: the full pipeline as subcommands.
 
-Subcommands: synth, fcg, dist, infer {perm,dcor,subsample,bootstrap},
-scca {fit,cv,eval}, subcluster, report.
+Subcommands: synth {null,latent,planted}, fcg, dist,
+infer {perm,dcor,subsample,bootstrap}, scca {fit,cv,eval}, subcluster,
+report.  Every synth mode reads --n --p --q --seed --out; latent adds
+--strength, planted --su --sv --rho.
 
 Each option is declared once, in _FLAGS (its argparse keywords), and each
 command once, in _COMMANDS (handler, report file name, help, required keys
 and defaults).  The parser and the config resolution are both built from
 these two tables, so a command accepts exactly the keys it reads, as flags
 and as config-file keys alike, and a config-file value is checked against
-its flag's type and choices.
+its flag's type and choices.  An integer option below its floor in
+_FLOORS (such as --top below 0 or --cells below 1) fails before any input
+is read.
 
 A handler is `handler(cfg, inputs) -> results`: it writes its own data
 files under --out and returns the results of its report; a handler that
@@ -49,7 +53,7 @@ from hdpaired.inference import (
 )
 from hdpaired.matrixio import (
     FeatureMatrix,
-    load_matrix_auto,
+    load_matrix,
     pair,
     read_csv,
     save_matrix,
@@ -128,9 +132,9 @@ def _summary(values: np.ndarray) -> dict:
 # defaults
 # ---------------------------------------------------------------------------
 
-# argparse keywords of every option.  Its flag is --<key> with "-" for "_",
-# except "kind", synth's positional argument.  An option without a type
-# takes a string; a store_const one is a switch (a boolean in a config file).
+# argparse keywords of every option.  Its flag is --<key> with "-" for "_".
+# An option without a type takes a string; a store_const one is a switch (a
+# boolean in a config file).
 _FLAGS = {
     **{key: dict(type=int) for key in (
         "seed", "threads", "n", "p", "q", "su", "sv", "order", "bins", "max_iters", "top")},
@@ -144,7 +148,6 @@ _FLAGS = {
     "config": dict(help="YAML key-value config file"),
     "metric_x": dict(choices=METRICS),
     "metric_y": dict(choices=METRICS),
-    "kind": dict(choices=("null", "latent", "planted")),
     "input": dict(help="directory of <subject>.csv time series"),
     "nuisance_suffix": dict(),
     "out_format": dict(choices=("bin", "csv")),
@@ -161,7 +164,7 @@ _FLAGS = {
 
 
 # The smallest accepted value of each integer option that has one.
-_FLOORS = {"seed": 0, "threads": 1, "bins": 1, "b": 1}
+_FLOORS = {"seed": 0, "threads": 1, "bins": 1, "b": 1, "top": 0, "cells": 1}
 # The file options; the report digests each one that is set.
 _INPUT_FILES = ("x", "y", "model", "grid_file")
 
@@ -226,8 +229,8 @@ def _resolve(args: argparse.Namespace, command: _Command) -> dict:
 
 
 def _load_pair(cfg: dict) -> tuple[FeatureMatrix, FeatureMatrix]:
-    x = load_matrix_auto(cfg["x"])
-    y = load_matrix_auto(cfg["y"])
+    x = load_matrix(cfg["x"])
+    y = load_matrix(cfg["y"])
     ds = pair(x, y)
     return ds.x, ds.y
 
@@ -250,8 +253,7 @@ def _load_model(path: str, x: FeatureMatrix,
 # ---------------------------------------------------------------------------
 
 
-def _cmd_synth(cfg: dict, inputs: dict[str, str]) -> dict:
-    kind = cfg["kind"]
+def _cmd_synth(cfg: dict, inputs: dict[str, str], kind: str) -> dict:
     truth_payload: dict = {"kind": kind, "seed": cfg["seed"]}
     if kind == "null":
         ds = gen_null(cfg["n"], cfg["p"], cfg["q"], cfg["seed"])
@@ -270,7 +272,7 @@ def _cmd_synth(cfg: dict, inputs: dict[str, str]) -> dict:
             v_star_values=truth.v_star[truth.support_v].tolist(),
         )
     for tag, matrix in (("x", ds.x), ("y", ds.y)):
-        save_matrix(matrix, os.path.join(cfg["out"], f"{tag}.bin"), "bin")
+        save_matrix(matrix, os.path.join(cfg["out"], f"{tag}.bin"))
     return truth_payload
 
 
@@ -323,7 +325,7 @@ def _cmd_fcg(cfg: dict, inputs: dict[str, str]) -> dict:
         rows.append(vec)
     fm = FeatureMatrix(np.vstack(rows), tuple(subjects))
     out_path = os.path.join(cfg["out"], "fcg." + cfg["out_format"])
-    save_matrix(fm, out_path, cfg["out_format"])
+    save_matrix(fm, out_path)
     return {"n_subjects": fm.n_subjects, "n_features": fm.n_features,
             "subjects": list(subjects), "output": out_path}
 
@@ -599,13 +601,17 @@ _METRIC_PAIR = {"metric_x": "scaled_euclidean", "metric_y": "pearson_correlation
 _DRAWS = {**_PAIR, "b": 10_000, "seed": 0, "threads": 1, **_METRIC_PAIR}
 _DUMP = {**_DRAWS, "dump_replicates": False}  # infer perm, infer bootstrap
 _INTERVAL = {**_DRAWS, "ratio": 0.135, "level": 0.95, "method": "root"}  # report
+_SYNTH = {"n": 100, "p": 200, "q": 200, "seed": 0, "out": None}
 
 _COMMANDS = {
-    "synth": _Command(
-        _cmd_synth, "truth.json", "generate synthetic paired datasets", ("out",),
-        {"kind": None, "n": 100, "p": 200, "q": 200, "strength": 0.8,
-         "rho": 0.9, "su": 10, "sv": 10, "seed": 0, "out": None},
-    ),
+    **{f"synth {kind}": _Command(
+        functools.partial(_cmd_synth, kind=kind), "truth.json", text, ("out",), defaults,
+    ) for kind, text, defaults in (
+        ("null", "independent Gaussian modalities", _SYNTH),
+        ("latent", "modalities sharing one latent factor", {**_SYNTH, "strength": 0.8}),
+        ("planted", "planted sparse canonical pair",
+         {**_SYNTH, "su": 10, "sv": 10, "rho": 0.9}),
+    )},
     "fcg": _Command(
         _cmd_fcg, "fcg_report.json",
         "time series -> functional-connectivity features", ("input", "out"),
@@ -666,7 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=hdpaired.__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    group_help = {"infer": "statistical inference on distance correlations",
+    group_help = {"synth": "generate synthetic paired datasets",
+                  "infer": "statistical inference on distance correlations",
                   "scca": "sparse CCA: fit, cross-validate, evaluate"}
     modes = {}
     for path, command in _COMMANDS.items():
@@ -679,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
                     dest="mode", required=True)
             sp = modes[name].add_parser(mode, help=command.help)
         for key in (*command.defaults, "config"):
-            sp.add_argument(key if key == "kind" else "--" + key.replace("_", "-"), **_FLAGS[key])
+            sp.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
         sp.set_defaults(command_path=path)
     return parser
 

@@ -172,7 +172,8 @@ def read_csv(path: str, labels: bool) -> tuple[list[str], list[str] | None, np.n
     Returns (header, labels, data).  With `labels` the first column holds
     row labels (subject ids), else every column is numeric and labels is
     None.  Cells parse as float() parses them.  An error names the file and
-    the line; a bad cell also its column and, in a labelled file, its subject.
+    the line; a bad cell also its column and, in a labelled file, its
+    subject.  A file that is not UTF-8 is an error that names the file.
 
     In a well-formed file numpy's C reader parses the values; in a labelled
     one csv reads the ids and checks each row's width.  Any other file is
@@ -181,11 +182,14 @@ def read_csv(path: str, labels: bool) -> tuple[list[str], list[str] | None, np.n
     and it names the first bad cell.
     """
     start = 1 if labels else 0
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        parsed = _read_csv_c(f, start)
-        if parsed is None:
-            f.seek(0)
-            parsed = _read_csv_float(path, f, start)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            parsed = _read_csv_c(f, start)
+            if parsed is None:
+                f.seek(0)
+                parsed = _read_csv_float(path, f, start)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return parsed
 
 
@@ -287,46 +291,40 @@ def _load_bin(path: str) -> FeatureMatrix:
     return FeatureMatrix(data, ids)
 
 
-def load_matrix(path: str, format: str = "csv") -> FeatureMatrix:
-    """Load a FeatureMatrix from `csv` or `bin` format.
+def _is_csv(path: str) -> bool:
+    """The one format rule: a path ending in ".csv" names a CSV feature
+    matrix, any other path the binary format."""
+    return str(path).endswith(".csv")
+
+
+def load_matrix(path: str) -> FeatureMatrix:
+    """Load a FeatureMatrix, as CSV or binary by its path (see _is_csv).
 
     CSV: header row required, first column named "id", remaining columns
     numeric (UTF-8, '.' decimal separator).  Binary: see save_matrix.
     """
-    if format == "csv":
-        return _load_csv(path)
-    if format == "bin":
-        return _load_bin(path)
-    raise ValueError(f"unknown format {format!r}; expected 'csv' or 'bin'")
+    return _load_csv(path) if _is_csv(path) else _load_bin(path)
 
 
-def save_matrix(m: FeatureMatrix, path: str, format: str = "bin") -> None:
-    """Write a FeatureMatrix.
+def save_matrix(m: FeatureMatrix, path: str) -> None:
+    """Write a FeatureMatrix, as CSV or binary by its path (see _is_csv).
 
-    Binary layout: magic "HDPR1\\0", u64-LE row count, u64-LE column count,
-    row-major IEEE-754 little-endian f64 payload, then a u64-LE byte-length
-    prefix followed by the newline-separated UTF-8 subject-id block.
-    Round-trips finite doubles bit-exactly.  Creates the parent directory.
+    CSV: header "id,f1,...,fd", one row per subject.  Binary layout: magic
+    "HDPR1\\0", u64-LE row count, u64-LE column count, row-major IEEE-754
+    little-endian f64 payload, then a u64-LE byte-length prefix followed by
+    the newline-separated UTF-8 subject-id block.  Round-trips finite
+    doubles bit-exactly.  Creates the parent directory.
     """
-    if format == "bin":
-        ids_block = "\n".join(m.subject_ids).encode("utf-8")
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        with open(path, "wb") as f:
-            f.write(BIN_MAGIC)
-            f.write(struct.pack("<QQ", m.n_subjects, m.n_features))
-            f.write(np.ascontiguousarray(m.data, dtype="<f8").tobytes())
-            f.write(struct.pack("<Q", len(ids_block)))
-            f.write(ids_block)
-        return
-    if format == "csv":
+    if _is_csv(path):
         header = ["id"] + [f"f{j + 1}" for j in range(m.n_features)]
         write_csv(path, header,
                   ([sid, *row] for sid, row in zip(m.subject_ids, m.data.tolist())))
         return
-    raise ValueError(f"unknown format {format!r}; expected 'csv' or 'bin'")
-
-
-def load_matrix_auto(path: str) -> FeatureMatrix:
-    """Dispatch on file extension: .csv -> csv, anything else -> bin."""
-    fmt = "csv" if str(path).endswith(".csv") else "bin"
-    return load_matrix(path, fmt)
+    ids_block = "\n".join(m.subject_ids).encode("utf-8")
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "wb") as f:
+        f.write(BIN_MAGIC)
+        f.write(struct.pack("<QQ", m.n_subjects, m.n_features))
+        f.write(np.ascontiguousarray(m.data, dtype="<f8").tobytes())
+        f.write(struct.pack("<Q", len(ids_block)))
+        f.write(ids_block)

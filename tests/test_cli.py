@@ -44,11 +44,13 @@ class TestSynth:
         out = tmp_path / "s"
         assert run(["synth", "null", "--n", 10, "--p", 4, "--q", 5,
                     "--seed", 1, "--out", out]) == 0
-        x = load_matrix(str(out / "x.bin"), "bin")
-        y = load_matrix(str(out / "y.bin"), "bin")
+        x = load_matrix(str(out / "x.bin"))
+        y = load_matrix(str(out / "y.bin"))
         assert x.data.shape == (10, 4) and y.data.shape == (10, 5)
         truth = read_json(out / "truth.json")
         assert truth["results"]["kind"] == "null"
+        assert truth["command"] == "synth null"
+        assert set(truth["config"]) == {"n", "p", "q", "seed", "out"}
         assert truth["version"]
 
     def test_planted_truth_recorded(self, tmp_path):
@@ -116,6 +118,32 @@ class TestDist:
         n = 30
         for tag in ("x", "y"):
             assert report["results"][tag]["bin_total"] == n * (n - 1) // 2
+
+    def test_reads_the_csv_that_save_matrix_wrote(self, tmp_path):
+        # A ".csv" name makes save_matrix write CSV and dist read it; the
+        # CSV's shortest-repr cells give the binary file's distances.
+        rng = np.random.default_rng(5)
+        for tag, width in (("x", 4), ("y", 6)):
+            m = FeatureMatrix(rng.standard_normal((5, width)), tuple("abcde"))
+            for ext in ("csv", "bin"):
+                save_matrix(m, tmp_path / f"{tag}.{ext}")
+        assert (tmp_path / "x.csv").read_text().startswith("id,f1,f2,f3,f4\na,")
+        written = []
+        for ext in ("csv", "bin"):
+            out = tmp_path / ext
+            assert run(["dist", "--x", tmp_path / f"x.{ext}", "--y", tmp_path / f"y.{ext}",
+                        "--out", out]) == 0
+            written.append((out / "distances.csv").read_bytes())
+        assert written[0] == written[1]
+
+    def test_file_not_utf8_named(self, tmp_path, capsys):
+        (tmp_path / "x.csv").write_bytes("id,f1\nJosé,1.0\nb,2.0\n".encode("latin-1"))
+        (tmp_path / "y.csv").write_text("id,f1\nJosé,1.0\nb,2.0\n", encoding="utf-8")
+        assert run(["dist", "--x", tmp_path / "x.csv", "--y", tmp_path / "y.csv",
+                    "--out", tmp_path / "d"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        message = f"{tmp_path / 'x.csv'}: not UTF-8 text (invalid continuation byte)"
+        assert err == {"error": "ValueError", "message": message}
 
     def test_one_subject_rejected_before_any_distance(self, tmp_path, capsys):
         for tag in ("x", "y"):
@@ -248,8 +276,7 @@ class TestReport:
         paths = []
         for name in ("x", "y"):
             paths.append(str(tmp_path / f"{name}.bin"))
-            save_matrix(FeatureMatrix(rng.standard_normal((3, 4)), ("a", "b", "c")),
-                        paths[-1], "bin")
+            save_matrix(FeatureMatrix(rng.standard_normal((3, 4)), ("a", "b", "c")), paths[-1])
         self._forbid_work_before_checks(monkeypatch, ["report"])
         assert run(["report", "--x", paths[0], "--y", paths[1], "--out", tmp_path / "o"]) == 1
         err = json.loads(capsys.readouterr().err.strip())
@@ -347,7 +374,7 @@ class TestScca:
         from hdpaired.model_selection import cv_grid_search, train_test_split
         from hdpaired.scca import SccaParams
 
-        xm, ym = load_matrix(x, "bin"), load_matrix(y, "bin")
+        xm, ym = load_matrix(x), load_matrix(y)
         train, _ = train_test_split(xm.n_subjects, 2)
         lib = cv_grid_search(xm.data[train], ym.data[train],
                              [SccaParams(c, c, max_iters=3, tol=1e-9) for c in (1.4, 2.0)],
@@ -437,12 +464,12 @@ class TestScca:
         part = tmp_path / "part"
         part.mkdir()
         for tag, path in (("x", x), ("y", y)):
-            m = load_matrix(path, "bin")
+            m = load_matrix(path)
             save_matrix(FeatureMatrix(m.data[7:], m.subject_ids[7:]), str(part / f"{tag}.bin"))
         assert run(["subcluster", "--x", part / "x.bin", "--y", part / "y.bin",
                     "--model", fit_dir / "model.json", "--out", tmp_path / "sc"]) == 1
         err = json.loads(capsys.readouterr().err.strip())
-        first = list(load_matrix(x, "bin").subject_ids[:5])
+        first = list(load_matrix(x).subject_ids[:5])
         assert err == {"error": "CliError", "message": (
             "7 of the model's 60 training subjects missing from the input matrices, "
             f"e.g. {first}")}
@@ -457,7 +484,7 @@ class TestScca:
         narrow = tmp_path / "narrow"
         narrow.mkdir()
         for tag, path, width in (("x", x, 10), ("y", y, 12)):
-            m = load_matrix(path, "bin")
+            m = load_matrix(path)
             save_matrix(FeatureMatrix(m.data[:, :width], m.subject_ids),
                         str(narrow / f"{tag}.bin"))
         model = fit_dir / "model.json"
@@ -503,8 +530,20 @@ class TestScca:
         assert run(["subcluster", "--x", x, "--y", y, "--model", fit_dir / "model.json",
                     "--k", 2, "--top", -1, "--out", tmp_path / "sc"]) == 1
         err = json.loads(capsys.readouterr().err.strip())
-        assert err == {"error": "ValueError", "message": "top must be >= 0, got -1"}
+        assert err == {"error": "CliError", "message": "top must be >= 0, got -1"}
         assert not (tmp_path / "sc").exists()
+
+    @pytest.mark.parametrize("command, key, value, floor", [
+        (["subcluster", "--model", "missing.json"], "top", -1, 0),
+        (["scca", "cv"], "cells", 0, 1),
+    ], ids=["top", "cells"])
+    def test_floor_checked_before_any_input_is_read(self, tmp_path, capsys, command, key,
+                                                     value, floor):
+        missing = tmp_path / "missing.bin"
+        assert run([*command, "--x", missing, "--y", missing, "--" + key, value,
+                    "--out", tmp_path / "o"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "CliError", "message": f"{key} must be >= {floor}, got {value}"}
 
     def test_cv_default_grid(self, tmp_path, planted_pair):
         x, y = planted_pair
@@ -554,7 +593,7 @@ class TestFcg:
         self.write_subject(src, "beta", seed=2)
         out = tmp_path / "fcg"
         assert run(["fcg", "--input", src, "--fs", "1.0", "--out", out]) == 0
-        fm = load_matrix(str(out / "fcg.bin"), "bin")
+        fm = load_matrix(str(out / "fcg.bin"))
         assert fm.data.shape == (2, 3)  # m(m-1)/2 = 3
         assert fm.subject_ids == ("alpha", "beta")
 
@@ -586,6 +625,18 @@ class TestFcg:
         assert rc == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["message"].startswith(f"{path}:6: ")
+
+    def test_series_not_utf8_named(self, tmp_path, capsys):
+        src = tmp_path / "ts"
+        src.mkdir()
+        self.write_subject(src, "alpha", seed=1)
+        self.write_subject(src, "beta", seed=2)
+        path = src / "beta.csv"
+        path.write_bytes(path.read_bytes().replace(b"roi0", "roi_é".encode("latin-1")))
+        assert run(["fcg", "--input", src, "--out", tmp_path / "o"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "CliError",
+                       "message": f"{path}: not UTF-8 text (invalid continuation byte)"}
 
     def test_constant_roi_names_subject_file_and_index(self, tmp_path, capsys):
         src = tmp_path / "ts"
@@ -713,7 +764,7 @@ class TestFcgBlocks:
         assert run(["fcg", "--input", src, "--out", out]) == 0
         assert [(out / name).read_bytes() for name in ("fcg.bin", "fcg_report.json")] == want
         # ... and the rows are those of the per-subject pipeline.
-        rows = load_matrix(str(out / "fcg.bin"), "bin").data
+        rows = load_matrix(str(out / "fcg.bin")).data
         for i in range(len(self.LENGTHS)):
             series = RoiTimeSeries(_read_plain_csv(str(src / f"s{i}.csv")))
             nuis = NuisanceMatrix(_read_plain_csv(str(src / f"s{i}.nuisance.csv")))
@@ -901,7 +952,9 @@ class TestReportEnvelope:
         planted = ["--x", px, "--y", py]
         # (command path, flags after the path, the input files the report digests)
         runs = [
-            ("synth", ["null", "--n", 5, "--p", 2, "--q", 2], {}),
+            ("synth null", ["--n", 5, "--p", 2, "--q", 2], {}),
+            ("synth latent", ["--n", 5, "--p", 2, "--q", 2], {}),
+            ("synth planted", ["--n", 5, "--p", 2, "--q", 2, "--su", 1, "--sv", 1], {}),
             ("fcg", ["--input", src], {
                 sid + suffix: str(src / (sid + suffix))
                 for sid in ("alpha", "beta") for suffix in (".csv", ".nuisance.csv")}),
@@ -940,8 +993,10 @@ class TestReportEnvelope:
 # Every key each command path reads, with its default, as the reports'
 # config block records it when only the required flags are given.
 RESOLVED_DEFAULTS = {
-    "synth": {"kind": "null", "n": 100, "p": 200, "q": 200, "strength": 0.8, "rho": 0.9,
-              "su": 10, "sv": 10, "seed": 0, "out": "o"},
+    "synth null": {"n": 100, "p": 200, "q": 200, "seed": 0, "out": "o"},
+    "synth latent": {"n": 100, "p": 200, "q": 200, "seed": 0, "out": "o", "strength": 0.8},
+    "synth planted": {"n": 100, "p": 200, "q": 200, "seed": 0, "out": "o", "su": 10, "sv": 10,
+                      "rho": 0.9},
     "fcg": {"input": "i", "out": "o", "fs": 1.0, "low": 0.08, "high": 0.15, "order": 1,
             "no_zero_phase": False, "nuisance_suffix": ".nuisance.csv",
             "no_nuisance": False, "out_format": "bin"},
@@ -984,6 +1039,14 @@ SCCA_READS = {
            "threads", "config"},
     "eval": {"x", "y", "model", "out", "config"},
 }
+# Flags the synth parser accepted in every mode before each mode had its own.
+SYNTH_FLAGS = ("n", "p", "q", "seed", "out", "strength", "su", "sv", "rho", "config")
+_SIZES = {"n", "p", "q", "seed", "out", "config"}
+SYNTH_READS = {
+    "null": _SIZES,
+    "latent": _SIZES | {"strength"},
+    "planted": _SIZES | {"su", "sv", "rho"},
+}
 # Flags the infer parser accepted in every mode before each mode had its own.
 INFER_FLAGS = ("x", "y", "out", "b", "seed", "ratio", "level", "method", "threads",
                "metric-x", "metric-y", "dump-replicates", "config")
@@ -1005,7 +1068,7 @@ class TestOptionTable:
 
     @pytest.mark.parametrize("path", sorted(RESOLVED_DEFAULTS))
     def test_resolved_defaults_pin_the_config_block(self, path):
-        argv = path.split() + (["null"] if path == "synth" else [])
+        argv = path.split()
         for key in _COMMANDS[path].required:
             argv += ["--" + key, REQUIRED_ARGS[key]]
         args = build_parser().parse_args(argv)
@@ -1032,6 +1095,20 @@ class TestOptionTable:
                 build_parser().parse_args(argv)
             assert exc.value.code == 2
             assert f"unrecognized arguments: --{flag} {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, flag", [
+        (mode, flag) for mode in SYNTH_READS for flag in SYNTH_FLAGS
+    ])
+    def test_synth_mode_accepts_only_the_flags_it_reads(self, mode, flag, capsys):
+        argv = ["synth", mode, "--" + flag, "3"]
+        if flag in SYNTH_READS[mode]:
+            parsed = getattr(build_parser().parse_args(argv), flag)
+            assert str(parsed).removesuffix(".0") == "3"
+        else:
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: --{flag} 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode, flag", [
         (mode, flag) for mode in INFER_READS for flag in INFER_FLAGS
@@ -1143,34 +1220,66 @@ class TestDeterminism:
             blobs.append(json.dumps(rep["results"], sort_keys=True))
         assert blobs[0] == blobs[1]
 
+    @staticmethod
+    def _outputs_at_each_blas_thread_count(steps, out):
+        """Every file under `out` after running `steps` at 1 and at 2 BLAS
+        threads.  Every step writes to the same --out, because reports embed it."""
+        outputs = []
+        for blas in ("1", "2"):
+            env = dict(_child_env(), OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas)
+            if out.exists():
+                shutil.rmtree(out)
+            for args in steps:
+                subprocess.run([sys.executable, "-m", "hdpaired.cli", *map(str, args)],
+                               env=env, capture_output=True, check=True)
+            outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        return outputs
+
     def test_same_bytes_at_any_blas_thread_count(self, tmp_path):
         # At 500 subjects and 1000 features OpenBLAS runs each Gram product
         # of the distance builds on both threads (it takes clearly less wall
         # time than on one), and every Pearson correlation over all subjects
         # has 124,750 pairs, far above the 10,000 entries beyond which it
         # splits one dot product across its threads.  The subsample size
-        # round(0.3 * 500) = 150 gives 11,175 pairs, also above.  Every run
-        # writes to the same --out, because reports embed it.
+        # round(0.3 * 500) = 150 gives 11,175 pairs, also above.
         synth = tmp_path / "synth"
         assert run(["synth", "latent", "--n", 500, "--p", 1000, "--q", 1000, "--strength", "0.5",
                     "--seed", 3, "--out", synth]) == 0
         pair = ["--x", synth / "x.bin", "--y", synth / "y.bin"]
         draws = [*pair, "--b", 100, "--seed", 1]
         out = tmp_path / "out"
-        blobs = []
-        for blas in ("1", "2"):
-            env = dict(_child_env(), OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas)
-            if out.exists():
-                shutil.rmtree(out)
-            for args in (["dist", *pair, "--out", out],
-                         ["infer", "perm", *draws, "--dump-replicates", "--out", out],
-                         ["infer", "subsample", *draws, "--ratio", "0.3", "--out", out],
-                         ["infer", "bootstrap", *draws, "--dump-replicates", "--out", out],
-                         ["report", *draws, "--ratio", "0.3", "--out", out]):
-                subprocess.run([sys.executable, "-m", "hdpaired.cli", *map(str, args)],
-                               env=env, capture_output=True, check=True)
-            blobs.append({name: (out / name).read_bytes() for name in
-                          ("distances.csv", "replicates_perm.csv", "infer_perm.json",
-                           "infer_subsample.json", "replicates_bootstrap.csv",
-                           "infer_bootstrap.json", "inference_report.json")})
+        blobs = self._outputs_at_each_blas_thread_count(
+            [["dist", *pair, "--out", out],
+             ["infer", "perm", *draws, "--dump-replicates", "--out", out],
+             ["infer", "subsample", *draws, "--ratio", "0.3", "--out", out],
+             ["infer", "bootstrap", *draws, "--dump-replicates", "--out", out],
+             ["report", *draws, "--ratio", "0.3", "--out", out]], out)
+        assert {"distances.csv", "replicates_perm.csv", "infer_perm.json",
+                "infer_subsample.json", "replicates_bootstrap.csv", "infer_bootstrap.json",
+                "inference_report.json"} <= set(blobs[0])
+        assert blobs[0] == blobs[1]
+
+    def test_scca_cv_eval_and_fcg_same_bytes_at_any_blas_thread_count(self, tmp_path):
+        # scca cv with its default grid and scca eval of the selected model on
+        # the planted 150 x 500 x 500 pair of the scca-cv benchmark, and fcg
+        # on subjects of the report-desk benchmark's size (T = 240, 40 ROIs).
+        # scca fit and subcluster are left out: on that pair their outputs
+        # differ in the last bits between 1 and 2 OpenBLAS threads (ROADMAP
+        # item 11).
+        synth = tmp_path / "synth"
+        assert run(["synth", "planted", "--n", 150, "--p", 500, "--q", 500, "--su", 10,
+                    "--sv", 10, "--rho", "0.9", "--seed", 1, "--out", synth]) == 0
+        src = tmp_path / "ts"
+        src.mkdir()
+        for i in range(3):
+            TestFcg().write_subject(src, f"s{i}", t=240, m=40, seed=i)
+        pair = ["--x", synth / "x.bin", "--y", synth / "y.bin"]
+        out = tmp_path / "out"
+        blobs = self._outputs_at_each_blas_thread_count(
+            [["scca", "cv", *pair, "--seed", 1, "--out", out],
+             ["scca", "eval", *pair, "--model", out / "model.json", "--out", out],
+             ["fcg", "--input", src, "--out", out]], out)
+        assert set(blobs[0]) == {"model.json", "cv_report.json", "cv_surface.csv",
+                                 "projections.csv", "scca_eval.json", "fcg.bin",
+                                 "fcg_report.json"}
         assert blobs[0] == blobs[1]

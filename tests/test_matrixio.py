@@ -53,7 +53,7 @@ class TestCsvIo:
     def test_small_csv(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("id,f1,f2\na,1.0,2.0\nb,3.5,-1.0\nc,0,0.25\n")
-        m = load_matrix(str(path), "csv")
+        m = load_matrix(str(path))
         assert m.n_subjects == 3 and m.n_features == 2
         assert m.subject_ids == ("a", "b", "c")
         assert m.data[1, 0] == 3.5
@@ -62,31 +62,34 @@ class TestCsvIo:
         path = tmp_path / "m.csv"
         path.write_text("id,f1,f2\na,1.0,2.0\nb,NaN,4.0\n")
         with pytest.raises(ValueError, match=r"non-finite.*'f1'"):
-            load_matrix(str(path), "csv")
+            load_matrix(str(path))
 
     def test_parse_failure_named(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("id,f1\na,1.0\nb,oops\n")
         with pytest.raises(ValueError, match="oops"):
-            load_matrix(str(path), "csv")
+            load_matrix(str(path))
 
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("id,f1\na,1.0\na,2.0\n")
         with pytest.raises(ValueError, match="duplicate"):
-            load_matrix(str(path), "csv")
+            load_matrix(str(path))
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("subject,f1\na,1.0\n")
         with pytest.raises(ValueError, match="'id'"):
-            load_matrix(str(path), "csv")
+            load_matrix(str(path))
 
     def test_csv_round_trip(self, tmp_path):
+        # The ".csv" name alone makes both calls use CSV.
         m = fm(np.random.default_rng(0).standard_normal((4, 3)))
         path = tmp_path / "m.csv"
-        save_matrix(m, str(path), "csv")
-        back = load_matrix(str(path), "csv")
+        save_matrix(m, path)
+        assert path.read_text().splitlines()[0] == "id,f1,f2,f3"
+        back = load_matrix(path)
+        assert back.subject_ids == m.subject_ids
         np.testing.assert_array_equal(back.data, m.data)
 
 
@@ -128,9 +131,9 @@ class TestCsvReaderWriter:
     def test_ids_with_commas_and_quotes_round_trip(self, tmp_path):
         m = fm([[1.0, 2.0], [3.0, 4.5], [0.1, -2.0]], ids=("sub,01", 'x"y', "plain"))
         path = tmp_path / "rt.csv"
-        save_matrix(m, str(path), "csv")
+        save_matrix(m, str(path))
         assert path.read_text().splitlines()[1:3] == ['"sub,01",1.0,2.0', '"x""y",3.0,4.5']
-        back = load_matrix(str(path), "csv")
+        back = load_matrix(str(path))
         assert back.subject_ids == m.subject_ids
         np.testing.assert_array_equal(back.data, m.data)
 
@@ -220,8 +223,9 @@ class TestBinaryIo:
         rng = np.random.default_rng(42)
         m = fm(rng.standard_normal((50, 20)) * 10.0 ** rng.integers(-8, 8, (50, 20)))
         path = tmp_path / "m.bin"
-        save_matrix(m, str(path), "bin")
-        back = load_matrix(str(path), "bin")
+        save_matrix(m, path)
+        assert path.read_bytes().startswith(matrixio.BIN_MAGIC)
+        back = load_matrix(path)
         assert back.subject_ids == m.subject_ids
         assert np.array_equal(
             back.data.view(np.uint64), m.data.view(np.uint64)
@@ -231,15 +235,15 @@ class TestBinaryIo:
         path = tmp_path / "m.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
-            load_matrix(str(path), "bin")
+            load_matrix(str(path))
 
     def test_truncation(self, tmp_path):
         m = fm(np.ones((3, 2)))
         path = tmp_path / "m.bin"
-        save_matrix(m, str(path), "bin")
+        save_matrix(m, str(path))
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(ValueError, match="truncated"):
-            load_matrix(str(path), "bin")
+            load_matrix(str(path))
 
 
 class TestPair:
