@@ -240,7 +240,12 @@ def _load_model(path: str, x: FeatureMatrix,
     """The model at path and its training ids, once its column counts are
     checked against the input matrices."""
     with open(path, "r", encoding="utf-8") as f:
-        model, _, train_ids = FittedSccaModel.from_json(json.load(f))
+        try:
+            blob = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"model {path}: not valid JSON at line {exc.lineno}, "
+                           f"column {exc.colno} ({exc.msg})") from None
+    model, _, train_ids = FittedSccaModel.from_json(blob)
     fit_widths = (model.x_standardizer.n_columns, model.y_standardizer.n_columns)
     if fit_widths != (x.n_features, y.n_features):
         raise CliError(f"model {path} was fit on {fit_widths[0]} x and {fit_widths[1]} y "
@@ -664,7 +669,10 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command_path: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command.  Each command is registered, but only
+    the one named by command_path (every one, if it is None) gets its
+    options: argparse reads the options of the named command alone."""
     parser = argparse.ArgumentParser(
         prog="hdpaired",
         description="Distance-based correlation inference and sparse CCA for "
@@ -685,14 +693,26 @@ def build_parser() -> argparse.ArgumentParser:
                 modes[name] = sub.add_parser(name, help=group_help[name]).add_subparsers(
                     dest="mode", required=True)
             sp = modes[name].add_parser(mode, help=command.help)
-        for key in (*command.defaults, "config"):
-            sp.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
+        if command_path in (None, path):
+            for key in (*command.defaults, "config"):
+                sp.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
         sp.set_defaults(command_path=path)
     return parser
 
 
+def _named_command(argv: list[str]) -> str | None:
+    """The command that argv's first two tokens, or its first one, name;
+    None if neither does."""
+    for path in (" ".join(argv[:2]), " ".join(argv[:1])):
+        if path in _COMMANDS:
+            return path
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(_named_command(argv)).parse_args(argv)
     command = _COMMANDS[args.command_path]
     try:
         cfg = _resolve(args, command)

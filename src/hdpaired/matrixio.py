@@ -285,7 +285,10 @@ def _load_bin(path: str) -> FeatureMatrix:
     off += 8
     if len(blob) < off + id_len:
         raise ValueError(f"{path}: truncated subject-id block")
-    ids = tuple(blob[off : off + id_len].decode("utf-8").split("\n"))
+    try:
+        ids = tuple(blob[off : off + id_len].decode("utf-8").split("\n"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: subject-id block not UTF-8 text ({exc.reason})") from None
     if len(ids) != n:
         raise ValueError(f"{path}: {len(ids)} subject ids for {n} rows")
     return FeatureMatrix(data, ids)

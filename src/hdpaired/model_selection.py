@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from hdpaired._util import STREAM_KFOLD, STREAM_SPLIT, parallel_map, pearson_or_nan, replicate_rng
+from hdpaired.distances import _padded
 from hdpaired.matrixio import ColumnStandardizer
 from hdpaired.scca import AlignmentPair, SccaParams, SccaSolver, canonical_correlation, project
 
@@ -187,8 +188,18 @@ class CvReport:
 
 
 def spectral_scale(standardized: np.ndarray) -> float:
-    """Reciprocal of the top singular value (1.0 for an all-zero matrix)."""
-    top = float(np.linalg.svd(standardized, compute_uv=False)[0])
+    """Reciprocal of the top singular value (1.0 for an all-zero matrix).
+
+    The top singular value is the square root of the largest eigenvalue of
+    the Gram matrix of the smaller side, on its rows zero-padded to a
+    multiple of 16 (distances._padded), padding included: at 150 rows,
+    eigvalsh of the unpadded Gram changed its last bits between 1 and 2
+    OpenBLAS threads, and of the padded one it did not (see README)."""
+    s = np.asarray(standardized, dtype=float)
+    rows = s if s.shape[0] <= s.shape[1] else s.T
+    z = _padded(*rows.shape)
+    z[: rows.shape[0]] = rows
+    top = math.sqrt(max(float(np.linalg.eigvalsh(z @ z.T)[-1]), 0.0))
     return 1.0 / top if top > 0 else 1.0
 
 

@@ -5,7 +5,9 @@ agglomeration under that modality's own distance (scaled Euclidean or
 correlation distance between feature columns), and every cross-modality
 cluster pair is scored by its unregularized canonical correlation.
 
-Inter-cluster distance is the maximum pairwise distance; merge ties break
+Inter-cluster distance is the maximum pairwise distance.  When the feature
+distances are all distinct, the merges come from a nearest-neighbour chain
+in O(f^2); with ties, from an argmin loop in O(f^3) that breaks them
 deterministically toward the pair with the lexicographically smallest
 (min member index, min member index) key.
 """
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hdpaired.distances import DistanceMatrix, _pairwise
+from hdpaired.distances import DistanceMatrix, _pairwise, upper_triangle
 
 
 @dataclass(frozen=True)
@@ -85,27 +87,84 @@ def complete_linkage_merges(d: np.ndarray) -> list[tuple[int, int, float]]:
     original pairwise distances (Lance-Williams max update), so they can be
     compared exactly against a recomputation from scratch.
 
-    The working matrix mirrors the i < j entries of `d`, and each live
-    cluster sits in the row and column of its minimum member; the diagonal
-    and merged-away rows and columns hold +inf.  The first row-major argmin
-    is then the lexicographically smallest (a, b), a < b, at the minimum
-    height, which is the tie rule.
+    Only the i < j entries of `d` are read.  When they are all distinct,
+    the merges come from the nearest-neighbour chain (_chain_merges), in
+    O(f^2); otherwise (or if one is NaN or infinite) from the argmin loop
+    (_argmin_merges), in O(f^3), which alone applies the tie rule.
     """
     d = np.asarray(d, dtype=float)
     f = d.shape[0]
     if d.ndim != 2 or d.shape[1] != f:
         raise ValueError(f"square distance matrix required, got {d.shape}")
-    work = np.triu(d, 1)
-    work = work + work.T
+    tri = np.sort(upper_triangle(d))
+    # Sorted, so a tie is two equal neighbours, and a NaN or +inf comes
+    # last; the chain needs every entry below the +inf of merged-away rows.
+    if np.all(tri[1:] != tri[:-1]) and np.isfinite(tri[-1:]).all():
+        return _chain_merges(d)
+    return _argmin_merges(d)
+
+
+def _working_matrix(d: np.ndarray) -> np.ndarray:
+    """The i < j entries of d mirrored, with +inf on the diagonal.  Each
+    live cluster sits in the row and column of its minimum member."""
+    i = np.arange(d.shape[0])
+    work = np.where(i[:, None] < i, d, d.T)
     np.fill_diagonal(work, np.inf)
+    return work
+
+
+def _merge(work: np.ndarray, a: int, b: int) -> None:
+    """Cluster b joins cluster a, a < b: a's distances become the maxima
+    of both (Lance-Williams), and b's row and column become +inf."""
+    np.maximum(work[a], work[b], out=work[a])
+    work[:, a] = work[a]
+    work[b] = np.inf
+    work[:, b] = np.inf
+
+
+def _argmin_merges(d: np.ndarray) -> list[tuple[int, int, float]]:
+    """Merges in order, each the first row-major argmin of the working
+    matrix: the lexicographically smallest (a, b), a < b, at the minimum
+    height, which is the tie rule."""
+    work = _working_matrix(d)
+    f = work.shape[0]
     merges: list[tuple[int, int, float]] = []
     for _ in range(f - 1):
-        a, b = divmod(int(np.argmin(work)), f)
+        a, b = divmod(int(work.argmin()), f)
         merges.append((a, b, float(work[a, b])))
-        np.maximum(work[a], work[b], out=work[a])
-        work[:, a] = work[a]
-        work[b] = np.inf
-        work[:, b] = np.inf
+        _merge(work, a, b)
+    return merges
+
+
+def _chain_merges(d: np.ndarray) -> list[tuple[int, int, float]]:
+    """The argmin loop's merges when the i < j entries of d are distinct,
+    by Muellner's nearest-neighbour chain (2011, arXiv:1109.2378).
+
+    The chain grows by the nearest neighbour of its last cluster (an argmin
+    over one row) until the last two are each other's nearest; those two
+    merge, and the chain goes on from what is left of it.  With distinct
+    distances the dendrogram is unique, and each height is the maximum of
+    its own block of original distances, so the heights are distinct and
+    sorting the merges by height gives the argmin loop's order.  Cluster 0
+    always lives, so an empty chain restarts there.
+    """
+    work = _working_matrix(d)
+    f = work.shape[0]
+    merges: list[tuple[int, int, float]] = []
+    chain: list[int] = []
+    while len(merges) < f - 1:
+        if not chain:
+            chain.append(0)
+        a = chain[-1]
+        b = int(work[a].argmin())
+        if len(chain) > 1 and b == chain[-2]:
+            del chain[-2:]
+            a, b = min(a, b), max(a, b)
+            merges.append((a, b, float(work[a, b])))
+            _merge(work, a, b)
+        else:
+            chain.append(b)
+    merges.sort(key=lambda m: m[2])
     return merges
 
 

@@ -12,7 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hdpaired.cli import _COMMANDS, _read_plain_csv, _resolve, build_parser, main
+from hdpaired.cli import (
+    _COMMANDS,
+    _named_command,
+    _read_plain_csv,
+    _resolve,
+    build_parser,
+    main,
+)
 from hdpaired.distances import distance_matrix
 from hdpaired.fcg import NuisanceMatrix, RoiTimeSeries, fcg_from_timeseries
 from hdpaired.inference import subsample_ci
@@ -494,6 +501,17 @@ class TestScca:
         assert err == {"error": "CliError", "message": (
             f"model {model} was fit on 30 x and 30 y columns, but the inputs have 10 and 12")}
         assert not (tmp_path / "o").exists()
+
+    def test_malformed_model_named_with_line_and_column(self, tmp_path, latent_pair, capsys):
+        x, y = latent_pair
+        model = tmp_path / "model.json"
+        model.write_text('{"params": {},\n  "u": [1.0,, 2.0]}\n', encoding="utf-8")
+        out = tmp_path / "ev"
+        assert run(["scca", "eval", "--x", x, "--y", y, "--model", model, "--out", out]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "CliError", "message": (
+            f"model {model}: not valid JSON at line 2, column 13 (Expecting value)")}
+        assert not out.exists()
 
     def test_l2_bound_above_one_fails_before_any_input(self, tmp_path, capsys):
         # Neither input exists, so a failure that came after reading one
@@ -1144,6 +1162,26 @@ class TestOptionTable:
             build_parser().parse_args(["scca", "--x", "a.bin", "fit"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("path", sorted(RESOLVED_DEFAULTS))
+    def test_parser_of_the_named_command_parses_as_the_full_one(self, path, capsys):
+        # main adds options only to the command that argv names.
+        argv = path.split()
+        for key in _COMMANDS[path].required:
+            argv += ["--" + key, REQUIRED_ARGS[key]]
+        assert _named_command(argv) == path
+        assert build_parser(path).parse_args(argv) == build_parser().parse_args(argv)
+        helps = []
+        for parser in (build_parser(path), build_parser()):
+            with pytest.raises(SystemExit):
+                parser.parse_args(path.split() + ["--help"])
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1]
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["--version"], ["scca"], ["fit"],
+                                      ["scca", "--x", "a.bin", "fit"], ["bogus", "report"]])
+    def test_argv_that_names_no_command_gets_the_full_parser(self, argv):
+        assert _named_command(argv) is None
+
 
 def test_import_skips_slow_scipy_modules():
     # scipy costs most of the CLI's start-up, so its one import sits in the
@@ -1222,8 +1260,9 @@ class TestDeterminism:
 
     @staticmethod
     def _outputs_at_each_blas_thread_count(steps, out):
-        """Every file under `out` after running `steps` at 1 and at 2 BLAS
-        threads.  Every step writes to the same --out, because reports embed it."""
+        """Every file under `out`, by its path below it, after running `steps`
+        at 1 and at 2 BLAS threads.  Every step writes under the same --out at
+        both counts, because reports embed it."""
         outputs = []
         for blas in ("1", "2"):
             env = dict(_child_env(), OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas)
@@ -1232,7 +1271,8 @@ class TestDeterminism:
             for args in steps:
                 subprocess.run([sys.executable, "-m", "hdpaired.cli", *map(str, args)],
                                env=env, capture_output=True, check=True)
-            outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+            outputs.append({str(path.relative_to(out)): path.read_bytes()
+                            for path in sorted(out.rglob("*")) if path.is_file()})
         return outputs
 
     def test_same_bytes_at_any_blas_thread_count(self, tmp_path):
@@ -1260,12 +1300,12 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
     def test_scca_cv_eval_and_fcg_same_bytes_at_any_blas_thread_count(self, tmp_path):
-        # scca cv with its default grid and scca eval of the selected model on
-        # the planted 150 x 500 x 500 pair of the scca-cv benchmark, and fcg
-        # on subjects of the report-desk benchmark's size (T = 240, 40 ROIs).
-        # scca fit and subcluster are left out: on that pair their outputs
-        # differ in the last bits between 1 and 2 OpenBLAS threads (ROADMAP
-        # item 11).
+        # scca cv with its default grid, scca eval and subcluster of the
+        # selected model, and the dense scca fit of the scca-cv benchmark, on
+        # its planted 150 x 500 x 500 pair; fcg on subjects of the report-desk
+        # benchmark's size (T = 240, 40 ROIs).  subcluster of the dense fit is
+        # left out: its pair correlations differ in the last bits between 1
+        # and 2 OpenBLAS threads (ROADMAP item 11).
         synth = tmp_path / "synth"
         assert run(["synth", "planted", "--n", 150, "--p", 500, "--q", 500, "--su", 10,
                     "--sv", 10, "--rho", "0.9", "--seed", 1, "--out", synth]) == 0
@@ -1278,8 +1318,13 @@ class TestDeterminism:
         blobs = self._outputs_at_each_blas_thread_count(
             [["scca", "cv", *pair, "--seed", 1, "--out", out],
              ["scca", "eval", *pair, "--model", out / "model.json", "--out", out],
+             ["subcluster", *pair, "--model", out / "model.json", "--out", out],
+             ["scca", "fit", *pair, "--c1", 12, "--c2", 12, "--seed", 1, "--out", out / "fit"],
              ["fcg", "--input", src, "--out", out]], out)
         assert set(blobs[0]) == {"model.json", "cv_report.json", "cv_surface.csv",
-                                 "projections.csv", "scca_eval.json", "fcg.bin",
+                                 "projections.csv", "scca_eval.json", "clusters_x.csv",
+                                 "clusters_y.csv", "subcluster_report.json",
+                                 os.path.join("fit", "model.json"),
+                                 os.path.join("fit", "scca_fit.json"), "fcg.bin",
                                  "fcg_report.json"}
         assert blobs[0] == blobs[1]

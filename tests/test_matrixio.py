@@ -237,6 +237,16 @@ class TestBinaryIo:
         with pytest.raises(ValueError, match="magic"):
             load_matrix(str(path))
 
+    def test_non_utf8_id_block_named(self, tmp_path):
+        path = tmp_path / "m.bin"
+        save_matrix(fm(np.ones((2, 2)), ids=("a", "b")), str(path))
+        blob = path.read_bytes()
+        assert blob.endswith(b"a\nb")
+        path.write_bytes(blob[:-3] + b"\xff\nb")
+        with pytest.raises(ValueError) as exc:
+            load_matrix(str(path))
+        assert str(exc.value) == f"{path}: subject-id block not UTF-8 text (invalid start byte)"
+
     def test_truncation(self, tmp_path):
         m = fm(np.ones((3, 2)))
         path = tmp_path / "m.bin"

@@ -11,6 +11,7 @@ from hdpaired.model_selection import (
     evaluate_test,
     fit_model,
     kfold_partition,
+    spectral_scale,
     train_test_split,
 )
 from hdpaired.scca import SccaParams, canonical_correlation
@@ -231,6 +232,30 @@ class TestEvaluateTest:
         grid = [SccaParams(c1=2.0, c2=2.0, max_iters=50, tol=1e-5)]
         rep = cv_grid_search(x[tr], y[tr], grid, k=4, seed=9, x_test=x[te], y_test=y[te])
         assert abs(rep.test_correlation) < 0.35
+
+
+class TestSpectralScale:
+    # The solver's score-norm cap allows 1e-12 on the squared norm, so a
+    # top singular value 1e-13 relative off the SVD's leaves room.
+    @pytest.mark.parametrize("shape", [(125, 500), (150, 500), (500, 125), (40, 40), (1, 9),
+                                       (9, 1), (17, 300)])
+    def test_matches_svd(self, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        for scale in (1e-3, 1.0, 1e3):
+            a = rng.standard_normal(shape) * scale
+            top = np.linalg.svd(a, compute_uv=False)[0]
+            assert 1.0 / spectral_scale(a) == pytest.approx(top, rel=1e-13)
+
+    @pytest.mark.parametrize("shape", [(60, 200), (200, 60)])
+    def test_rank_deficient_matches_svd(self, shape):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((shape[0], 3)) @ rng.standard_normal((3, shape[1]))
+        top = np.linalg.svd(a, compute_uv=False)[0]
+        assert 1.0 / spectral_scale(a) == pytest.approx(top, rel=1e-13)
+
+    def test_zero_matrix_gives_one(self):
+        assert spectral_scale(np.zeros((20, 7))) == 1.0
+        assert spectral_scale(np.zeros((7, 20))) == 1.0
 
 
 class TestFitModel:

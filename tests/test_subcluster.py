@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hdpaired import subcluster
 from hdpaired.distances import DistanceMatrix
 from hdpaired.subcluster import (
     FeatureClustering,
@@ -15,6 +16,13 @@ from oracles import (
     naive_correlation_distance,
     naive_scaled_euclidean,
 )
+
+
+_ARGMIN_MERGES = subcluster._argmin_merges
+
+
+def _must_not_run(d):
+    raise AssertionError("wrong linkage path taken")
 
 
 def random_feature_distance(f, seed):
@@ -104,9 +112,35 @@ class TestCompleteLinkage:
             d = random_feature_distance(f, 100 + seed)
             assert complete_linkage_merges(d) == naive_complete_linkage_merges(d)
 
-    def test_dendrogram_matches_oracle_with_ties(self):
+    @pytest.mark.parametrize("f", [2, 3, 7, 16, 45, 120])
+    def test_each_path_matches_oracle_on_distinct_inputs(self, f, monkeypatch):
+        # Distinct distances, also after relabeling: both paths give the
+        # oracle's merges, and complete_linkage_merges takes the chain.
+        base = random_feature_distance(f, 200 + f)
+        rng = np.random.default_rng(f)
+        monkeypatch.setattr(subcluster, "_argmin_merges", _must_not_run)
+        for perm in (np.arange(f), rng.permutation(f), rng.permutation(f)):
+            d = base[np.ix_(perm, perm)]
+            expected = naive_complete_linkage_merges(d)
+            assert subcluster._chain_merges(d) == expected
+            assert _ARGMIN_MERGES(d) == expected
+            assert complete_linkage_merges(d) == expected
+
+    def test_paths_agree_at_three_hundred_features(self):
+        # Past the oracle's reach: both paths on correlation distances of
+        # random features, as subcluster builds them, and on relabelings.
+        rng = np.random.default_rng(16)
+        data = rng.standard_normal((125, 300))
+        base = feature_distance_matrix(data, np.arange(300), "pearson_correlation_distance").data
+        for perm in (np.arange(300), rng.permutation(300), rng.permutation(300)):
+            d = base[np.ix_(perm, perm)]
+            assert subcluster._chain_merges(d) == _ARGMIN_MERGES(d)
+
+    def test_dendrogram_matches_oracle_with_ties(self, monkeypatch):
         # integer-valued distances force exact ties, exercising the
-        # (min member, min member) tie-break, on small and mid-size inputs
+        # (min member, min member) tie-break, on small and mid-size inputs;
+        # tied inputs take the argmin loop, never the chain
+        monkeypatch.setattr(subcluster, "_chain_merges", _must_not_run)
         rng = np.random.default_rng(6)
         for rep in range(16):
             f = int(rng.integers(4, 10) if rep < 10 else rng.integers(20, 41))
@@ -130,6 +164,14 @@ class TestCompleteLinkage:
         assert merges == naive_complete_linkage_merges(sym)
         clust = complete_linkage(dm, 5)
         assert clust.labels.tolist() == [1, 1, 2, 3, 4, 5]
+
+    def test_non_finite_entry_takes_argmin_path(self, monkeypatch):
+        # The chain could pick a merged-away cluster once every live entry
+        # of a row is +inf; such input goes to the argmin loop.
+        monkeypatch.setattr(subcluster, "_chain_merges", _must_not_run)
+        d = random_feature_distance(4, 17)
+        d[0, 3] = d[3, 0] = np.inf
+        assert complete_linkage_merges(d) == _ARGMIN_MERGES(d)
 
     def test_label_permutation_invariance(self):
         d = random_feature_distance(9, 7)
