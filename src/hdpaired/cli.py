@@ -44,6 +44,7 @@ import hdpaired
 from hdpaired.distances import METRICS, distance_matrix, upper_triangle
 from hdpaired.fcg import BandpassSpec, NuisanceMatrix, RoiTimeSeries, fcg_from_many
 from hdpaired.inference import (
+    _permutation_and_interval,
     bootstrap_distribution,
     dcor_ttest,
     permutation_test,
@@ -438,9 +439,8 @@ def _cmd_report(cfg: dict, inputs: dict[str, str]) -> dict:
     dcor = dcor_ttest(x, y)
     dx = distance_matrix(x, cfg["metric_x"])
     dy = distance_matrix(y, cfg["metric_y"])
-    ci = subsample_ci(dx, dy, cfg["ratio"], cfg["b"], cfg["level"], cfg["seed"],
-                      cfg["method"], cfg["threads"])
-    perm = permutation_test(dx, dy, cfg["b"], cfg["seed"], threads=cfg["threads"])
+    perm, ci = _permutation_and_interval(dx, dy, cfg["b"], cfg["seed"], cfg["threads"],
+                                         cfg["ratio"], cfg["level"], cfg["method"])
     rows = [
         {
             "method": "permutation",

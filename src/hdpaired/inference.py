@@ -16,9 +16,13 @@ Replicates are drawn in blocks from one generator keyed by (seed, stream);
 each thread's run of blocks jumps straight to its first replicate's draws.
 Replicate i is therefore a function of the data, seed, i and n alone: the
 same across runs, b, thread counts and block sizes, and the first b
-replicates of a larger run.  Only the engine sizes a block, and each statistic takes it whole: the
-permutation statistic loops over it, the subsample and bootstrap statistic
-forms its sums in one batched product (one BLAS syrk per draw).
+replicates of a larger run.  Only the engine sizes a block, and each
+statistic takes it whole.  The permutation statistic loops over the y tiles
+on the outside and over the block's draws on the inside, so each tile is
+read once per block; each draw still adds its tile sums in tile order into
+its own accumulator, so no value depends on the block height.  The
+subsample and bootstrap statistic forms its sums in one batched product
+(one BLAS syrk per draw).
 Permutation replicates and the observed value make no BLAS call, and syrk
 does not split its sums across threads, so no replicate depends on the BLAS
 thread count either.
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,19 +143,22 @@ def _pair_pearson(dx: DistanceMatrix, dy: DistanceMatrix, m: int):
 
 
 def _cross_product(dx: DistanceMatrix, dy: DistanceMatrix,
-                   mean_y: float) -> Callable[[np.ndarray], float]:
+                   mean_y: float) -> Callable[[np.ndarray], np.ndarray]:
     """The Mantel/QAP cross-product G(s) = sum over i < j of
-    dx[s[i], s[j]] * cy[i, j] as a function of a permutation s, where
-    cy[i, j] = dy[i, j] - mean_y is dy's centered triangle.
+    dx[s[i], s[j]] * cy[i, j] for each permutation s of a (rows, n) block,
+    where cy[i, j] = dy[i, j] - mean_y is dy's centered triangle.
 
     The rows are cut into tiles of max(1, _TILE_BYTES // (8n)) rows.  The
     tile of rows a..e-1 holds cy over the columns a..n-1, contiguously, with
     zeros where j <= i.  It is one np.triu of dy's block less mean_y, so no
     triangle is held beside the tiles; each entry is the same subtraction as
-    in the centered triangle, so it has the same bits.  G(s) adds, in tile
-    order, each tile's einsum against dx gathered at (s[a:e], s[a:]).  No
-    pair index is built and no BLAS call is made, so G(s) depends on the
-    data, s and n alone.
+    in the centered triangle, so it has the same bits.  The loop runs over
+    the tiles on the outside and over the block's draws on the inside, so a
+    tile is read from memory once per block and stays in cache across its
+    draws.  Each draw adds, in tile order, each tile's einsum against dx
+    gathered at (s[a:e], s[a:]) into its own accumulator, so G(s) does not
+    depend on the block height.  No pair index is built and no BLAS call is
+    made, so G(s) depends on the data, s and n alone.
     """
     n = dx.n_subjects
     rows = max(1, _TILE_BYTES // (8 * n))
@@ -160,11 +168,12 @@ def _cross_product(dx: DistanceMatrix, dy: DistanceMatrix,
         e = min(a + rows, n)
         tiles.append((a, e, np.triu(y[a:e, a:] - mean_y, 1)))
 
-    def gamma(s: np.ndarray) -> float:
-        total = 0.0
+    def gamma(draws: np.ndarray) -> np.ndarray:
+        totals = [0.0] * len(draws)
         for a, e, tile in tiles:
-            total += float(np.einsum("ij,ij->", x.take(s[a:e], 0).take(s[a:], 1), tile))
-        return total
+            for k, s in enumerate(draws):
+                totals[k] += float(np.einsum("ij,ij->", x.take(s[a:e], 0).take(s[a:], 1), tile))
+        return np.array(totals)
 
     return gamma
 
@@ -201,7 +210,7 @@ def distance_pair_correlation(dx: DistanceMatrix, dy: DistanceMatrix) -> float:
 
 def _observed_statistic(
     dx: DistanceMatrix, dy: DistanceMatrix
-) -> tuple[float, Callable[[np.ndarray], float], float]:
+) -> tuple[float, Callable[[np.ndarray], np.ndarray], float]:
     """Observed distance-pair correlation shared by the replicate procedures.
 
     It is the permutation replicate at the identity: the cross-product
@@ -209,7 +218,7 @@ def _observed_statistic(
     over sqrt(ssx * ssy).  The mean of dx's triangle needs no subtracting,
     because cy sums to zero up to rounding.  So it can differ in the last
     bits from the exactly rounded `distance_pair_correlation`, and the
-    identity replicate equals it bit for bit.  Also returns the
+    identity replicate equals it bit for bit.  Also returns the block
     cross-product and the denominator, from which the permutation test
     forms its replicates.  No step calls BLAS.
 
@@ -232,7 +241,21 @@ def _observed_statistic(
         raise ValueError("constant distance triangle; correlation undefined")
     denom = math.sqrt(ssx * ssy)
     gamma = _cross_product(dx, dy, mean_y)
-    return gamma(np.arange(n)) / denom, gamma, denom
+    return float(gamma(np.arange(n)[None])[0]) / denom, gamma, denom
+
+
+# (dx, dy, observed statistic) while `_permutation_and_interval` runs.
+_shared_observed: ContextVar[tuple[DistanceMatrix, DistanceMatrix, float] | None] = ContextVar(
+    "shared_observed", default=None)
+
+
+def _point_estimate(dx: DistanceMatrix, dy: DistanceMatrix) -> float:
+    """The observed statistic of `_observed_statistic`, taken from
+    `_shared_observed` when that holds this very pair."""
+    shared = _shared_observed.get()
+    if shared is not None and shared[0] is dx and shared[1] is dy:
+        return shared[2]
+    return _observed_statistic(dx, dy)[0]
 
 
 @dataclass(frozen=True)
@@ -280,8 +303,8 @@ def permutation_test(
     if b < 1:
         raise ValueError(f"need at least 1 permutation, got {b}")
     observed, gamma, denom = _observed_statistic(dx, dy)
-    null = _replicates(lambda draws: np.array([gamma(s) for s in draws]) / denom, n, b, seed,
-                       STREAM_PERMUTATION, threads)
+    null = _replicates(lambda draws: gamma(draws) / denom, n, b, seed, STREAM_PERMUTATION,
+                       threads)
     count = int(np.sum(null >= observed))
     return PermutationResult(
         observed=observed,
@@ -290,6 +313,24 @@ def permutation_test(
         p_value=count / b,
         p_value_smoothed=(1 + count) / (1 + b),
     )
+
+
+def _permutation_and_interval(
+    dx: DistanceMatrix, dy: DistanceMatrix, b: int, seed: int, threads: int,
+    ratio: float, level: float, method: str,
+) -> tuple[PermutationResult, ConfidenceInterval]:
+    """`permutation_test` and `subsample_ci` on one distance pair, with one
+    setup of the observed statistic.  The permutation test runs first; its
+    tiles are freed when it returns, and `subsample_ci` takes its point
+    estimate from the test's observed value, which has the same bits.  Each
+    procedure reads its own stream, so the order changes no value."""
+    perm = permutation_test(dx, dy, b, seed, threads=threads)
+    token = _shared_observed.set((dx, dy, perm.observed))
+    try:
+        ci = subsample_ci(dx, dy, ratio, b, level, seed, method, threads)
+    finally:
+        _shared_observed.reset(token)
+    return perm, ci
 
 
 def rank_correlations(dx: DistanceMatrix, dy: DistanceMatrix) -> tuple[float, float]:
@@ -557,7 +598,7 @@ def subsample_ci(
     """
     n = _check_same_subjects(dx, dy)
     m = subsample_size(n, ratio, b, level, method)
-    observed = _observed_statistic(dx, dy)[0]
+    observed = _point_estimate(dx, dy)
     stat, draw_bytes = _pair_pearson(dx, dy, m)
     stats = _replicates(stat, n, b, seed, STREAM_SUBSAMPLE, threads, draw_bytes=draw_bytes)
     valid = stats[~np.isnan(stats)]

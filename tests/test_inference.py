@@ -193,6 +193,23 @@ def test_replicate_procedures_share_one_observed_statistic():
         assert perm == sub == boot
 
 
+def test_report_pair_sets_up_the_observed_statistic_once():
+    ds, _ = gen_shared_latent(60, 8, 8, 0.8, seed=4)
+    dx, dy = both_distances(ds)
+    with mock.patch.object(inference, "_observed_statistic",
+                           wraps=inference._observed_statistic) as setup:
+        perm, ci = inference._permutation_and_interval(dx, dy, 30, 7, 2, 0.5, 0.9, "root")
+    assert setup.call_count == 1
+    assert inference._shared_observed.get() is None
+    alone = subsample_ci(dx, dy, ratio=0.5, b=30, level=0.9, seed=7, threads=2)
+    assert (ci.point_estimate, ci.lower, ci.upper) == (alone.point_estimate, alone.lower,
+                                                       alone.upper)
+    assert ci.replicates.tobytes() == alone.replicates.tobytes()
+    alone = permutation_test(dx, dy, b=30, seed=7)
+    assert (perm.observed, perm.null_samples.tobytes()) == (alone.observed,
+                                                            alone.null_samples.tobytes())
+
+
 class TestRankCorrelations:
     def test_monotone_transform_gives_one(self):
         dx, _ = random_distance_pair(10, seed=11)
@@ -535,16 +552,38 @@ class TestReplicateEngine:
             null = permutation_test(dx, dy, b=20, seed=n).null_samples
             draws = replicate_draws(n, 20, n, STREAM_PERMUTATION)
             tiled = [tiled_cross_product(dx.data, cy, s) / denom for s in draws]
-        assert gamma(np.arange(n)) / denom == observed
+        assert gamma(np.arange(n)[None])[0] / denom == observed
         assert null.tolist() == tiled
         for s, value in zip(draws, null):
             terms = dx.data[s[iu], s[ju]] * cy
             exact = math.fsum(terms)
-            assert abs(gamma(s) - exact) <= 1e-12 * math.fsum(np.abs(terms))
-            assert value == gamma(s) / denom
+            assert abs(gamma(s[None])[0] - exact) <= 1e-12 * math.fsum(np.abs(terms))
+            assert value == gamma(s[None])[0] / denom
             cx = dx.data[s[iu], s[ju]] - math.fsum(upper_triangle(dx)) / iu.size
             ref = math.fsum(cx * cy) / math.sqrt(math.fsum(cx * cx) * math.fsum(cy * cy))
             assert value == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("tiles", [3, 4, 5])
+    def test_block_heights_meet_many_tiles(self, tiles):
+        # The kernel runs the tiles on the outside and a block's draws on the
+        # inside, each draw into its own accumulator.  Blocks of 1, 2 and 7
+        # draws, with b = 16 crossing their boundaries, at 1 and 2 threads,
+        # must each give the two-index reference's values bit for bit.
+        n, b = 300, 16
+        rows = math.ceil((n - 1) / tiles)
+        dx, dy = random_distance_pair(n, seed=60 + tiles)
+        cy = upper_triangle(dy)
+        cy -= cy.mean()
+        draws = replicate_draws(n, b, tiles, STREAM_PERMUTATION)
+        with mock.patch.object(inference, "_TILE_BYTES", 8 * n * rows):
+            assert len(range(0, n - 1, max(1, inference._TILE_BYTES // (8 * n)))) == tiles
+            _, _, denom = _observed_statistic(dx, dy)
+            expected = [tiled_cross_product(dx.data, cy, s) / denom for s in draws]
+            for height in (1, 2, 7):
+                with mock.patch.object(inference, "_BLOCK_BYTES", 8 * n * height):
+                    for threads in (1, 2):
+                        null = permutation_test(dx, dy, b=b, seed=tiles, threads=threads)
+                        assert null.null_samples.tolist() == expected, (height, threads)
 
     def test_same_bytes_at_any_thread_count(self):
         # Permutation blocks of 218 draws (n = 150 raw words each) and
