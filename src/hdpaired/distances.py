@@ -230,8 +230,8 @@ def distance_matrix(m: FeatureMatrix, metric_tag: str) -> DistanceMatrix:
 def upper_triangle(d: DistanceMatrix | np.ndarray) -> np.ndarray:
     """Entries above the diagonal in lexicographic (i, j), i < j order."""
     a = d.data if isinstance(d, DistanceMatrix) else np.asarray(d, dtype=float)
-    # A boolean mask is read in row-major order, which is this order; unlike
-    # triu_indices it builds no index arrays as large as the triangle, and
-    # the one comparison makes it without a second n x n temporary.
-    i = np.arange(a.shape[0])
-    return a[i[:, None] < i]
+    # Row slices joined: no index array or mask as large as the triangle
+    # or the matrix is built.
+    if a.shape[0] < 2:
+        return np.empty(0)
+    return np.concatenate([a[i, i + 1:] for i in range(a.shape[0] - 1)])

@@ -5,11 +5,12 @@ agglomeration under that modality's own distance (scaled Euclidean or
 correlation distance between feature columns), and every cross-modality
 cluster pair is scored by its unregularized canonical correlation.
 
-Inter-cluster distance is the maximum pairwise distance.  When the feature
-distances are all distinct, the merges come from a nearest-neighbour chain
-in O(f^2); with ties, from an argmin loop in O(f^3) that breaks them
-deterministically toward the pair with the lexicographically smallest
-(min member index, min member index) key.
+Inter-cluster distance is the maximum pairwise distance.  The merges come
+from one nearest-neighbour chain in O(f^2), tied distances included: ties
+break toward the pair with the lexicographically smallest (min member
+index, min member index), which keeps the linkage reducible, so the chain
+gives the same merges as an argmin over all pairs at every step.  Feature
+distances must be finite.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hdpaired.distances import DistanceMatrix, _pairwise, upper_triangle
+from hdpaired.distances import DistanceMatrix, _pairwise
 
 
 @dataclass(frozen=True)
@@ -85,71 +86,40 @@ def complete_linkage_merges(d: np.ndarray) -> list[tuple[int, int, float]]:
     Each merge is recorded as (a, b, height) where a < b are the minimum
     member indices of the two merged clusters.  Heights are exact maxima of
     original pairwise distances (Lance-Williams max update), so they can be
-    compared exactly against a recomputation from scratch.
+    compared exactly against a recomputation from scratch.  Merges come in
+    the order of the key (height, a, b), so among equal heights the
+    lexicographically smallest pair goes first.
 
-    Only the i < j entries of `d` are read.  When they are all distinct,
-    the merges come from the nearest-neighbour chain (_chain_merges), in
-    O(f^2); otherwise (or if one is NaN or infinite) from the argmin loop
-    (_argmin_merges), in O(f^3), which alone applies the tie rule.
+    Only the i < j entries of `d` are read, and each must be finite: a NaN
+    or infinite entry raises ValueError naming its pair.
+
+    The merges come from Muellner's nearest-neighbour chain (2011,
+    arXiv:1109.2378), in O(f^2).  The chain grows by the nearest neighbour
+    of its last cluster, the lowest-index argmin of its row, until the last
+    two are each other's nearest; those two merge, and the chain goes on
+    from what is left of it.  Cluster 0 always lives, so an empty chain
+    restarts there.  The row argmin is the neighbour with the smallest key,
+    and complete linkage stays reducible under the key: a merged cluster's
+    key to any k is at least the smaller of its two parts' keys to k.  So
+    the chain makes the same merges as taking the smallest key each step,
+    and as those keys increase strictly, sorting by key gives their order.
     """
     d = np.asarray(d, dtype=float)
     f = d.shape[0]
     if d.ndim != 2 or d.shape[1] != f:
         raise ValueError(f"square distance matrix required, got {d.shape}")
-    tri = np.sort(upper_triangle(d))
-    # Sorted, so a tie is two equal neighbours, and a NaN or +inf comes
-    # last; the chain needs every entry below the +inf of merged-away rows.
-    if np.all(tri[1:] != tri[:-1]) and np.isfinite(tri[-1:]).all():
-        return _chain_merges(d)
-    return _argmin_merges(d)
-
-
-def _working_matrix(d: np.ndarray) -> np.ndarray:
-    """The i < j entries of d mirrored, with +inf on the diagonal.  Each
-    live cluster sits in the row and column of its minimum member."""
-    i = np.arange(d.shape[0])
+    # The i < j entries mirrored; each live cluster sits in the row and
+    # column of its minimum member.
+    i = np.arange(f)
     work = np.where(i[:, None] < i, d, d.T)
+    np.fill_diagonal(work, 0.0)
+    if not np.isfinite(work).all():
+        # work is symmetric, so its first bad entry in row-major order has i < j
+        a, b = np.argwhere(~np.isfinite(work))[0]
+        raise ValueError(f"distance ({a}, {b}) is {work[a, b]}; complete linkage needs "
+                         f"finite distances")
+    # +inf marks the diagonal and merged-away clusters, so no argmin picks them
     np.fill_diagonal(work, np.inf)
-    return work
-
-
-def _merge(work: np.ndarray, a: int, b: int) -> None:
-    """Cluster b joins cluster a, a < b: a's distances become the maxima
-    of both (Lance-Williams), and b's row and column become +inf."""
-    np.maximum(work[a], work[b], out=work[a])
-    work[:, a] = work[a]
-    work[b] = np.inf
-    work[:, b] = np.inf
-
-
-def _argmin_merges(d: np.ndarray) -> list[tuple[int, int, float]]:
-    """Merges in order, each the first row-major argmin of the working
-    matrix: the lexicographically smallest (a, b), a < b, at the minimum
-    height, which is the tie rule."""
-    work = _working_matrix(d)
-    f = work.shape[0]
-    merges: list[tuple[int, int, float]] = []
-    for _ in range(f - 1):
-        a, b = divmod(int(work.argmin()), f)
-        merges.append((a, b, float(work[a, b])))
-        _merge(work, a, b)
-    return merges
-
-
-def _chain_merges(d: np.ndarray) -> list[tuple[int, int, float]]:
-    """The argmin loop's merges when the i < j entries of d are distinct,
-    by Muellner's nearest-neighbour chain (2011, arXiv:1109.2378).
-
-    The chain grows by the nearest neighbour of its last cluster (an argmin
-    over one row) until the last two are each other's nearest; those two
-    merge, and the chain goes on from what is left of it.  With distinct
-    distances the dendrogram is unique, and each height is the maximum of
-    its own block of original distances, so the heights are distinct and
-    sorting the merges by height gives the argmin loop's order.  Cluster 0
-    always lives, so an empty chain restarts there.
-    """
-    work = _working_matrix(d)
-    f = work.shape[0]
     merges: list[tuple[int, int, float]] = []
     chain: list[int] = []
     while len(merges) < f - 1:
@@ -161,10 +131,15 @@ def _chain_merges(d: np.ndarray) -> list[tuple[int, int, float]]:
             del chain[-2:]
             a, b = min(a, b), max(a, b)
             merges.append((a, b, float(work[a, b])))
-            _merge(work, a, b)
+            # b joins a: a's distances become the maxima of both, and b's
+            # row and column become +inf
+            np.maximum(work[a], work[b], out=work[a])
+            work[:, a] = work[a]
+            work[b] = np.inf
+            work[:, b] = np.inf
         else:
             chain.append(b)
-    merges.sort(key=lambda m: m[2])
+    merges.sort(key=lambda m: (m[2], m[0], m[1]))
     return merges
 
 

@@ -167,6 +167,28 @@ def naive_complete_linkage_merges(d):
     return merges
 
 
+def argmin_complete_linkage_merges(d):
+    """Complete linkage by an argmin over the whole working matrix at every
+    step, O(f^3): the first row-major argmin is the lexicographically
+    smallest (a, b), a < b, at the minimum height.  The i < j entries are
+    mirrored, each cluster lives in the row of its minimum member, and a
+    merge keeps the maxima of both rows (Lance-Williams)."""
+    d = np.asarray(d, dtype=float)
+    f = d.shape[0]
+    i = np.arange(f)
+    work = np.where(i[:, None] < i, d, d.T)
+    np.fill_diagonal(work, np.inf)
+    merges = []
+    for _ in range(f - 1):
+        a, b = divmod(int(work.argmin()), f)
+        merges.append((a, b, float(work[a, b])))
+        np.maximum(work[a], work[b], out=work[a])
+        work[:, a] = work[a]
+        work[b] = np.inf
+        work[:, b] = np.inf
+    return merges
+
+
 def bilinear_bandpass_gain(freq, f_low, f_high, fs):
     """|H| of the first-order digital Butterworth bandpass at `freq`,
     evaluated analytically through the bilinear transform with prewarping:

@@ -245,6 +245,19 @@ class TestUpperTriangle:
         iu, ju = np.triu_indices(n, 1)
         np.testing.assert_array_equal(upper_triangle(a), a[iu, ju])
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 300])
+    def test_same_bits_as_boolean_mask(self, n):
+        # the row-major boolean-mask form, bit for bit, in a fresh array
+        a = np.random.default_rng(n).standard_normal((n, n))
+        if n > 2:
+            a[0, 1], a[1, 2] = -0.0, np.nan
+        i = np.arange(n)
+        expected = a[i[:, None] < i]
+        out = upper_triangle(a)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+        assert not np.shares_memory(out, a)
+
 
 class TestPersistence:
     def test_euclidean_vs_dx_consistency(self):

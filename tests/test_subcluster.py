@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from hdpaired import subcluster
 from hdpaired.distances import DistanceMatrix
 from hdpaired.subcluster import (
     FeatureClustering,
@@ -12,17 +11,11 @@ from hdpaired.subcluster import (
 )
 
 from oracles import (
+    argmin_complete_linkage_merges,
     naive_complete_linkage_merges,
     naive_correlation_distance,
     naive_scaled_euclidean,
 )
-
-
-_ARGMIN_MERGES = subcluster._argmin_merges
-
-
-def _must_not_run(d):
-    raise AssertionError("wrong linkage path taken")
 
 
 def random_feature_distance(f, seed):
@@ -113,34 +106,54 @@ class TestCompleteLinkage:
             assert complete_linkage_merges(d) == naive_complete_linkage_merges(d)
 
     @pytest.mark.parametrize("f", [2, 3, 7, 16, 45, 120])
-    def test_each_path_matches_oracle_on_distinct_inputs(self, f, monkeypatch):
-        # Distinct distances, also after relabeling: both paths give the
-        # oracle's merges, and complete_linkage_merges takes the chain.
+    def test_each_path_matches_oracle_on_distinct_inputs(self, f):
+        # Distinct distances, also after relabeling: the chain and the
+        # argmin reference both give the oracle's merges.
         base = random_feature_distance(f, 200 + f)
         rng = np.random.default_rng(f)
-        monkeypatch.setattr(subcluster, "_argmin_merges", _must_not_run)
         for perm in (np.arange(f), rng.permutation(f), rng.permutation(f)):
             d = base[np.ix_(perm, perm)]
             expected = naive_complete_linkage_merges(d)
-            assert subcluster._chain_merges(d) == expected
-            assert _ARGMIN_MERGES(d) == expected
+            assert argmin_complete_linkage_merges(d) == expected
             assert complete_linkage_merges(d) == expected
 
     def test_paths_agree_at_three_hundred_features(self):
-        # Past the oracle's reach: both paths on correlation distances of
-        # random features, as subcluster builds them, and on relabelings.
+        # Past the oracle's reach: the chain against the argmin reference on
+        # correlation distances of random features, as subcluster builds
+        # them, and on relabelings.
         rng = np.random.default_rng(16)
         data = rng.standard_normal((125, 300))
         base = feature_distance_matrix(data, np.arange(300), "pearson_correlation_distance").data
         for perm in (np.arange(300), rng.permutation(300), rng.permutation(300)):
             d = base[np.ix_(perm, perm)]
-            assert subcluster._chain_merges(d) == _ARGMIN_MERGES(d)
+            assert complete_linkage_merges(d) == argmin_complete_linkage_merges(d)
 
-    def test_dendrogram_matches_oracle_with_ties(self, monkeypatch):
+    @pytest.mark.parametrize("tie", ["duplicated", "rounded"])
+    def test_tied_three_hundred_features_match_argmin_reference(self, tie):
+        # Ties as subcluster meets them: duplicated feature columns give
+        # exact-zero and repeated distances, and rounding gives repeated
+        # heights.  Merges and k=5 labels both equal the argmin reference's.
+        rng = np.random.default_rng(18)
+        data = rng.standard_normal((125, 300))
+        if tie == "duplicated":
+            data[:, 150:] = data[:, rng.permutation(150)]
+            dm = feature_distance_matrix(data, np.arange(300), "scaled_euclidean")
+        else:
+            dm = feature_distance_matrix(data, np.arange(300), "pearson_correlation_distance")
+            dm = DistanceMatrix(np.round(dm.data, 2), dm.metric_tag, dm.subject_ids)
+        tri = dm.data[np.triu_indices(300, 1)]
+        assert np.unique(tri).size < tri.size
+        expected = argmin_complete_linkage_merges(dm.data)
+        assert complete_linkage_merges(dm.data) == expected
+        root = np.arange(300)
+        for a, b, _ in expected[:295]:
+            root[root == b] = a
+        labels = np.unique(root, return_inverse=True)[1] + 1
+        np.testing.assert_array_equal(complete_linkage(dm, 5).labels, labels)
+
+    def test_dendrogram_matches_oracle_with_ties(self):
         # integer-valued distances force exact ties, exercising the
-        # (min member, min member) tie-break, on small and mid-size inputs;
-        # tied inputs take the argmin loop, never the chain
-        monkeypatch.setattr(subcluster, "_chain_merges", _must_not_run)
+        # (min member, min member) tie-break, on small and mid-size inputs
         rng = np.random.default_rng(6)
         for rep in range(16):
             f = int(rng.integers(4, 10) if rep < 10 else rng.integers(20, 41))
@@ -165,13 +178,25 @@ class TestCompleteLinkage:
         clust = complete_linkage(dm, 5)
         assert clust.labels.tolist() == [1, 1, 2, 3, 4, 5]
 
-    def test_non_finite_entry_takes_argmin_path(self, monkeypatch):
-        # The chain could pick a merged-away cluster once every live entry
-        # of a row is +inf; such input goes to the argmin loop.
-        monkeypatch.setattr(subcluster, "_chain_merges", _must_not_run)
-        d = random_feature_distance(4, 17)
-        d[0, 3] = d[3, 0] = np.inf
-        assert complete_linkage_merges(d) == _ARGMIN_MERGES(d)
+    def test_non_finite_entry_rejected_with_its_pair(self):
+        # +inf marks merged-away clusters and NaN breaks argmin, so a
+        # non-finite i < j entry raises, naming the first such pair.
+        for value, text in ((np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")):
+            d = random_feature_distance(6, 17)
+            d[2, 4] = d[4, 2] = np.nan
+            d[1, 3] = d[3, 1] = value
+            with pytest.raises(ValueError, match=rf"distance \(1, 3\) is {text};.*finite"):
+                complete_linkage_merges(d)
+        # a 4 x 4 case on which an argmin loop makes the self-merge (1, 1, nan)
+        d = np.array([[0, 2, 2, 3], [2, 0, 3, 1], [2, 3, 0, 3], [3, 1, 3, 0]], dtype=float)
+        d[1, 3] = d[3, 1] = np.nan
+        with pytest.raises(ValueError, match=r"distance \(1, 3\) is nan"):
+            complete_linkage_merges(d)
+        # entries on or below the diagonal are not read
+        d = random_feature_distance(5, 19)
+        expected = complete_linkage_merges(d)
+        d[3, 1] = d[2, 2] = np.nan
+        assert complete_linkage_merges(d) == expected
 
     def test_label_permutation_invariance(self):
         d = random_feature_distance(9, 7)
