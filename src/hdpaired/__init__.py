@@ -41,6 +41,7 @@ from hdpaired.inference import (
     distance_pair_correlation,
     permutation_test,
     rank_correlations,
+    report,
     subsample_ci,
     ucenter,
 )

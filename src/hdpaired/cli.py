@@ -35,6 +35,7 @@ import json
 import os
 import re
 import sys
+from decimal import Decimal
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,13 +45,12 @@ import hdpaired
 from hdpaired.distances import METRICS, distance_matrix, upper_triangle
 from hdpaired.fcg import BandpassSpec, NuisanceMatrix, RoiTimeSeries, fcg_from_many
 from hdpaired.inference import (
-    _permutation_and_interval,
     bootstrap_distribution,
     dcor_ttest,
     permutation_test,
     rank_correlations,
+    report,
     subsample_ci,
-    subsample_size,
 )
 from hdpaired.matrixio import (
     FeatureMatrix,
@@ -165,7 +165,7 @@ _FLAGS = {
 
 
 # The smallest accepted value of each integer option that has one.
-_FLOORS = {"seed": 0, "threads": 1, "bins": 1, "b": 1, "top": 0, "cells": 1}
+_FLOORS = {"seed": 0, "threads": 1, "bins": 1, "b": 1, "top": 0, "cells": 1, "max_iters": 1}
 # The file options; the report digests each one that is set.
 _INPUT_FILES = ("x", "y", "model", "grid_file")
 
@@ -432,15 +432,9 @@ def _cmd_infer(cfg: dict, inputs: dict[str, str], mode: str) -> dict:
 
 def _cmd_report(cfg: dict, inputs: dict[str, str]) -> dict:
     x, y = _load_pair(cfg)
-    # The interval arguments are checked before any work.  The dCor t-test
-    # runs next, so that its two n x n buffers are freed before the distance
-    # pair is built; each procedure reads its own stream.
-    subsample_size(x.n_subjects, cfg["ratio"], cfg["b"], cfg["level"], cfg["method"])
-    dcor = dcor_ttest(x, y)
-    dx = distance_matrix(x, cfg["metric_x"])
-    dy = distance_matrix(y, cfg["metric_y"])
-    perm, ci = _permutation_and_interval(dx, dy, cfg["b"], cfg["seed"], cfg["threads"],
-                                         cfg["ratio"], cfg["level"], cfg["method"])
+    dcor, perm, ci = report(x, y, cfg["metric_x"], cfg["metric_y"], cfg["b"], cfg["seed"],
+                            cfg["threads"], cfg["ratio"], cfg["level"], cfg["method"])
+    percent = (Decimal(repr(ci.level)) * 100).normalize()  # exact: 0.975 gives 97.5
     rows = [
         {
             "method": "permutation",
@@ -458,7 +452,7 @@ def _cmd_report(cfg: dict, inputs: dict[str, str]) -> dict:
         {
             "method": "subsampling",
             "correlation": ci.point_estimate,
-            "result_type": f"{int(round(cfg['level'] * 100))}% confidence interval",
+            "result_type": f"{percent:f}% confidence interval",
             "result": [ci.lower, ci.upper],
         },
     ]

@@ -12,6 +12,10 @@ and bootstrap procedures all take that pair, built once by
   sampling WITH replacement biases this statistic upward (duplicate
   subjects zero out distance entries).
 
+`report` runs the first three on one pair of feature matrices, and passes
+the test's observed value to `subsample_ci` as `observed`, which must be the
+bits of `permutation_test(dx, dy).observed`.
+
 Replicates are drawn in blocks from one generator keyed by (seed, stream);
 each thread's run of blocks jumps straight to its first replicate's draws.
 Replicate i is therefore a function of the data, seed, i and n alone: the
@@ -32,7 +36,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,20 +247,6 @@ def _observed_statistic(
     return float(gamma(np.arange(n)[None])[0]) / denom, gamma, denom
 
 
-# (dx, dy, observed statistic) while `_permutation_and_interval` runs.
-_shared_observed: ContextVar[tuple[DistanceMatrix, DistanceMatrix, float] | None] = ContextVar(
-    "shared_observed", default=None)
-
-
-def _point_estimate(dx: DistanceMatrix, dy: DistanceMatrix) -> float:
-    """The observed statistic of `_observed_statistic`, taken from
-    `_shared_observed` when that holds this very pair."""
-    shared = _shared_observed.get()
-    if shared is not None and shared[0] is dx and shared[1] is dy:
-        return shared[2]
-    return _observed_statistic(dx, dy)[0]
-
-
 @dataclass(frozen=True)
 class PermutationResult:
     """Observed statistic, null replicates and the one-sided p-value.
@@ -313,24 +302,6 @@ def permutation_test(
         p_value=count / b,
         p_value_smoothed=(1 + count) / (1 + b),
     )
-
-
-def _permutation_and_interval(
-    dx: DistanceMatrix, dy: DistanceMatrix, b: int, seed: int, threads: int,
-    ratio: float, level: float, method: str,
-) -> tuple[PermutationResult, ConfidenceInterval]:
-    """`permutation_test` and `subsample_ci` on one distance pair, with one
-    setup of the observed statistic.  The permutation test runs first; its
-    tiles are freed when it returns, and `subsample_ci` takes its point
-    estimate from the test's observed value, which has the same bits.  Each
-    procedure reads its own stream, so the order changes no value."""
-    perm = permutation_test(dx, dy, b, seed, threads=threads)
-    token = _shared_observed.set((dx, dy, perm.observed))
-    try:
-        ci = subsample_ci(dx, dy, ratio, b, level, seed, method, threads)
-    finally:
-        _shared_observed.reset(token)
-    return perm, ci
 
 
 def rank_correlations(dx: DistanceMatrix, dy: DistanceMatrix) -> tuple[float, float]:
@@ -559,7 +530,7 @@ class ConfidenceInterval:
             raise ValueError("lower bound above upper bound")
 
 
-def subsample_size(n: int, ratio: float, b: int, level: float, method: str) -> int:
+def _subsample_size(n: int, ratio: float, b: int, level: float, method: str) -> int:
     """The subsample size round(ratio * n) of `subsample_ci`, after checking
     its arguments; raises the ValueError that `subsample_ci` would."""
     if not math.isfinite(ratio):
@@ -584,6 +555,7 @@ def subsample_ci(
     seed: int = 0,
     method: str = "root",
     threads: int = 1,
+    observed: float | None = None,
 ) -> ConfidenceInterval:
     """Confidence interval from b subsamples of size round(ratio * n).
 
@@ -595,10 +567,14 @@ def subsample_ci(
     of sqrt(m) * (theta_m - theta_n), the interval is
     [theta_n - q_hi / sqrt(n), theta_n - q_lo / sqrt(n)].
     method="percentile" returns raw (alpha/2, 1-alpha/2) replicate quantiles.
+
+    theta_n is `observed` if given, which must be the bits of
+    `permutation_test(dx, dy).observed`; if None, it is computed so.
     """
     n = _check_same_subjects(dx, dy)
-    m = subsample_size(n, ratio, b, level, method)
-    observed = _point_estimate(dx, dy)
+    m = _subsample_size(n, ratio, b, level, method)
+    if observed is None:
+        observed = _observed_statistic(dx, dy)[0]
     stat, draw_bytes = _pair_pearson(dx, dy, m)
     stats = _replicates(stat, n, b, seed, STREAM_SUBSAMPLE, threads, draw_bytes=draw_bytes)
     valid = stats[~np.isnan(stats)]
@@ -667,3 +643,24 @@ def bootstrap_distribution(
     reps = _replicates(stat, n, b, seed, STREAM_BOOTSTRAP, threads, replace=True,
                        draw_bytes=draw_bytes)
     return BootstrapResult(replicates=reps, observed=observed)
+
+
+def report(x: FeatureMatrix, y: FeatureMatrix, metric_x: str = "scaled_euclidean",
+           metric_y: str = "pearson_correlation_distance", b: int = 10_000, seed: int = 0,
+           threads: int = 1, ratio: float = 0.135, level: float = 0.95,
+           method: str = "root") -> tuple[DcorResult, PermutationResult, ConfidenceInterval]:
+    """`dcor_ttest` of x and y, then `permutation_test` and `subsample_ci` of
+    their distance pair, each result with the bits of its call alone.
+
+    The interval arguments are checked before any work, and the dCor
+    t-test's two n x n buffers are freed before the pair is built.  The
+    interval runs once the permutation tiles are freed, and takes the test's
+    observed value as its point estimate.
+    """
+    _subsample_size(x.n_subjects, ratio, b, level, method)
+    dcor = dcor_ttest(x, y)
+    dx = distance_matrix(x, metric_x)
+    dy = distance_matrix(y, metric_y)
+    perm = permutation_test(dx, dy, b, seed, threads)
+    ci = subsample_ci(dx, dy, ratio, b, level, seed, method, threads, observed=perm.observed)
+    return dcor, perm, ci

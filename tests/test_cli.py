@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hdpaired as hp
 from hdpaired.cli import (
     _COMMANDS,
     _named_command,
@@ -259,6 +260,29 @@ class TestReport:
         assert rows[2]["result_type"] == "95% confidence interval"
         assert len(rows[2]["result"]) == 2
 
+    @pytest.mark.parametrize("level, label", [("0.975", "97.5%"), ("0.999", "99.9%")])
+    def test_interval_label_is_the_exact_level(self, tmp_path, latent_pair, level, label):
+        x, y = latent_pair
+        out = tmp_path / "r"
+        assert run(["report", "--x", x, "--y", y, "--b", 20, "--ratio", "0.5",
+                    "--level", level, "--out", out]) == 0
+        rows = read_json(out / "inference_report.json")["results"]["rows"]
+        assert rows[2]["result_type"] == f"{label} confidence interval"
+
+    def test_rows_are_the_library_report(self, tmp_path, latent_pair):
+        x, y = latent_pair
+        out = tmp_path / "r"
+        assert run(["report", "--x", x, "--y", y, "--b", 99, "--ratio", "0.5", "--seed", 3,
+                    "--threads", 2, "--metric-x", "euclidean", "--out", out]) == 0
+        rows = read_json(out / "inference_report.json")["results"]["rows"]
+        pair = hp.pair(load_matrix(x), load_matrix(y))
+        dcor, perm, ci = hp.report(pair.x, pair.y, "euclidean", "pearson_correlation_distance",
+                                   b=99, seed=3, threads=2, ratio=0.5)
+        assert [(r["correlation"], r["result"]) for r in rows] == [
+            (perm.observed, perm.p_value), (dcor.bias_corrected_r, dcor.p_value),
+            (ci.point_estimate, [ci.lower, ci.upper])]
+        assert rows[0]["result_smoothed"] == perm.p_value_smoothed
+
     @pytest.mark.parametrize("command", [["infer", "subsample"], ["report"]])
     @pytest.mark.parametrize("flags, message", [
         (["--ratio", "2"], "subsample size 60 exceeds n = 30"),
@@ -294,7 +318,6 @@ class TestReport:
     def _forbid_work_before_checks(monkeypatch, command):
         """Make every replicate draw fail the test, and for `report` also the
         dCor t-test and every distance build."""
-        import hdpaired.cli as cli
         import hdpaired.inference as inference
 
         def forbidden(*args, **kwargs):
@@ -302,8 +325,8 @@ class TestReport:
 
         monkeypatch.setattr(inference, "_replicates", forbidden)
         if command == ["report"]:
-            monkeypatch.setattr(cli, "dcor_ttest", forbidden)
-            monkeypatch.setattr(cli, "distance_matrix", forbidden)
+            monkeypatch.setattr(inference, "dcor_ttest", forbidden)
+            monkeypatch.setattr(inference, "distance_matrix", forbidden)
 
 
 @pytest.fixture()
@@ -554,11 +577,13 @@ class TestScca:
     @pytest.mark.parametrize("command, key, value, floor", [
         (["subcluster", "--model", "missing.json"], "top", -1, 0),
         (["scca", "cv"], "cells", 0, 1),
-    ], ids=["top", "cells"])
+        (["scca", "cv"], "max_iters", 0, 1),
+        (["scca", "fit", "--c1", "1.5", "--c2", "1.5"], "max_iters", 0, 1),
+    ], ids=["top", "cells", "cv-max_iters", "fit-max_iters"])
     def test_floor_checked_before_any_input_is_read(self, tmp_path, capsys, command, key,
                                                      value, floor):
         missing = tmp_path / "missing.bin"
-        assert run([*command, "--x", missing, "--y", missing, "--" + key, value,
+        assert run([*command, "--x", missing, "--y", missing, "--" + key.replace("_", "-"), value,
                     "--out", tmp_path / "o"]) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"error": "CliError", "message": f"{key} must be >= {floor}, got {value}"}

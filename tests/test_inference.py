@@ -188,26 +188,34 @@ def test_replicate_procedures_share_one_observed_statistic():
         ds, _ = gen_shared_latent(40, 8, 8, 0.8, seed=seed)
         dx, dy = both_distances(ds)
         perm = permutation_test(dx, dy, b=2, seed=seed).observed
-        sub = subsample_ci(dx, dy, ratio=0.5, b=2, seed=seed).point_estimate
+        sub = subsample_ci(dx, dy, ratio=0.5, b=2, seed=seed)
+        given = subsample_ci(dx, dy, ratio=0.5, b=2, seed=seed, observed=perm)
         boot = bootstrap_distribution(dx, dy, b=2, seed=seed).observed
-        assert perm == sub == boot
+        assert perm == sub.point_estimate == boot
+        assert (given.point_estimate, given.lower, given.upper) == (
+            sub.point_estimate, sub.lower, sub.upper)
+        assert given.replicates.tobytes() == sub.replicates.tobytes()
 
 
 def test_report_pair_sets_up_the_observed_statistic_once():
     ds, _ = gen_shared_latent(60, 8, 8, 0.8, seed=4)
-    dx, dy = both_distances(ds)
     with mock.patch.object(inference, "_observed_statistic",
                            wraps=inference._observed_statistic) as setup:
-        perm, ci = inference._permutation_and_interval(dx, dy, 30, 7, 2, 0.5, 0.9, "root")
+        dcor, perm, ci = inference.report(ds.x, ds.y, "scaled_euclidean",
+                                          "pearson_correlation_distance", 30, 7, 2, 0.5, 0.9,
+                                          "root")
     assert setup.call_count == 1
-    assert inference._shared_observed.get() is None
+    alone = dcor_ttest(ds.x, ds.y)
+    assert (dcor.bias_corrected_r, dcor.t_statistic, dcor.p_value) == (
+        alone.bias_corrected_r, alone.t_statistic, alone.p_value)
+    dx, dy = both_distances(ds)
     alone = subsample_ci(dx, dy, ratio=0.5, b=30, level=0.9, seed=7, threads=2)
     assert (ci.point_estimate, ci.lower, ci.upper) == (alone.point_estimate, alone.lower,
                                                        alone.upper)
     assert ci.replicates.tobytes() == alone.replicates.tobytes()
     alone = permutation_test(dx, dy, b=30, seed=7)
-    assert (perm.observed, perm.null_samples.tobytes()) == (alone.observed,
-                                                            alone.null_samples.tobytes())
+    assert (perm.observed, perm.p_value, perm.null_samples.tobytes()) == (
+        alone.observed, alone.p_value, alone.null_samples.tobytes())
 
 
 class TestRankCorrelations:
