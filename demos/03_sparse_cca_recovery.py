@@ -8,22 +8,16 @@ planted truth.
 
 import math
 
-import numpy as np
-
 import hdpaired as hp
-from hdpaired.model_selection import cv_grid_search, train_test_split
 
 n, p, q, s = 150, 500, 500, 10
 ds, truth = hp.gen_sparse_canonical_pair(n, p, q, s, s, rho=0.9, seed=1)
 x, y = ds.x.data, ds.y.data
 
-train, test = train_test_split(n, seed=1)
-print(f"split: {train.size} train / {test.size} test subjects")
-
 grid = [hp.SccaParams(c1=c, c2=c, max_iters=100, tol=1e-6)
         for c in (1.0, 1.4, 1.9, 2.5, math.sqrt(s))]
-report = cv_grid_search(x[train], y[train], grid, k=5, seed=1,
-                        x_test=x[test], y_test=y[test])
+report, test_correlation, train, test = hp.scca_cv(ds.x, ds.y, grid, k=5, seed=1)
+print(f"split: {train.size} train / {test.size} test subjects")
 
 print("\ncross-validation surface (c, mean validation correlation):")
 for (c1, _), mv in zip(report.grid, report.mean_validation):
@@ -33,7 +27,7 @@ for (c1, _), mv in zip(report.grid, report.mean_validation):
 model = report.model
 print(f"\nselected (c1, c2) = {report.selected}")
 print(f"train correlation {report.train_correlation:.3f}, "
-      f"test correlation {report.test_correlation:.3f}")
+      f"test correlation {test_correlation:.3f}")
 
 oracle = hp.canonical_correlation(x[test] @ truth.u_star, y[test] @ truth.v_star)
 print(f"oracle projection correlation on test rows: {oracle:.3f}")

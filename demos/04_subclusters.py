@@ -8,11 +8,8 @@ unregularized canonical correlation.
 
 import math
 
-import numpy as np
-
 import hdpaired as hp
 from hdpaired.model_selection import cv_grid_search
-from hdpaired.subcluster import complete_linkage, feature_distance_matrix, subcluster_cca
 
 ds, truth = hp.gen_sparse_canonical_pair(120, 120, 120, 8, 8, rho=0.9, seed=3)
 x, y = ds.x.data, ds.y.data
@@ -25,13 +22,12 @@ sel_u, sel_v = model.support_u, model.support_v
 print(f"selected features: {sel_u.size} (x side), {sel_v.size} (y side)")
 
 k = 3
-cx = complete_linkage(feature_distance_matrix(x, sel_u, "scaled_euclidean"), k)
-cy = complete_linkage(feature_distance_matrix(y, sel_v, "pearson_correlation_distance"), k)
+cx, cy, ranking = hp.subcluster_model(x, y, model, k, "scaled_euclidean",
+                                      "pearson_correlation_distance", top_k=3)
 for tag, clust in (("x", cx), ("y", cy)):
     sizes = [clust.members(lab).size for lab in range(1, k + 1)]
     print(f"{tag}-side clusters (complete linkage, k={k}): sizes {sizes}")
 
-ranking = subcluster_cca(x[:, sel_u], y[:, sel_v], cx, cy, top_k=3)
 print("\nmost canonically correlated cluster pairs:")
 for a, b, corr in ranking.top:
     print(f"  x-cluster {a} x y-cluster {b}: correlation {corr:.3f}")

@@ -62,6 +62,7 @@ from hdpaired.model_selection import (
     evaluate_test,
     fit_model,
     kfold_partition,
+    scca_cv,
     train_test_split,
 )
 from hdpaired.subcluster import (
@@ -71,6 +72,7 @@ from hdpaired.subcluster import (
     complete_linkage_merges,
     feature_distance_matrix,
     subcluster_cca,
+    subcluster_model,
 )
 from hdpaired.synthgen import (
     PlantedTruth,

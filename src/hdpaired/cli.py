@@ -60,16 +60,10 @@ from hdpaired.matrixio import (
     save_matrix,
     write_csv,
 )
-from hdpaired.model_selection import (
-    FittedSccaModel,
-    cv_grid_search,
-    default_grid,
-    evaluate_test,
-    fit_model,
-    train_test_split,
-)
+from hdpaired.model_selection import (FittedSccaModel, default_grid, evaluate_test, fit_model,
+                                      scca_cv)
 from hdpaired.scca import SccaParams
-from hdpaired.subcluster import complete_linkage, feature_distance_matrix, subcluster_cca
+from hdpaired.subcluster import subcluster_model
 from hdpaired.synthgen import gen_null, gen_shared_latent, gen_sparse_canonical_pair
 
 
@@ -164,8 +158,10 @@ _FLAGS = {
 }
 
 
-# The smallest accepted value of each integer option that has one.
-_FLOORS = {"seed": 0, "threads": 1, "bins": 1, "b": 1, "top": 0, "cells": 1, "max_iters": 1}
+# The smallest accepted value of each integer option that has one; a
+# (command, key) entry overrides the key's own: scca cv reads k as folds.
+_FLOORS = {"seed": 0, "threads": 1, "bins": 1, "b": 1, "top": 0, "cells": 1, "max_iters": 1,
+           "k": 1, ("scca cv", "k"): 2}
 # The file options; the report digests each one that is set.
 _INPUT_FILES = ("x", "y", "model", "grid_file")
 
@@ -223,9 +219,10 @@ def _resolve(args: argparse.Namespace, command: _Command) -> dict:
     missing = [k for k in command.required if resolved[k] is None]
     if missing:
         raise CliError(f"missing required options for {args.command_path}: {sorted(missing)}")
-    for key, floor in _FLOORS.items():
-        if key in resolved and resolved[key] < floor:
-            raise CliError(f"{key} must be >= {floor}, got {resolved[key]}")
+    for key, value in resolved.items():
+        floor = _FLOORS.get((args.command_path, key), _FLOORS.get(key))
+        if floor is not None and value < floor:
+            raise CliError(f"{key} must be >= {floor}, got {value}")
     return resolved
 
 
@@ -498,13 +495,9 @@ def _cmd_scca_fit(cfg: dict, inputs: dict[str, str]) -> dict:
 
 def _cmd_scca_cv(cfg: dict, inputs: dict[str, str]) -> dict:
     x, y = _load_pair(cfg)
-    train_idx, test_idx = train_test_split(x.n_subjects, cfg["seed"])
     grid = _grid_from_cfg(cfg, x.n_features, y.n_features)
-    report = cv_grid_search(
-        x.data[train_idx], y.data[train_idx], grid, k=cfg["k"], seed=cfg["seed"],
-        x_test=x.data[test_idx], y_test=y.data[test_idx],
-        init=cfg["init"], threads=cfg["threads"],
-    )
+    report, test_correlation, train_idx, test_idx = scca_cv(
+        x, y, grid, cfg["k"], cfg["seed"], cfg["init"], cfg["threads"])
     train_ids = [x.subject_ids[i] for i in train_idx]
     test_ids = [x.subject_ids[i] for i in test_idx]
     _write_json(os.path.join(cfg["out"], "model.json"),
@@ -525,7 +518,7 @@ def _cmd_scca_cv(cfg: dict, inputs: dict[str, str]) -> dict:
     return {
         "selected": {"c1": report.selected[0], "c2": report.selected[1]},
         "train_correlation": report.train_correlation,
-        "test_correlation": report.test_correlation,
+        "test_correlation": test_correlation,
         "mean_validation": report.mean_validation,
         "fold_correlations": report.fold_correlations,
         "fold_iterations": report.fold_iterations,
@@ -558,18 +551,8 @@ def _cmd_subcluster(cfg: dict, inputs: dict[str, str]) -> dict:
         missing = sorted(train - set(x.subject_ids))
         raise CliError(f"{len(missing)} of the model's {len(train)} training subjects "
                        f"missing from the input matrices, e.g. {missing[:5]}")
-    sel_u = model.support_u
-    sel_v = model.support_v
-    if sel_u.size < 2 or sel_v.size < 2:
-        raise CliError(
-            f"need at least 2 selected features per side, got {sel_u.size} and {sel_v.size}"
-        )
-    xd = x.data[rows]
-    yd = y.data[rows]
-    k = cfg["k"]
-    cx = complete_linkage(feature_distance_matrix(xd, sel_u, cfg["metric_x"]), k)
-    cy = complete_linkage(feature_distance_matrix(yd, sel_v, cfg["metric_y"]), k)
-    ranking = subcluster_cca(xd[:, sel_u], yd[:, sel_v], cx, cy, top_k=cfg["top"])
+    cx, cy, ranking = subcluster_model(x.data[rows], y.data[rows], model, cfg["k"],
+                                       cfg["metric_x"], cfg["metric_y"], cfg["top"])
 
     def pair_rows(triples):
         return [{"x_cluster": a, "y_cluster": b, "canonical_correlation": c}
@@ -582,7 +565,7 @@ def _cmd_subcluster(cfg: dict, inputs: dict[str, str]) -> dict:
             [(int(l), int(fi)) for l, fi in zip(clustering.labels, clustering.feature_indices)],
         )
     return {
-        "k": k,
+        "k": cfg["k"],
         "pairs": pair_rows(ranking.pairs),
         "top": pair_rows(ranking.top),
         "skipped": [list(s) for s in ranking.skipped],

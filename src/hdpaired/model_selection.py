@@ -1,5 +1,5 @@
 """Train/test split, k-fold cross-validated sparsity-grid search, held-out
-evaluation.
+evaluation (`evaluate_test`), and `scca_cv`: the three in order, as `scca cv`.
 
 Leakage rules: per-fold standardization statistics are fitted on the
 fit-set rows only and applied, frozen, to the validation fold; the held-out
@@ -20,7 +20,7 @@ import numpy as np
 
 from hdpaired._util import STREAM_KFOLD, STREAM_SPLIT, parallel_map, pearson_or_nan, replicate_rng
 from hdpaired.distances import _padded
-from hdpaired.matrixio import ColumnStandardizer
+from hdpaired.matrixio import ColumnStandardizer, FeatureMatrix
 from hdpaired.scca import AlignmentPair, SccaParams, SccaSolver, canonical_correlation, project
 
 
@@ -183,7 +183,6 @@ class CvReport:
     selected: tuple[float, float]
     selected_index: int
     train_correlation: float
-    test_correlation: float | None
     model: FittedSccaModel
 
 
@@ -231,8 +230,6 @@ def cv_grid_search(
     grid: list[SccaParams],
     k: int = 5,
     seed: int = 0,
-    x_test: np.ndarray | None = None,
-    y_test: np.ndarray | None = None,
     init: str = "svd",
     threads: int = 1,
 ) -> CvReport:
@@ -254,8 +251,6 @@ def cv_grid_search(
         raise ValueError("empty parameter grid")
     if k < 2:
         raise ValueError(f"cross-validation needs k >= 2 folds, got {k}")
-    if x_test is not None and len(x_test) < 3:
-        raise ValueError(f"held-out test set has {len(x_test)} rows; at least 3 are needed")
     n = x.shape[0]
     folds = kfold_partition(np.arange(n), k, seed)
     fold_correlations = np.full((len(grid), k), math.nan)
@@ -293,11 +288,6 @@ def cv_grid_search(
     # Refit on the full training set with transforms fitted on all rows.
     model = fit_model(x, y, selected_params, init=init, seed=seed)
     train_correlation = pearson_or_nan(*model.scores(x, y))
-
-    test_correlation = None
-    if x_test is not None and y_test is not None:
-        test_correlation = evaluate_test(model, x_test, y_test)
-
     return CvReport(
         grid=tuple((p.c1, p.c2) for p in grid),
         fold_correlations=fold_correlations,
@@ -307,7 +297,6 @@ def cv_grid_search(
         selected=(selected_params.c1, selected_params.c2),
         selected_index=selected_index,
         train_correlation=train_correlation,
-        test_correlation=test_correlation,
         model=model,
     )
 
@@ -317,3 +306,18 @@ def evaluate_test(model: FittedSccaModel, x_test: np.ndarray, y_test: np.ndarray
     transforms; the test rows never touched standardization or the fit."""
     sx, sy = model.scores(np.asarray(x_test, dtype=float), np.asarray(y_test, dtype=float))
     return canonical_correlation(sx, sy)
+
+
+def scca_cv(x: FeatureMatrix, y: FeatureMatrix, grid: list[SccaParams], k: int = 5,
+            seed: int = 0, init: str = "svd",
+            threads: int = 1) -> tuple[CvReport, float, np.ndarray, np.ndarray]:
+    """`cv_grid_search` on the training rows of `train_test_split(n, seed)`, then
+    `evaluate_test` of its refit on the held-out rows; returns (report, test
+    correlation, train rows, test rows).  Under 3 held-out rows raise before any fit."""
+    if x.subject_ids != y.subject_ids:
+        raise ValueError("matrices must be row-aligned over the same subjects")
+    train, test = train_test_split(x.n_subjects, seed)
+    if test.size < 3:
+        raise ValueError(f"held-out test set has {test.size} rows; at least 3 are needed")
+    report = cv_grid_search(x.data[train], y.data[train], grid, k, seed, init, threads)
+    return report, evaluate_test(report.model, x.data[test], y.data[test]), train, test

@@ -4,6 +4,7 @@ Selected columns of each modality are clustered by complete-linkage
 agglomeration under that modality's own distance (scaled Euclidean or
 correlation distance between feature columns), and every cross-modality
 cluster pair is scored by its unregularized canonical correlation.
+`subcluster_model` runs both steps on a fitted model's selected features.
 
 Inter-cluster distance is the maximum pairwise distance.  The merges come
 from one nearest-neighbour chain in O(f^2), tied distances included: ties
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hdpaired.distances import DistanceMatrix, _pairwise
+from hdpaired.model_selection import FittedSccaModel
 
 
 @dataclass(frozen=True)
@@ -207,3 +209,19 @@ def subcluster_cca(
             scored.append((a, b, corr))
     scored.sort(key=lambda t: (-t[2], t[0], t[1]))
     return SubclusterPairRanking(pairs=tuple(scored), top_k_reported=top_k, skipped=tuple(skipped))
+
+
+def subcluster_model(x: np.ndarray, y: np.ndarray, model: FittedSccaModel, k: int = 5,
+                     metric_x: str = "scaled_euclidean",
+                     metric_y: str = "pearson_correlation_distance", top_k: int = 3,
+                     ) -> tuple[FeatureClustering, FeatureClustering, SubclusterPairRanking]:
+    """Complete linkage of each side's selected features (model.support_u,
+    support_v) into k clusters under its metric, then `subcluster_cca` of the
+    clusters.  x and y are the model's training rows; returns (cx, cy, ranking)."""
+    sel_u, sel_v = model.support_u, model.support_v
+    if sel_u.size < 2 or sel_v.size < 2:
+        raise ValueError(
+            f"need at least 2 selected features per side, got {sel_u.size} and {sel_v.size}")
+    cx = complete_linkage(feature_distance_matrix(x, sel_u, metric_x), k)
+    cy = complete_linkage(feature_distance_matrix(y, sel_v, metric_y), k)
+    return cx, cy, subcluster_cca(x[:, sel_u], y[:, sel_v], cx, cy, top_k=top_k)

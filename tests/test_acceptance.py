@@ -22,7 +22,7 @@ import hdpaired as hp
 from hdpaired.distances import distance_matrix, upper_triangle
 from hdpaired.inference import bootstrap_distribution, dcor_ttest, permutation_test, subsample_ci
 from hdpaired.matrixio import FeatureMatrix
-from hdpaired.model_selection import cv_grid_search, train_test_split
+from hdpaired.model_selection import scca_cv
 from hdpaired.scca import SccaParams, fit_cca, fit_scca
 from hdpaired.subcluster import complete_linkage_merges
 from hdpaired.synthgen import (
@@ -146,13 +146,13 @@ def test_criterion_05_bootstrap_upward_bias():
 def test_criterion_06_sparse_cca_recovery():
     ds, truth = gen_sparse_canonical_pair(150, 500, 500, 10, 10, 0.9, seed=1)
     x, y = ds.x.data, ds.y.data
-    train, test = train_test_split(150, seed=1)
     # grid capped at sqrt(s)=sqrt(10), the l1 budget of a unit-l2 10-sparse
     # vector: the budget that exactly represents the planted scale
     grid = [SccaParams(c1=c, c2=c, max_iters=100, tol=1e-6)
             for c in (1.0, 1.4, 1.9, 2.5, math.sqrt(10))]
-    rep = cv_grid_search(x[train], y[train], grid, k=5, seed=1,
-                         x_test=x[test], y_test=y[test], threads=THREADS)
+    # split seed 1 and CV seed 1
+    rep, test_correlation, train, test = scca_cv(ds.x, ds.y, grid, k=5, seed=1,
+                                                 threads=THREADS)
 
     def f1(selected, true):
         s, t = set(selected.tolist()), set(true.tolist())
@@ -162,7 +162,7 @@ def test_criterion_06_sparse_cca_recovery():
     f1_u = f1(rep.model.support_u, truth.support_u)
     f1_v = f1(rep.model.support_v, truth.support_v)
     oracle = hp.canonical_correlation(x[test] @ truth.u_star, y[test] @ truth.v_star)
-    gap = abs(rep.test_correlation - oracle)
+    gap = abs(test_correlation - oracle)
     fit = rep.model.fit
     trace_ok = bool(np.all(np.diff(fit.objective_trace) >= -1e-10))
     xs = rep.model.transform_x(x[train])
@@ -180,7 +180,7 @@ def test_criterion_06_sparse_cca_recovery():
         6,
         "sparse CCA planted recovery",
         f"F1 = ({f1_u:.2f}, {f1_v:.2f}) (need >= 0.8); "
-        f"|test {rep.test_correlation:.3f} - oracle {oracle:.3f}| = {gap:.3f} (need <= 0.1); "
+        f"|test {test_correlation:.3f} - oracle {oracle:.3f}| = {gap:.3f} (need <= 0.1); "
         f"trace nondecreasing: {trace_ok}; max constraint violation = {violation:.1e} (need <= 1e-8)",
         min(f1_u, f1_v) >= 0.8 and gap <= 0.1 and trace_ok and violation <= 1e-8,
     )

@@ -400,19 +400,67 @@ class TestScca:
         assert 1 <= rep["refit_iterations"] <= 3
         assert isinstance(rep["refit_converged"], bool)
 
-        # the same numbers the library reports for the training rows
-        from hdpaired.model_selection import cv_grid_search, train_test_split
-        from hdpaired.scca import SccaParams
-
-        xm, ym = load_matrix(x), load_matrix(y)
-        train, _ = train_test_split(xm.n_subjects, 2)
-        lib = cv_grid_search(xm.data[train], ym.data[train],
-                             [SccaParams(c, c, max_iters=3, tol=1e-9) for c in (1.4, 2.0)],
-                             k=3, seed=2)
+        # the same numbers the library reports
+        pair = hp.pair(load_matrix(x), load_matrix(y))
+        lib, _, _, _ = hp.scca_cv(pair.x, pair.y,
+                                  [hp.SccaParams(c, c, max_iters=3, tol=1e-9) for c in (1.4, 2.0)],
+                                  k=3, seed=2)
         assert iterations.tolist() == lib.fold_iterations.tolist()
         assert converged.tolist() == lib.fold_converged.tolist()
         assert rep["refit_iterations"] == lib.model.fit.iterations
         assert rep["refit_converged"] == lib.model.fit.converged
+
+    def test_cv_files_are_the_library_scca_cv(self, tmp_path, planted_pair):
+        x, y = planted_pair
+        out = tmp_path / "cv"
+        grid = tmp_path / "grid.csv"
+        grid.write_text("c1,c2\n1.4,1.4\n2.0,2.0\n")
+        assert run(["scca", "cv", "--x", x, "--y", y, "--grid-file", grid, "--k", 3,
+                    "--seed", 2, "--threads", 2, "--out", out]) == 0
+        rep = read_json(out / "cv_report.json")["results"]
+        pair = hp.pair(load_matrix(x), load_matrix(y))
+        lib, test_corr, train, test = hp.scca_cv(
+            pair.x, pair.y, [hp.SccaParams(c, c, max_iters=200, tol=1e-5) for c in (1.4, 2.0)],
+            k=3, seed=2, threads=2)
+        assert (rep["selected"], rep["train_correlation"], rep["test_correlation"]) == (
+            {"c1": lib.selected[0], "c2": lib.selected[1]}, lib.train_correlation, test_corr)
+        assert rep["mean_validation"] == lib.mean_validation.tolist()
+        assert rep["fold_correlations"] == lib.fold_correlations.tolist()
+        ids = pair.x.subject_ids
+        assert rep["train_ids"] == [ids[i] for i in train]
+        assert rep["test_ids"] == [ids[i] for i in test]
+        with open(out / "projections.csv", newline="") as f:
+            written = [(r["set"], r["id"], float(r["score_x"]), float(r["score_y"]))
+                       for r in csv.DictReader(f)]
+        expected = []
+        for tag, rows in (("train", train), ("test", test)):
+            sx, sy = lib.model.scores(pair.x.data[rows], pair.y.data[rows])
+            expected += [(tag, ids[i], a, b) for i, a, b in zip(rows, sx, sy)]
+        assert written == expected
+
+    def test_subcluster_files_are_the_library_subcluster_model(self, tmp_path, planted_pair):
+        x, y = planted_pair
+        cv = tmp_path / "cv"
+        assert run(["scca", "cv", "--x", x, "--y", y, "--cells", 2, "--k", 3, "--seed", 2,
+                    "--out", cv]) == 0
+        sc = tmp_path / "sc"
+        assert run(["subcluster", "--x", x, "--y", y, "--model", cv / "model.json", "--k", 2,
+                    "--top", 2, "--metric-x", "euclidean", "--out", sc]) == 0
+        rep = read_json(sc / "subcluster_report.json")["results"]
+        model, _, train_ids = hp.FittedSccaModel.from_json(read_json(cv / "model.json"))
+        pair = hp.pair(load_matrix(x), load_matrix(y))
+        rows = [pair.x.subject_ids.index(sid) for sid in train_ids]
+        cx, cy, ranking = hp.subcluster_model(pair.x.data[rows], pair.y.data[rows], model, 2,
+                                              "euclidean", "pearson_correlation_distance", 2)
+        for key, triples in (("pairs", ranking.pairs), ("top", ranking.top)):
+            assert [(p["x_cluster"], p["y_cluster"], p["canonical_correlation"])
+                    for p in rep[key]] == list(triples)
+        assert rep["skipped"] == [list(t) for t in ranking.skipped]
+        for tag, clustering in (("x", cx), ("y", cy)):
+            with open(sc / f"clusters_{tag}.csv", newline="") as f:
+                written = [(int(r["cluster"]), int(r["feature_index"])) for r in csv.DictReader(f)]
+            assert written == list(zip(clustering.labels.tolist(),
+                                       clustering.feature_indices.tolist()))
 
     def test_zero_cross_covariance_fails_only_the_svd_start(self, tmp_path, capsys):
         # Hadamard columns: x's three are orthogonal to y's one, and every
@@ -579,7 +627,9 @@ class TestScca:
         (["scca", "cv"], "cells", 0, 1),
         (["scca", "cv"], "max_iters", 0, 1),
         (["scca", "fit", "--c1", "1.5", "--c2", "1.5"], "max_iters", 0, 1),
-    ], ids=["top", "cells", "cv-max_iters", "fit-max_iters"])
+        (["scca", "cv"], "k", 1, 2),
+        (["subcluster", "--model", "missing.json"], "k", 0, 1),
+    ], ids=["top", "cells", "cv-max_iters", "fit-max_iters", "cv-k", "subcluster-k"])
     def test_floor_checked_before_any_input_is_read(self, tmp_path, capsys, command, key,
                                                      value, floor):
         missing = tmp_path / "missing.bin"

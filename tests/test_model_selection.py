@@ -11,10 +11,12 @@ from hdpaired.model_selection import (
     evaluate_test,
     fit_model,
     kfold_partition,
+    scca_cv,
     spectral_scale,
     train_test_split,
 )
-from hdpaired.scca import SccaParams, canonical_correlation
+from hdpaired.matrixio import FeatureMatrix
+from hdpaired.scca import SccaParams, SccaSolver, canonical_correlation
 from hdpaired.synthgen import gen_null, gen_sparse_canonical_pair
 
 
@@ -142,23 +144,23 @@ class TestCvGridSearch:
         assert np.all(np.abs(rep.mean_validation) < 2.0 / math.sqrt(fold_n))
 
     def test_no_leakage_from_test_rows(self):
-        # corrupt the held-out test rows with huge values: the fitted model
-        # and training correlation must be bit-identical (only the test
+        # corrupt the rows scca_cv holds out with huge values: the fitted
+        # model and training correlation must be bit-identical (only the test
         # correlation may change).  Each row gets its own factor: a common
         # factor would be an affine change after the frozen standardization
         # and leave the test correlation as it was.
-        x, y, _ = small_planted(seed=7)
-        x_test = np.random.default_rng(0).standard_normal((12, x.shape[1]))
-        y_test = np.random.default_rng(1).standard_normal((12, y.shape[1]))
+        ds, _ = gen_sparse_canonical_pair(60, 30, 25, 4, 4, 0.9, seed=7)
         grid = [SccaParams(c1=2.0, c2=2.0, max_iters=60, tol=1e-5)]
-        rep = cv_grid_search(x, y, grid, k=3, seed=4, x_test=x_test, y_test=y_test)
-        rep2 = cv_grid_search(x, y, grid, k=3, seed=4,
-                              x_test=x_test * np.geomspace(1, 1e6, 12)[:, None],
-                              y_test=y_test)
+        rep, test_corr, _, test = scca_cv(ds.x, ds.y, grid, k=3, seed=4)
+        corrupted = ds.x.data.copy()
+        corrupted[test] *= np.geomspace(1, 1e6, test.size)[:, None]
+        x2 = FeatureMatrix(corrupted, ds.x.subject_ids)
+        rep2, test_corr2, _, test2 = scca_cv(x2, ds.y, grid, k=3, seed=4)
+        np.testing.assert_array_equal(test, test2)
         np.testing.assert_array_equal(rep.model.fit.u, rep2.model.fit.u)
         np.testing.assert_array_equal(rep.model.fit.v, rep2.model.fit.v)
         assert rep.train_correlation == rep2.train_correlation
-        assert abs(rep.test_correlation - rep2.test_correlation) > 1e-3
+        assert abs(test_corr - test_corr2) > 1e-3
 
     def test_no_leakage_from_validation_rows(self):
         # the fit used against validation fold 0 is trained on the other
@@ -219,19 +221,51 @@ class TestEvaluateTest:
     def test_planted_pair_test_correlation_near_oracle(self):
         ds, truth = gen_sparse_canonical_pair(150, 60, 60, 5, 5, 0.85, seed=11)
         x, y = ds.x.data, ds.y.data
-        tr, te = train_test_split(150, seed=8)
         grid = [SccaParams(c1=c, c2=c, max_iters=80, tol=1e-6) for c in (1.2, 1.8, 2.6)]
-        rep = cv_grid_search(x[tr], y[tr], grid, k=5, seed=8, x_test=x[te], y_test=y[te])
+        _, test_corr, _, te = scca_cv(ds.x, ds.y, grid, k=5, seed=8)
         oracle = np.corrcoef(x[te] @ truth.u_star, y[te] @ truth.v_star)[0, 1]
-        assert rep.test_correlation == pytest.approx(oracle, abs=0.1)
+        assert test_corr == pytest.approx(oracle, abs=0.1)
 
     def test_null_data_small_test_correlation(self):
         ds = gen_null(160, 15, 15, seed=12)
-        x, y = ds.x.data, ds.y.data
-        tr, te = train_test_split(160, seed=9)
         grid = [SccaParams(c1=2.0, c2=2.0, max_iters=50, tol=1e-5)]
-        rep = cv_grid_search(x[tr], y[tr], grid, k=4, seed=9, x_test=x[te], y_test=y[te])
-        assert abs(rep.test_correlation) < 0.35
+        _, test_corr, _, _ = scca_cv(ds.x, ds.y, grid, k=4, seed=9)
+        assert abs(test_corr) < 0.35
+
+
+class TestSccaCv:
+    def test_is_cv_grid_search_on_the_split_then_evaluate_test(self):
+        ds, _ = gen_sparse_canonical_pair(60, 30, 25, 4, 4, 0.9, seed=3)
+        x, y = ds.x.data, ds.y.data
+        grid = [SccaParams(c1=c, c2=c, max_iters=60, tol=1e-5) for c in (1.5, 2.5)]
+        rep, test_corr, train, test = scca_cv(ds.x, ds.y, grid, k=3, seed=5, threads=2)
+        want_train, want_test = train_test_split(60, 5)
+        np.testing.assert_array_equal(train, want_train)
+        np.testing.assert_array_equal(test, want_test)
+        lib = cv_grid_search(x[train], y[train], grid, k=3, seed=5)
+        np.testing.assert_array_equal(rep.fold_correlations, lib.fold_correlations)
+        np.testing.assert_array_equal(rep.model.fit.u, lib.model.fit.u)
+        np.testing.assert_array_equal(rep.model.fit.v, lib.model.fit.v)
+        assert rep.train_correlation == lib.train_correlation
+        assert test_corr == evaluate_test(lib.model, x[test], y[test])
+
+    def test_fewer_than_three_held_out_rows_raise_before_any_fit(self, monkeypatch):
+        # 17 subjects leave 2 held-out rows
+        calls = []
+        monkeypatch.setattr(SccaSolver, "fit", lambda *a, **kw: calls.append(1))
+        ds, _ = gen_sparse_canonical_pair(17, 12, 12, 3, 3, 0.9, seed=1)
+        grid = [SccaParams(c1=2.0, c2=2.0, max_iters=50, tol=1e-5)]
+        with pytest.raises(ValueError,
+                           match=r"^held-out test set has 2 rows; at least 3 are needed$"):
+            scca_cv(ds.x, ds.y, grid, k=3, seed=0)
+        assert calls == []
+
+    def test_rows_of_other_subjects_rejected(self):
+        ds, _ = gen_sparse_canonical_pair(30, 12, 12, 3, 3, 0.9, seed=1)
+        y = FeatureMatrix(ds.y.data[::-1], ds.y.subject_ids[::-1])
+        grid = [SccaParams(c1=2.0, c2=2.0, max_iters=50, tol=1e-5)]
+        with pytest.raises(ValueError, match="row-aligned over the same subjects"):
+            scca_cv(ds.x, y, grid, k=3, seed=0)
 
 
 class TestSpectralScale:

@@ -1,14 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hdpaired.distances import DistanceMatrix
+from hdpaired.model_selection import fit_model
+from hdpaired.scca import SccaParams
 from hdpaired.subcluster import (
     FeatureClustering,
     complete_linkage,
     complete_linkage_merges,
     feature_distance_matrix,
     subcluster_cca,
+    subcluster_model,
 )
+from hdpaired.synthgen import gen_sparse_canonical_pair
 
 from oracles import (
     argmin_complete_linkage_merges,
@@ -304,3 +310,38 @@ class TestSubclusterCca:
         cx, cy = self.make_clusterings(4, 4, 2, 2)
         with pytest.raises(ValueError, match=r"top must be >= 0, got -1"):
             subcluster_cca(x, y, cx, cy, top_k=-1)
+
+
+class TestSubclusterModel:
+    @staticmethod
+    def planted_model():
+        ds, _ = gen_sparse_canonical_pair(60, 30, 30, 4, 4, 0.9, seed=6)
+        x, y = ds.x.data, ds.y.data
+        return x, y, fit_model(x, y, SccaParams(2.5, 2.5, max_iters=100, tol=1e-6))
+
+    def test_is_the_hand_composed_pipeline(self):
+        x, y, model = self.planted_model()
+        sel_u, sel_v = model.support_u, model.support_v
+        assert sel_u.size >= 3 and sel_v.size >= 3
+        cx, cy, ranking = subcluster_model(x, y, model, 3, "euclidean",
+                                           "pearson_correlation_distance", top_k=2)
+        want_x = complete_linkage(feature_distance_matrix(x, sel_u, "euclidean"), 3)
+        want_y = complete_linkage(
+            feature_distance_matrix(y, sel_v, "pearson_correlation_distance"), 3)
+        for got, want in ((cx, want_x), (cy, want_y)):
+            np.testing.assert_array_equal(got.feature_indices, want.feature_indices)
+            np.testing.assert_array_equal(got.labels, want.labels)
+            assert got.k == want.k == 3
+        want = subcluster_cca(x[:, sel_u], y[:, sel_v], want_x, want_y, top_k=2)
+        assert ranking == want
+
+    @pytest.mark.parametrize("side", ["support_u", "support_v"])
+    def test_fewer_than_two_selected_features_named(self, side):
+        x, y, model = self.planted_model()
+        fit = dataclasses.replace(model.fit, **{side: getattr(model.fit, side)[:1]})
+        one = dataclasses.replace(model, fit=fit)
+        sizes = (one.support_u.size, one.support_v.size)
+        assert min(sizes) == 1 and max(sizes) >= 2
+        with pytest.raises(ValueError, match=(
+                f"^need at least 2 selected features per side, got {sizes[0]} and {sizes[1]}$")):
+            subcluster_model(x, y, one, 2)
