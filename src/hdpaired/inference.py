@@ -24,7 +24,12 @@ replicates of a larger run.  Only the engine sizes a block, and each
 statistic takes it whole.  The permutation statistic loops over the y tiles
 on the outside and over the block's draws on the inside, so each tile is
 read once per block; each draw still adds its tile sums in tile order into
-its own accumulator, so no value depends on the block height.  The
+its own accumulator, so no value depends on the block height.  With one
+tile (n <= 181) a draw's gather goes through dx's transpose and never
+along columns; past that, it takes rows and then columns.  Either way it
+writes into buffers made by each call, so calls on different threads share
+none, and assumes no symmetry of dx.  A permutation draw is the low bits
+of its sorted keys (`_permutations`), the same bits as their argsort.  The
 subsample and bootstrap statistic forms its sums in one batched product
 (one BLAS syrk per draw).
 Permutation replicates and the observed value make no BLAS call, and syrk
@@ -102,19 +107,24 @@ def _replicates(stat, n: int, b: int, seed: int, stream: int, threads: int = 1,
 def _permutations(raw: np.ndarray) -> np.ndarray:
     """The permutation draws of a fresh (rows, n) block of raw words, which
     it overwrites: the low b = (n - 1).bit_length() bits of word j become j,
-    and the row's argsort is the draw.
+    each row is sorted in place, and the low b bits of the sorted words,
+    read as int64 (numpy's intp on 64-bit hosts), are the draws.
 
-    The keys of a row are distinct, so their sorted order is unique and the
-    default sort gives it.  The draw is the stable argsort of the words' top
-    64 - b bits, so it matches the stable argsort of the raw words unless two
-    words agree in those bits (probability below n**2 2**(b - 65) per draw).
-    Given distinct top bits it is the argsort of i.i.d. uniform values, so
-    uniform: its total-variation distance from uniform is below n**3 / 2**64.
+    The keys of a row are distinct, so their sorted order is unique, and the
+    low bits of the sorted keys are exactly the row's argsort.  The draw is
+    the stable argsort of the words' top 64 - b bits, so it matches the
+    stable argsort of the raw words unless two words agree in those bits
+    (probability below n**2 2**(b - 65) per draw).  Given distinct top bits
+    it is the argsort of i.i.d. uniform values, so uniform: its
+    total-variation distance from uniform is below n**3 / 2**64.
     """
     n = raw.shape[1]
-    raw &= np.uint64(2**64 - (1 << (n - 1).bit_length()))
+    low = np.uint64((1 << (n - 1).bit_length()) - 1)
+    raw &= ~low
     raw |= np.arange(n, dtype=np.uint64)
-    return raw.argsort(axis=1)
+    raw.sort(axis=1)
+    raw &= low
+    return raw.view(np.int64)
 
 
 def _pair_pearson(dx: DistanceMatrix, dy: DistanceMatrix, m: int):
@@ -162,6 +172,16 @@ def _cross_product(dx: DistanceMatrix, dy: DistanceMatrix,
     gathered at (s[a:e], s[a:]) into its own accumulator, so G(s) does not
     depend on the block height.  No pair index is built and no BLAS call is
     made, so G(s) depends on the data, s and n alone.
+
+    The gather writes into two buffers made afresh by each call, so calls
+    on different threads share none.  With one tile (every n <= 181) it
+    never gathers along columns, the slowest numpy take at desk size: the
+    rows s of dx's transpose xt, held beside the tile, are x[:, s] read by
+    columns; copied back transposed and gathered at the rows s[:e], they
+    are x[s[:e]][:, s].  Past one tile, the rows s[a:e] of dx are gathered,
+    then their columns s[a:].  Either way the einsum reads the same values
+    in the same C-contiguous layout, whether or not dx is exactly
+    symmetric, so G(s) keeps its bits.
     """
     n = dx.n_subjects
     rows = max(1, _TILE_BYTES // (8 * n))
@@ -170,12 +190,28 @@ def _cross_product(dx: DistanceMatrix, dy: DistanceMatrix,
     for a in range(0, n - 1, rows):
         e = min(a + rows, n)
         tiles.append((a, e, np.triu(y[a:e, a:] - mean_y, 1)))
+    xt = np.ascontiguousarray(x.T) if len(tiles) == 1 else None
 
     def gamma(draws: np.ndarray) -> np.ndarray:
         totals = [0.0] * len(draws)
-        for a, e, tile in tiles:
+        # mode="clip" (the indices are in range) makes take write straight
+        # into `out`, which under the default "raise" it would buffer.
+        if xt is not None:
+            ((_, e, tile),) = tiles
+            r, t = np.empty((n, n)), np.empty((n, n))
             for k, s in enumerate(draws):
-                totals[k] += float(np.einsum("ij,ij->", x.take(s[a:e], 0).take(s[a:], 1), tile))
+                xt.take(s, 0, out=r, mode="clip")
+                np.copyto(t, r.T)
+                g = t.take(s[:e], 0, out=r[:e], mode="clip")
+                totals[k] += float(np.einsum("ij,ij->", g, tile))
+            return np.array(totals)
+        row_buffer, tile_buffer = np.empty(tiles[0][2].size), np.empty(tiles[0][2].size)
+        for a, e, tile in tiles:
+            r = row_buffer[:(e - a) * n].reshape(e - a, n)
+            g = tile_buffer[:tile.size].reshape(tile.shape)
+            for k, s in enumerate(draws):
+                x.take(s[a:e], 0, out=r, mode="clip").take(s[a:], 1, out=g, mode="clip")
+                totals[k] += float(np.einsum("ij,ij->", g, tile))
         return np.array(totals)
 
     return gamma

@@ -58,6 +58,17 @@ def random_distance_pair(n, p=8, q=6, seed=0):
     return dx, dy
 
 
+def nearly_symmetric_pair(n, seed):
+    """random_distance_pair with dx's upper triangle moved by up to 5e-13,
+    so dx passes the 1e-12 symmetry check but dx[i, j] != dx[j, i]."""
+    dx, dy = random_distance_pair(n, seed=seed)
+    data = dx.data.copy()
+    iu, ju = np.triu_indices(n, 1)
+    data[iu, ju] += np.random.default_rng(seed).uniform(-5e-13, 5e-13, iu.size)
+    assert (data != data.T).any()
+    return DistanceMatrix(data, dx.metric_tag, dx.subject_ids), dy
+
+
 def replicate_draws(n, b, seed, stream, replace=False):
     """The b index draws the replicate procedures see, taken from the engine."""
     return _replicates(lambda s: s, n, b, seed, stream, replace=replace)
@@ -592,6 +603,49 @@ class TestReplicateEngine:
                     for threads in (1, 2):
                         null = permutation_test(dx, dy, b=b, seed=tiles, threads=threads)
                         assert null.null_samples.tolist() == expected, (height, threads)
+
+    @pytest.mark.parametrize("n, tiles", [(180, 1), (181, 1), (182, 2)])
+    def test_one_tile_path_at_the_switch(self, n, tiles):
+        # At the default tile budget n <= 181 makes one tile, which the
+        # kernel gathers through dx's transpose, and n = 182 makes two.  dx
+        # is symmetric only within 1e-12, so a gather that read dx[j, i] for
+        # dx[i, j] would miss the reference's bits.
+        dx, dy = nearly_symmetric_pair(n, seed=n)
+        cy = upper_triangle(dy)
+        cy -= cy.mean()
+        assert len(range(0, n - 1, max(1, inference._TILE_BYTES // (8 * n)))) == tiles
+        observed, gamma, denom = _observed_statistic(dx, dy)
+        null = permutation_test(dx, dy, b=24, seed=n).null_samples
+        draws = replicate_draws(n, 24, n, STREAM_PERMUTATION)
+        assert gamma(np.arange(n)[None])[0] / denom == observed
+        assert null.tolist() == [tiled_cross_product(dx.data, cy, s) / denom for s in draws]
+        assert null.tolist() != [tiled_cross_product(dx.data.T, cy, s) / denom for s in draws]
+
+    def test_one_tile_buffers_belong_to_each_call(self):
+        # n = 150 is one tile.  Blocks of 1, 2 and 7 draws, with b = 200
+        # crossing their boundaries, at 1, 2 and 8 threads, give the same
+        # bytes as the two-index reference: no call reads another's buffers.
+        # A short switch interval and runs of many draws let the threads
+        # interleave between a draw's gather and its einsum: a kernel whose
+        # calls shared one pair of buffers failed here in each of 9 runs.
+        n, b = 150, 200
+        dx, dy = nearly_symmetric_pair(n, seed=41)
+        cy = upper_triangle(dy)
+        cy -= cy.mean()
+        _, _, denom = _observed_statistic(dx, dy)
+        draws = replicate_draws(n, b, 4, STREAM_PERMUTATION)
+        expected = np.array([tiled_cross_product(dx.data, cy, s) / denom for s in draws])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for height in (1, 2, 7):
+                with mock.patch.object(inference, "_BLOCK_BYTES", 8 * n * height):
+                    for threads in (1, 2, 8):
+                        null = permutation_test(dx, dy, b=b, seed=4, threads=threads)
+                        assert null.null_samples.tobytes() == expected.tobytes(), (height,
+                                                                                   threads)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_same_bytes_at_any_thread_count(self):
         # Permutation blocks of 218 draws (n = 150 raw words each) and
