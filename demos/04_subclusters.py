@@ -23,13 +23,13 @@ print(f"selected features: {sel_u.size} (x side), {sel_v.size} (y side)")
 
 k = 3
 cx, cy, ranking = hp.subcluster_model(x, y, model, k, "scaled_euclidean",
-                                      "pearson_correlation_distance", top_k=3)
+                                      "pearson_correlation_distance")
 for tag, clust in (("x", cx), ("y", cy)):
     sizes = [clust.members(lab).size for lab in range(1, k + 1)]
     print(f"{tag}-side clusters (complete linkage, k={k}): sizes {sizes}")
 
 print("\nmost canonically correlated cluster pairs:")
-for a, b, corr in ranking.top:
+for a, b, corr in ranking.pairs[:3]:
     print(f"  x-cluster {a} x y-cluster {b}: correlation {corr:.3f}")
 print(f"(all {len(ranking.pairs)} nonempty pairs ranked; "
       f"{len(ranking.skipped)} skipped)")

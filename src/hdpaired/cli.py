@@ -552,22 +552,22 @@ def _cmd_subcluster(cfg: dict, inputs: dict[str, str]) -> dict:
         raise CliError(f"{len(missing)} of the model's {len(train)} training subjects "
                        f"missing from the input matrices, e.g. {missing[:5]}")
     cx, cy, ranking = subcluster_model(x.data[rows], y.data[rows], model, cfg["k"],
-                                       cfg["metric_x"], cfg["metric_y"], cfg["top"])
+                                       cfg["metric_x"], cfg["metric_y"])
 
     def pair_rows(triples):
         return [{"x_cluster": a, "y_cluster": b, "canonical_correlation": c}
                 for a, b, c in triples]
 
-    for tag, clustering in (("x", cx), ("y", cy)):
+    for tag, clustering, support in (("x", cx, model.support_u), ("y", cy, model.support_v)):
         write_csv(
             os.path.join(cfg["out"], f"clusters_{tag}.csv"),
             ["cluster", "feature_index"],
-            [(int(l), int(fi)) for l, fi in zip(clustering.labels, clustering.feature_indices)],
+            [(int(l), int(fi)) for l, fi in zip(clustering.labels, support)],
         )
     return {
         "k": cfg["k"],
         "pairs": pair_rows(ranking.pairs),
-        "top": pair_rows(ranking.top),
+        "top": pair_rows(ranking.pairs[:cfg["top"]]),
         "skipped": [list(s) for s in ranking.skipped],
     }
 

@@ -5,6 +5,8 @@ agglomeration under that modality's own distance (scaled Euclidean or
 correlation distance between feature columns), and every cross-modality
 cluster pair is scored by its unregularized canonical correlation.
 `subcluster_model` runs both steps on a fitted model's selected features.
+A clustering is one label per row of its distance matrix; the caller maps
+rows to feature indices and picks how many ranked pairs to show (`--top`).
 
 Inter-cluster distance is the maximum pairwise distance.  The merges come
 from one nearest-neighbour chain in O(f^2), tied distances included: ties
@@ -26,21 +28,19 @@ from hdpaired.model_selection import FittedSccaModel
 
 @dataclass(frozen=True)
 class FeatureClustering:
-    """Cluster labels (1..k) for the selected feature columns."""
+    """Cluster labels (1..k), one per row of the clustered distance matrix."""
 
-    feature_indices: np.ndarray
     labels: np.ndarray
     k: int
 
     def __post_init__(self):
-        if len(self.feature_indices) != len(self.labels):
-            raise ValueError("one label per selected feature required")
         present = set(int(l) for l in self.labels)
         if not present <= set(range(1, self.k + 1)):
             raise ValueError(f"labels must lie in 1..{self.k}, got {sorted(present)}")
 
     def members(self, label: int) -> np.ndarray:
-        """Positions (within the selected-column matrix) carrying `label`."""
+        """Rows (of the distance matrix, or columns of the selected-column
+        matrix) carrying `label`."""
         return np.flatnonzero(self.labels == label)
 
 
@@ -49,19 +49,12 @@ class SubclusterPairRanking:
     """All nonempty cluster pairs sorted by descending canonical correlation."""
 
     pairs: tuple[tuple[int, int, float], ...]
-    top_k_reported: int = 3
     skipped: tuple[tuple[int, int, str], ...] = ()
 
     def __post_init__(self):
-        if self.top_k_reported < 0:
-            raise ValueError(f"top must be >= 0, got {self.top_k_reported}")
         corrs = [c for _, _, c in self.pairs]
         if any(corrs[i] < corrs[i + 1] for i in range(len(corrs) - 1)):
             raise ValueError("pairs must be sorted by descending correlation")
-
-    @property
-    def top(self) -> tuple[tuple[int, int, float], ...]:
-        return self.pairs[: self.top_k_reported]
 
 
 def feature_distance_matrix(
@@ -146,7 +139,9 @@ def complete_linkage_merges(d: np.ndarray) -> list[tuple[int, int, float]]:
 
 
 def complete_linkage(d: DistanceMatrix, k: int) -> FeatureClustering:
-    """Agglomerate down to k clusters; labels 1..k ordered by min member index."""
+    """Agglomerate the rows of any distance matrix down to k clusters; one
+    label per row, labels 1..k ordered by min member index.  The row ids
+    are not read."""
     f = d.n_subjects
     if not 1 <= k <= f:
         raise ValueError(f"k={k} out of range for {f} features")
@@ -154,11 +149,7 @@ def complete_linkage(d: DistanceMatrix, k: int) -> FeatureClustering:
     root = np.arange(f)
     for a, b, _ in complete_linkage_merges(d.data)[: f - k]:
         root[root == b] = a
-    return FeatureClustering(
-        feature_indices=np.array([int(s) for s in d.subject_ids]),
-        labels=np.unique(root, return_inverse=True)[1] + 1,
-        k=k,
-    )
+    return FeatureClustering(np.unique(root, return_inverse=True)[1] + 1, k)
 
 
 def _orthonormal_basis(block: np.ndarray) -> np.ndarray:
@@ -178,15 +169,15 @@ def subcluster_cca(
     y_sel: np.ndarray,
     cx: FeatureClustering,
     cy: FeatureClustering,
-    top_k: int = 3,
 ) -> SubclusterPairRanking:
     """Rank all (x-cluster, y-cluster) pairs by unregularized canonical
     correlation (score-norm constraints only).
 
     The correlation is the top singular value of Qx^T Qy, with Qx, Qy
     truncated orthonormal bases of the centered within-cluster columns.
+    Column j of x_sel (y_sel) is in cluster cx.labels[j] (cy.labels[j]).
     Pairs where either block has no usable directions are skipped with a
-    note.
+    note; every scored pair is returned (the CLI's `--top` slices them).
     """
     x_sel = np.asarray(x_sel, dtype=float)
     y_sel = np.asarray(y_sel, dtype=float)
@@ -208,20 +199,22 @@ def subcluster_cca(
             corr = float(min(s[0], 1.0)) if s.size else 0.0
             scored.append((a, b, corr))
     scored.sort(key=lambda t: (-t[2], t[0], t[1]))
-    return SubclusterPairRanking(pairs=tuple(scored), top_k_reported=top_k, skipped=tuple(skipped))
+    return SubclusterPairRanking(pairs=tuple(scored), skipped=tuple(skipped))
 
 
 def subcluster_model(x: np.ndarray, y: np.ndarray, model: FittedSccaModel, k: int = 5,
                      metric_x: str = "scaled_euclidean",
-                     metric_y: str = "pearson_correlation_distance", top_k: int = 3,
+                     metric_y: str = "pearson_correlation_distance",
                      ) -> tuple[FeatureClustering, FeatureClustering, SubclusterPairRanking]:
     """Complete linkage of each side's selected features (model.support_u,
     support_v) into k clusters under its metric, then `subcluster_cca` of the
-    clusters.  x and y are the model's training rows; returns (cx, cy, ranking)."""
+    clusters.  x and y are the model's training rows; returns (cx, cy, ranking).
+    cx.labels[j] is the cluster of feature model.support_u[j], and cy's
+    labels follow support_v likewise."""
     sel_u, sel_v = model.support_u, model.support_v
     if sel_u.size < 2 or sel_v.size < 2:
         raise ValueError(
             f"need at least 2 selected features per side, got {sel_u.size} and {sel_v.size}")
     cx = complete_linkage(feature_distance_matrix(x, sel_u, metric_x), k)
     cy = complete_linkage(feature_distance_matrix(y, sel_v, metric_y), k)
-    return cx, cy, subcluster_cca(x[:, sel_u], y[:, sel_v], cx, cy, top_k=top_k)
+    return cx, cy, subcluster_cca(x[:, sel_u], y[:, sel_v], cx, cy)

@@ -443,24 +443,29 @@ class TestScca:
         cv = tmp_path / "cv"
         assert run(["scca", "cv", "--x", x, "--y", y, "--cells", 2, "--k", 3, "--seed", 2,
                     "--out", cv]) == 0
-        sc = tmp_path / "sc"
-        assert run(["subcluster", "--x", x, "--y", y, "--model", cv / "model.json", "--k", 2,
-                    "--top", 2, "--metric-x", "euclidean", "--out", sc]) == 0
-        rep = read_json(sc / "subcluster_report.json")["results"]
         model, _, train_ids = hp.FittedSccaModel.from_json(read_json(cv / "model.json"))
         pair = hp.pair(load_matrix(x), load_matrix(y))
         rows = [pair.x.subject_ids.index(sid) for sid in train_ids]
         cx, cy, ranking = hp.subcluster_model(pair.x.data[rows], pair.y.data[rows], model, 2,
-                                              "euclidean", "pearson_correlation_distance", 2)
-        for key, triples in (("pairs", ranking.pairs), ("top", ranking.top)):
-            assert [(p["x_cluster"], p["y_cluster"], p["canonical_correlation"])
-                    for p in rep[key]] == list(triples)
-        assert rep["skipped"] == [list(t) for t in ranking.skipped]
-        for tag, clustering in (("x", cx), ("y", cy)):
-            with open(sc / f"clusters_{tag}.csv", newline="") as f:
-                written = [(int(r["cluster"]), int(r["feature_index"])) for r in csv.DictReader(f)]
-            assert written == list(zip(clustering.labels.tolist(),
-                                       clustering.feature_indices.tolist()))
+                                              "euclidean", "pearson_correlation_distance")
+        assert len(ranking.pairs) == 4
+        # --top is the CLI's slice of the ranked pairs: none, some, or all
+        for top in (0, 1, 2, 50):
+            sc = tmp_path / f"sc{top}"
+            assert run(["subcluster", "--x", x, "--y", y, "--model", cv / "model.json",
+                        "--k", 2, "--top", top, "--metric-x", "euclidean", "--out", sc]) == 0
+            rep = read_json(sc / "subcluster_report.json")["results"]
+            for key, triples in (("pairs", ranking.pairs), ("top", ranking.pairs[:top])):
+                assert [(p["x_cluster"], p["y_cluster"], p["canonical_correlation"])
+                        for p in rep[key]] == list(triples)
+            assert rep["skipped"] == [list(t) for t in ranking.skipped]
+            # one label per selected feature, in the model's support order
+            for tag, clustering, support in (("x", cx, model.support_u),
+                                             ("y", cy, model.support_v)):
+                with open(sc / f"clusters_{tag}.csv", newline="") as f:
+                    written = [(int(r["cluster"]), int(r["feature_index"]))
+                               for r in csv.DictReader(f)]
+                assert written == list(zip(clustering.labels.tolist(), support.tolist()))
 
     def test_zero_cross_covariance_fails_only_the_svd_start(self, tmp_path, capsys):
         # Hadamard columns: x's three are orthogonal to y's one, and every

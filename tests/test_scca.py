@@ -82,11 +82,6 @@ class TestProjections:
         np.testing.assert_allclose(project_l2_ball(v, 10.0), v)
 
 
-def reference_l2_ball(w, d):
-    nrm = np.linalg.norm(w)
-    return w if nrm <= d else w * (d / nrm)
-
-
 def reference_l1_ball(w, c):
     """Sort-based projection onto the l1 ball (Duchi et al. 2008), on raw
     cumulative sums: exact enough at the moderate scales it is used on."""
@@ -97,23 +92,6 @@ def reference_l1_ball(w, c):
     css = np.cumsum(u)
     rho = np.nonzero(u * np.arange(1, u.size + 1) > css - c)[0][-1]
     return np.sign(w) * np.maximum(a - (css[rho] - c) / (rho + 1.0), 0.0)
-
-
-def dykstra_l1_l2(w, c, d, sweeps=100000):
-    """Slow reference for project_l1_l2: Dykstra's alternation between the
-    l2 and l1 balls, run until the iterate stops moving."""
-    x = w.copy()
-    inc_l2 = np.zeros_like(w)
-    inc_l1 = np.zeros_like(w)
-    for _ in range(sweeps):
-        y = reference_l2_ball(x + inc_l2, d)
-        inc_l2 = x + inc_l2 - y
-        x_new = reference_l1_ball(y + inc_l1, c)
-        inc_l1 = y + inc_l1 - x_new
-        if np.array_equal(x_new, x):
-            break
-        x = x_new
-    return x_new
 
 
 def bisection_l1_l2(w, c, d):
@@ -173,21 +151,26 @@ class TestProjectL1L2:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_each_case_matches_dykstra_reference(self, case):
+    def test_each_case_matches_bisection_reference(self, case):
         w, c, d = self.CASES[case]
         assert l1_l2_case(w, c, d) == case
         out = project_l1_l2(w, c, d)
-        np.testing.assert_allclose(out, dykstra_l1_l2(w, c, d), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(out, bisection_l1_l2(w, c, d), rtol=0, atol=1e-10)
         if case == "both":
             assert np.abs(out).sum() == pytest.approx(c, rel=1e-12)
             assert np.linalg.norm(out) == pytest.approx(d, rel=1e-12)
 
     @given(vectors, bounds, bounds)
+    # both bounds bind with c/d just under sqrt(2), the two kept entries
+    # near the boundary where a third would enter: an alternating
+    # (Dykstra) reference stalls 8.1e-8 from the projection here
+    @example(np.array([1.375, 1.375, 1.390625, 6.6875, 7.25, 0.5, 0.5, 0.5]),
+             0.30907552558962437, 0.2188352542173481)
     @settings(max_examples=300, deadline=None)
-    def test_matches_dykstra_reference(self, w, c, d):
+    def test_matches_bisection_reference(self, w, c, d):
         out = project_l1_l2(w, c, d)
         scale = max(1.0, float(np.abs(w).max()))
-        np.testing.assert_allclose(out, dykstra_l1_l2(w, c, d), rtol=0, atol=1e-8 * scale)
+        np.testing.assert_allclose(out, bisection_l1_l2(w, c, d), rtol=0, atol=1e-8 * scale)
 
     @given(vectors, st.floats(0.02, 0.98), st.floats(0.02, 0.98))
     @example(np.array([1.375, 1.375, 1.390625, 6.6875, 7.25, 0.5, 0.5, 0.5]), 0.021484375,
@@ -196,10 +179,10 @@ class TestProjectL1L2:
     def test_both_bounds_regime_matches_bisection_reference(self, w, fd, fc):
         # d below ||w||_2 and c/d strictly between 1 and ||w||_1/||w||_2:
         # mostly the case where both bounds bind, rare under free bounds.
-        # Dykstra's alternation can crawl here: on the pinned example, with
-        # c/d just under sqrt(2), 100,000 sweeps left it 8.1e-8 from the
-        # projection, which project_l1_l2 and the bisection both meet within
-        # 3e-16 (checked against a 50-digit solution).
+        # An alternating (Dykstra) reference can crawl here: on the pinned
+        # example, with c/d just under sqrt(2), 100,000 sweeps left it 8.1e-8
+        # from the projection, which project_l1_l2 and the bisection both
+        # meet within 3e-16 (checked against a 50-digit solution).
         l1, l2 = float(np.abs(w).sum()), float(np.linalg.norm(w))
         assume(l2 > 0)
         d = fd * l2

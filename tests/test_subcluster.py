@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hdpaired.distances import DistanceMatrix
+from hdpaired.distances import DistanceMatrix, distance_matrix
 from hdpaired.model_selection import fit_model
 from hdpaired.scca import SccaParams
 from hdpaired.subcluster import (
@@ -14,7 +14,7 @@ from hdpaired.subcluster import (
     subcluster_cca,
     subcluster_model,
 )
-from hdpaired.synthgen import gen_sparse_canonical_pair
+from hdpaired.synthgen import gen_null, gen_sparse_canonical_pair
 
 from oracles import (
     argmin_complete_linkage_merges,
@@ -221,11 +221,21 @@ class TestCompleteLinkage:
 
         assert partition(base, np.arange(9)) == partition(permuted, perm)
 
+    def test_clusters_a_subject_matrix_whatever_its_ids(self):
+        # The row ids are not read: subject ids s0000... cluster as the same
+        # matrix under ids "0"..."n-1" does.
+        dm = distance_matrix(gen_null(12, 5, 5, 1).x, "euclidean")
+        assert dm.subject_ids[0] == "s0000"
+        numbered = DistanceMatrix(dm.data, dm.metric_tag, tuple(str(i) for i in range(12)))
+        got = complete_linkage(dm, 3)
+        assert got.labels.shape == (12,)
+        np.testing.assert_array_equal(got.labels, complete_linkage(numbered, 3).labels)
+
 
 class TestSubclusterCca:
     def make_clusterings(self, px, py, kx, ky):
-        cx = FeatureClustering(np.arange(px), np.repeat(np.arange(1, kx + 1), px // kx), kx)
-        cy = FeatureClustering(np.arange(py), np.repeat(np.arange(1, ky + 1), py // ky), ky)
+        cx = FeatureClustering(np.repeat(np.arange(1, kx + 1), px // kx), kx)
+        cy = FeatureClustering(np.repeat(np.arange(1, ky + 1), py // ky), ky)
         return cx, cy
 
     def test_duplicated_cluster_ranks_first_with_unit_correlation(self):
@@ -293,24 +303,6 @@ class TestSubclusterCca:
         assert len(ranking.pairs) == 2
         assert {(a, b) for a, b, _ in ranking.skipped} == {(2, 1), (2, 2)}
 
-    def test_top_k_reported(self):
-        rng = np.random.default_rng(14)
-        x = rng.standard_normal((50, 6))
-        y = rng.standard_normal((50, 6))
-        cx, cy = self.make_clusterings(6, 6, 3, 3)
-        ranking = subcluster_cca(x, y, cx, cy, top_k=3)
-        assert len(ranking.top) == 3
-        assert ranking.top == ranking.pairs[:3]
-
-    def test_negative_top_k_rejected(self):
-        # a negative count would slice pairs[:-1] and drop the last pair
-        rng = np.random.default_rng(14)
-        x = rng.standard_normal((50, 4))
-        y = rng.standard_normal((50, 4))
-        cx, cy = self.make_clusterings(4, 4, 2, 2)
-        with pytest.raises(ValueError, match=r"top must be >= 0, got -1"):
-            subcluster_cca(x, y, cx, cy, top_k=-1)
-
 
 class TestSubclusterModel:
     @staticmethod
@@ -324,15 +316,14 @@ class TestSubclusterModel:
         sel_u, sel_v = model.support_u, model.support_v
         assert sel_u.size >= 3 and sel_v.size >= 3
         cx, cy, ranking = subcluster_model(x, y, model, 3, "euclidean",
-                                           "pearson_correlation_distance", top_k=2)
+                                           "pearson_correlation_distance")
         want_x = complete_linkage(feature_distance_matrix(x, sel_u, "euclidean"), 3)
         want_y = complete_linkage(
             feature_distance_matrix(y, sel_v, "pearson_correlation_distance"), 3)
         for got, want in ((cx, want_x), (cy, want_y)):
-            np.testing.assert_array_equal(got.feature_indices, want.feature_indices)
             np.testing.assert_array_equal(got.labels, want.labels)
             assert got.k == want.k == 3
-        want = subcluster_cca(x[:, sel_u], y[:, sel_v], want_x, want_y, top_k=2)
+        want = subcluster_cca(x[:, sel_u], y[:, sel_v], want_x, want_y)
         assert ranking == want
 
     @pytest.mark.parametrize("side", ["support_u", "support_v"])
