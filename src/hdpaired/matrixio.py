@@ -9,7 +9,6 @@ arrive from separate files.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 import struct
@@ -175,11 +174,12 @@ def read_csv(path: str, labels: bool) -> tuple[list[str], list[str] | None, np.n
     the line; a bad cell also its column and, in a labelled file, its
     subject.  A file that is not UTF-8 is an error that names the file.
 
-    In a well-formed file numpy's C reader parses the values; in a labelled
-    one csv reads the ids and checks each row's width.  Any other file is
-    read again by csv and float(): that pass also accepts the tokens
-    float() accepts and the C reader rejects (`1_000`, non-ASCII digits),
-    and it names the first bad cell.
+    In a well-formed file numpy's C reader parses the values as it streams
+    the file; in a labelled one a second pass, by csv, keeps only the ids
+    and each row's width.  Neither pass holds the file whole: a read takes about the matrix plus
+    one line of memory.  Any other file is read again by csv and float():
+    that pass also accepts the tokens float() accepts and the C reader
+    rejects (`1_000`, non-ASCII digits), and it names the first bad cell.
     """
     start = 1 if labels else 0
     try:
@@ -197,33 +197,51 @@ def _read_csv_c(f, start: int):
     """(header, labels, data) of a well-formed file by np.loadtxt, or None
     where the csv and float() pass must decide: a quoted header (it may
     span lines), no data rows, a token the C reader rejects, a row of the
-    wrong width or a non-finite cell."""
-    line = f.readline()
-    while line and not line.strip("\r\n"):  # csv skips blank records
-        line = f.readline()
+    wrong width or a non-finite cell.
+
+    loadtxt parses the values line by line from the open file; a labelled
+    file's ids and row widths come from a second pass, by csv, that keeps
+    only the ids."""
+    line = _content_line(f)
     if not line or '"' in line:
         return None
     header = line.rstrip("\r\n").split(",")  # what csv makes of an unquoted line
-    body = f.read()
-    if len(header) <= start or not body.strip("\r\n"):
+    body = f.tell()
+    if not _content_line(f):  # no data rows; on an empty body loadtxt would warn
         return None
-    try:
-        # comments=None: a cell that begins with "#" is a bad cell, not a comment.
-        data = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", comments=None,
-                          quotechar='"', ndmin=2,
-                          usecols=range(start, len(header)) if start else None)
-    except ValueError:
+    f.seek(body)
+    data = None
+    if len(header) > start:
+        try:
+            # comments=None: a cell that begins with "#" is a bad cell, not a comment.
+            data = np.loadtxt(f, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                              usecols=range(start, len(header)) if start else None)
+        except UnicodeDecodeError:  # a ValueError, but the caller names it
+            raise
+        except ValueError:
+            pass
+    if data is None:
+        for _ in f:  # decode the rest: a non-UTF-8 byte is the error wherever it lies
+            pass
         return None
     if data.shape[1] != len(header) - start or not np.isfinite(data).all():
         return None
     if not start:
         return header, None, data
-    # loadtxt skips the id column and ignores surplus fields; csv reads the
-    # ids and checks every row's width.
-    records = [rec for rec in csv.reader(io.StringIO(body, newline="")) if rec]
-    if len(records) != len(data) or any(len(rec) != len(header) for rec in records):
+    # loadtxt skips the id column and ignores surplus fields.
+    f.seek(body)
+    fields = [(len(rec), rec[0]) for rec in csv.reader(f) if rec]
+    if len(fields) != len(data) or any(width != len(header) for width, _ in fields):
         return None
-    return header, [rec[0] for rec in records], data
+    return header, [sid for _, sid in fields], data
+
+
+def _content_line(f) -> str:
+    """The next line that csv does not skip as blank; "" at the end of f."""
+    line = f.readline()
+    while line and not line.strip("\r\n"):
+        line = f.readline()
+    return line
 
 
 def _read_csv_float(path: str, f, start: int):

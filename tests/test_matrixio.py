@@ -1,6 +1,6 @@
-import contextlib
 import csv
 import io
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -183,6 +183,14 @@ class TestCsvCParse:
         ("a\n1\n2\n", False, True),
         ("id,f\nx,0.1\n", True, True),
         ('"a,b",c\n1,2\n', False, False),
+        ("id\na\nb\n", True, False),  # no value column
+        ("id,f1,f2\ra,1,2\rb,3,4\r", True, True),
+        ("id,f1,f2\r\na,1,2\r\nb,3,4", True, True),
+        ("id,f1\n\na,1\n\n\nb,2\n\n\n", True, True),
+        ("id,f1\r\r\ra,1\r\rb,2\r\r", True, True),
+        # Quoted ids after row 1, one of them holding a line break.
+        ('id,f1,f2\na,1,2\nb,3,4\n"c,d",5,6\ne,7,8\n', True, True),
+        ('id,f1\r\na,1\r\n"b\r\nc",2\r\n"d""e",3\r\n', True, True),
     ]
 
     @pytest.mark.parametrize("body, labels, c_parse", CASES)
@@ -190,10 +198,10 @@ class TestCsvCParse:
         path = tmp_path / "t.csv"
         path.write_bytes(body.encode("utf-8"))
         expected = float_reference(body, labels)
-        fallback = mock.patch.object(matrixio, "_read_csv_float",
-                                     side_effect=AssertionError("not the C parse"))
-        with fallback if c_parse else contextlib.nullcontext():
+        with mock.patch.object(matrixio, "_read_csv_float",
+                               wraps=matrixio._read_csv_float) as fallback:
             header, ids, data = read_csv(str(path), labels=labels)
+        assert fallback.called != c_parse
         assert (header, ids) == expected[:2]
         assert data.shape == expected[2].shape and data.tobytes() == expected[2].tobytes()
 
@@ -216,6 +224,48 @@ class TestCsvCParse:
         path.write_text("id,f1\na,1\nb,2,3\n")
         with pytest.raises(ValueError, match=r"t\.csv:3: expected 2 fields, got 3"):
             read_csv(str(path), labels=True)
+
+    @pytest.mark.parametrize("body, message", [
+        ("id,f1\n", r"t\.csv: no data rows$"),
+        ("id,f1\r\n\r\n\n\r", r"t\.csv: no data rows$"),
+        ('id,f1\na,1\n"b",2,3\n', r"t\.csv:3: expected 2 fields, got 3$"),
+        ("id,f1\ra,1\rb\r", r"t\.csv:3: expected 2 fields, got 1$"),
+    ])
+    def test_labelled_errors_name_file_and_line(self, tmp_path, body, message):
+        path = tmp_path / "t.csv"
+        path.write_bytes(body.encode("utf-8"))
+        with pytest.raises(ValueError, match=message):
+            read_csv(str(path), labels=True)
+
+    @pytest.mark.parametrize("early", [b"", b"w,1\n", b"w,1,2,3\n"])
+    def test_non_utf8_byte_past_1_mib_named(self, tmp_path, early):
+        # Also after a row of the wrong width, which the C reader rejects
+        # (one field short) or the id pass would (one too many).
+        rows = b"".join(b"s%d,1.5,2.5\n" % i for i in range(100_000))
+        assert len(rows) > 2**20
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"id,f1,f2\na,1,2\n" + early + rows + b"t,\xff,1\n")
+        with pytest.raises(ValueError) as exc:
+            read_csv(str(path), labels=True)
+        assert str(exc.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+    @pytest.mark.parametrize("labels", [True, False])
+    def test_peak_memory_is_about_the_matrix(self, tmp_path, labels):
+        # The reader streams: it never holds the file whole, as text or as
+        # csv records.
+        values = np.random.default_rng(3).standard_normal((100, 5000))
+        path = tmp_path / "m.csv"
+        header = ["id"] * labels + [f"f{j}" for j in range(values.shape[1])]
+        write_csv(str(path), header,
+                  ([f"s{i}"] * labels + row for i, row in enumerate(values.tolist())))
+        tracemalloc.start()
+        try:
+            data = read_csv(str(path), labels=labels)[2]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.tobytes() == values.tobytes()
+        assert peak < 3 * data.nbytes
 
 
 class TestBinaryIo:
